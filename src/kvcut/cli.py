@@ -9,13 +9,11 @@ byte-for-byte with timing stripped.
 from __future__ import annotations
 
 import argparse
-import concurrent.futures
 import csv
 import dataclasses
 import io
 import json
 import math
-import os
 import sys
 from pathlib import Path
 from typing import Optional
@@ -57,6 +55,25 @@ class _Parser(argparse.ArgumentParser):
         raise CliError(message)
 
 
+def _int_at_least(low: int):
+    def parse(text: str) -> int:
+        try:
+            value = int(text)
+        except ValueError:
+            raise argparse.ArgumentTypeError(f"invalid int value: {text!r}")
+        if value < low:
+            raise argparse.ArgumentTypeError(
+                f"must be at least {low}, got {value}"
+            )
+        return value
+
+    return parse
+
+
+def _k_flag(p: argparse.ArgumentParser) -> None:
+    p.add_argument("--k", type=_int_at_least(2), required=True)
+
+
 def _engine_flags(p: argparse.ArgumentParser) -> None:
     p.add_argument("--time-limit", type=float, default=None, metavar="SECONDS")
     p.add_argument("--heuristic", choices=("on", "off"), default="on")
@@ -66,14 +83,12 @@ def _engine_flags(p: argparse.ArgumentParser) -> None:
         help="branch on a whole vertex orbit at the root",
     )
     p.add_argument("--clique-family", choices=FAMILY_MODES, default="cover")
-    p.add_argument("--equality-rows", action="store_true")
     p.add_argument(
         "--connectivity-cut", choices=("auto", "on", "off"), default="auto"
     )
-    p.add_argument("--separate-root", action="store_true")
-    p.add_argument("--pricing-early-exit", action="store_true")
-    p.add_argument("--pricing-max-cols", type=int, default=10, metavar="N")
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument(
+        "--pricing-max-cols", type=_int_at_least(1), default=10, metavar="N"
+    )
 
 
 def _weights_flag(p: argparse.ArgumentParser) -> None:
@@ -89,12 +104,8 @@ def _options_from(args: argparse.Namespace) -> SolveOptions:
         symmetry=args.symmetry == "on",
         orbit_branching=args.symmetry_orbit_branching,
         clique_family=args.clique_family,
-        equality_rows=args.equality_rows,
         connectivity_cut=args.connectivity_cut,
-        separate_root=args.separate_root,
-        pricing_early_exit=args.pricing_early_exit,
         pricing_max_columns=args.pricing_max_cols,
-        seed=args.seed,
     )
 
 
@@ -216,28 +227,6 @@ def cmd_bench(args: argparse.Namespace) -> int:
     if not ks:
         raise CliError("--k needs at least one value")
     opts = _options_from(args)
-    jobs = [(path, k) for k in ks for path in args.instances]
-    threads = max(1, int(os.environ.get("KVCUT_THREADS", "1")))
-    results: dict[tuple[str, int], SolveReport | str] = {}
-    if threads == 1:
-        for path, k in jobs:
-            try:
-                results[(path, k)] = _bench_one(path, k, args.weights, opts)
-            except Exception as exc:  # noqa: BLE001 - batch survives
-                results[(path, k)] = str(exc)
-    else:
-        with concurrent.futures.ThreadPoolExecutor(max_workers=threads) as pool:
-            futures = {
-                pool.submit(_bench_one, path, k, args.weights, opts): (path, k)
-                for path, k in jobs
-            }
-            for fut in concurrent.futures.as_completed(futures):
-                key = futures[fut]
-                try:
-                    results[key] = fut.result()
-                except Exception as exc:  # noqa: BLE001 - batch survives
-                    results[key] = str(exc)
-
     buf = io.StringIO()
     writer = csv.writer(buf, lineterminator="\n")
     writer.writerow(BENCH_COLUMNS)
@@ -245,14 +234,15 @@ def cmd_bench(args: argparse.Namespace) -> int:
     for k in ks:
         group = []
         for path in args.instances:
-            res = results[(path, k)]
-            if isinstance(res, SolveReport):
-                writer.writerow(_bench_row(res))
-                group.append(res)
-            else:
-                print(f"error: {path} k={k}: {res}", file=sys.stderr)
+            try:
+                res = _bench_one(path, k, args.weights, opts)
+            except Exception as exc:  # noqa: BLE001 - batch survives
+                print(f"error: {path} k={k}: {exc}", file=sys.stderr)
                 writer.writerow([path, "", "", k, "Error"] + [""] * 9)
                 failures += 1
+                continue
+            writer.writerow(_bench_row(res))
+            group.append(res)
         if group:
             # per-k average over the instances that produced numbers,
             # mirroring the usual benchmark-table grouping
@@ -349,7 +339,7 @@ def build_parser() -> _Parser:
 
     p = sub.add_parser("solve", help="solve one instance to optimality")
     p.add_argument("instance")
-    p.add_argument("--k", type=int, required=True)
+    _k_flag(p)
     _weights_flag(p)
     _engine_flags(p)
     p.add_argument("--output", default=None, metavar="PATH")
@@ -365,7 +355,7 @@ def build_parser() -> _Parser:
 
     p = sub.add_parser("lp-bounds", help="root bounds of all formulations")
     p.add_argument("instance")
-    p.add_argument("--k", type=int, required=True)
+    _k_flag(p)
     p.add_argument("--optimum", type=float, default=None)
     _weights_flag(p)
     p.add_argument("--output", default=None, metavar="PATH")
@@ -373,7 +363,7 @@ def build_parser() -> _Parser:
 
     p = sub.add_parser("oracle", help="brute-force ground truth")
     p.add_argument("instance")
-    p.add_argument("--k", type=int, required=True)
+    _k_flag(p)
     p.add_argument("--regime", default="full", metavar="full|cost:<limit>")
     _weights_flag(p)
     p.add_argument("--output", default=None, metavar="PATH")

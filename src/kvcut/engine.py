@@ -28,13 +28,7 @@ from . import lp
 from .flow import weighted_vertex_connectivity
 from .graph import automorphism_generators, connected_components
 from .instance import INFEASIBLE, TRIVIAL, Instance, screen
-from .master import (
-    COVER,
-    Rmp,
-    build_clique_family,
-    init_rmp,
-    separate_clique_cut,
-)
+from .master import COVER, Rmp, build_clique_family, init_rmp
 from .pricing import BranchState, price
 from .symmetry import orbit_of, propagate
 
@@ -55,8 +49,6 @@ PROBE_PIVOT_CAP = 100
 RELIABILITY = 4
 #: stand-in gain for a probe that proves its side infeasible
 BIG_GAIN = 1e9
-#: root separation never runs more rounds than this
-MAX_SEPARATION_ROUNDS = 50
 
 
 class EngineError(RuntimeError):
@@ -73,15 +65,9 @@ class SolveOptions:
     heuristic: bool = True
     symmetry: bool = True
     clique_family: str = COVER
-    equality_rows: bool = False
     connectivity_cut: str = "auto"
-    separate_root: bool = False
-    pricing_early_exit: bool = False
     pricing_max_columns: int = 10
     orbit_branching: bool = False
-    #: accepted for reproducibility bookkeeping; the search itself is
-    #: deterministic and does not consume randomness
-    seed: int = 0
 
 
 @dataclass
@@ -298,10 +284,7 @@ class _Search:
 
         fam = build_clique_family(self.g, self.opts.clique_family)
         self.rmp = init_rmp(
-            self.inst,
-            fam,
-            equality_rows=self.opts.equality_rows,
-            connectivity_cut=self.opts.connectivity_cut,
+            self.inst, fam, connectivity_cut=self.opts.connectivity_cut
         )
         if self.opts.heuristic:
             self.incumbent = disconnection_heuristic(self.inst)
@@ -379,7 +362,6 @@ class _Search:
                 prices,
                 state,
                 max_columns=self.opts.pricing_max_columns,
-                early_exit=self.opts.pricing_early_exit,
             )
             self.pricing_seconds += time.monotonic() - t0
             if not outcome.columns:
@@ -402,8 +384,6 @@ class _Search:
         res = self._column_generation(state, node.basis)
         if res is None:
             return
-        if node.id == 0 and self.opts.separate_root:
-            res = self._root_separation(state, res)
         bound = res.objective
         if node.id == 0:
             self.root_bound = bound
@@ -432,22 +412,6 @@ class _Search:
             return
         var = self._select_branch(node, state, res, fractional, xvals)
         self._branch(node, var, xvals[var], res.basis, bound)
-
-    def _root_separation(
-        self, state: BranchState, res: lp.LpResult
-    ) -> lp.LpResult:
-        for _ in range(MAX_SEPARATION_ROUNDS):
-            clique = separate_clique_cut(
-                self.g, self.rmp.columns, self.rmp.column_values(res)
-            )
-            if clique is None:
-                return res
-            self.rmp.add_clique_row(clique)
-            refreshed = self._column_generation(state, res.basis)
-            if refreshed is None:
-                raise EngineError("root LP lost feasibility after a cut row")
-            res = refreshed
-        return res
 
     def _record_branch_gain(self, node: BnpNode, bound: float):
         gain = max(0.0, bound - node.bound)

@@ -26,11 +26,6 @@ class FlowNetwork:
         self.to: list[int] = []
         self.cap: list[float] = []
 
-    def add_node(self) -> int:
-        self.head.append([])
-        self.n += 1
-        return self.n - 1
-
     def add_arc(self, u: int, v: int, cap: float) -> int:
         """Arc u -> v with the given capacity (INF allowed); returns arc id."""
         a = len(self.to)
@@ -126,13 +121,13 @@ class VertexCut:
     vertices: list[int]  # the separator, sorted
 
 
-def split_network(g: Graph, extra_nodes: int = 0) -> FlowNetwork:
+def split_network(g: Graph) -> FlowNetwork:
     """Vertex-splitting transform: node 2v is v_in, 2v+1 is v_out.
 
     The split arc (v_in -> v_out) carries the vertex cost; each edge
     becomes two infinite arcs out_a -> in_b and out_b -> in_a.
     """
-    net = FlowNetwork(2 * g.n + extra_nodes)
+    net = FlowNetwork(2 * g.n)
     for v in range(g.n):
         net.add_arc(2 * v, 2 * v + 1, g.costs[v])
     for u, v in g.edges:

@@ -236,15 +236,6 @@ def is_clique(g: Graph, vertices: Iterable[int]) -> bool:
     return True
 
 
-def open_neighborhood(g: Graph, subset: Iterable[int]) -> set[int]:
-    """N(S) \\ S."""
-    s = set(subset)
-    out: set[int] = set()
-    for v in s:
-        out.update(g.adj_set[v])
-    return out - s
-
-
 def is_k_vertex_cut(g: Graph, cut: Iterable[int], k: int) -> bool:
     """Does deleting ``cut`` leave at least ``k`` connected components?"""
     cut_set = set(cut)

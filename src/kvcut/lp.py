@@ -180,9 +180,6 @@ class LinearProgram:
     def bounds(self, col: int) -> tuple[float, float]:
         return float(self._lb[col]), float(self._ub[col])
 
-    def column_cost(self, col: int) -> float:
-        return float(self._c[col])
-
     def solve(
         self, warm: Optional[Basis] = None, iteration_limit: int = DEFAULT_ITER_LIMIT
     ) -> LpResult:
@@ -336,6 +333,7 @@ class _Simplex:
         B = np.empty((self.m, self.m))
         for p, j in enumerate(self.basic):
             B[:, p] = self.col_vec(j)
+        self.Binv = None  # free the old inverse before inv() allocates its own
         try:
             self.Binv = np.linalg.inv(B)
         except np.linalg.LinAlgError:
@@ -477,11 +475,12 @@ class _Simplex:
             self.xb[leave_pos] = start + direction * t_best
             self.x[enter] = self.xb[leave_pos]
             self.Binv[leave_pos, :] /= piv
-            col = self.Binv[leave_pos, :]
             mask = np.abs(w) > 0.0
             mask[leave_pos] = False
             if mask.any():
-                self.Binv[mask, :] -= np.outer(w[mask], col)
+                # no named view of the pivot row: it would keep this inverse
+                # alive through the _refactor below, one more m x m array
+                self.Binv[mask, :] -= np.outer(w[mask], self.Binv[leave_pos, :])
             self.pivots_since_refactor += 1
             if self.pivots_since_refactor >= _REFACTOR_EVERY:
                 self._refactor()

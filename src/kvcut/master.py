@@ -4,8 +4,7 @@ The master LP selects nonnegative weights for "cluster" columns (vertex
 subsets that may survive deletion as one of the k required pairwise
 non-adjacent groups) together with per-vertex deletion variables.  Rows:
 
-* one *count* row      -- at least k clusters are selected (exactly k in
-                          the equality variant),
+* one *count* row      -- at least k clusters are selected,
 * one *cover* row per vertex -- every vertex is deleted or covered by a
                           selected cluster,
 * one row per clique of an edge-covering clique family -- at most one
@@ -22,7 +21,6 @@ at optimality, and the pricing theory relies on this shape).
 
 from __future__ import annotations
 
-import logging
 from dataclasses import dataclass
 from typing import Optional, Sequence
 
@@ -31,8 +29,6 @@ from .flow import weighted_vertex_connectivity
 from .graph import Graph
 from .instance import Instance
 
-log = logging.getLogger(__name__)
-
 COVER = "cover"
 PARTITION = "partition"
 EDGES = "edges"
@@ -40,9 +36,6 @@ FAMILY_MODES = (COVER, PARTITION, EDGES)
 
 #: duals with magnitude below this are treated as exactly zero
 DUAL_ZERO_TOL = 1e-9
-
-#: a clique row is considered violated when its activity exceeds 1 + this
-CLIQUE_VIOLATION_TOL = 1e-6
 
 #: the connectivity row applies automatically only up to this many parts
 CONNECTIVITY_MAX_K = 15
@@ -76,15 +69,6 @@ class CliqueFamily:
             for v in tup:
                 member_of[v].append(i)
         return cls(mode, stored, member_of)
-
-    def add(self, clique: Sequence[int]) -> int:
-        """Append one clique (used by root separation); returns its index."""
-        i = len(self.cliques)
-        tup = tuple(sorted(clique))
-        self.cliques.append(tup)
-        for v in tup:
-            self.member_of[v].append(i)
-        return i
 
     def touched_by(self, subset: Sequence[int]) -> list[int]:
         """Indices of family cliques meeting the subset."""
@@ -164,9 +148,7 @@ class DualPrices:
 
     ``count_price`` belongs to the cluster-count row, ``cover_price[v]``
     to vertex v's cover row, and ``clique_price[i]`` to family clique i
-    (stored with its sign flipped so that it is nonnegative).  With the
-    default inequality rows all values are nonnegative; the equality
-    variant can legitimately produce negative count/cover prices.
+    (stored with its sign flipped).  All values are clamped nonnegative.
     """
 
     count_price: float
@@ -186,19 +168,15 @@ class Rmp:
         inst: Instance,
         fam: CliqueFamily,
         *,
-        equality_rows: bool = False,
         connectivity_cut: str = "auto",
     ):
         g = inst.graph
-        self.inst = inst
         self.fam = fam
-        self.equality_rows = equality_rows
         self.model = lp.LinearProgram()
-        sense = lp.EQUAL if equality_rows else lp.GREATER
 
-        self.count_row = self.model.add_row(sense, float(inst.k), [])
+        self.count_row = self.model.add_row(lp.GREATER, float(inst.k), [])
         self.cover_rows = [
-            self.model.add_row(sense, 1.0, []) for _ in range(g.n)
+            self.model.add_row(lp.GREATER, 1.0, []) for _ in range(g.n)
         ]
         self.clique_rows = [
             self.model.add_row(lp.LESS, 1.0, []) for _ in fam.cliques
@@ -293,139 +271,29 @@ class Rmp:
     # -- results ----------------------------------------------------------------
 
     def extract_duals(self, result: lp.LpResult) -> DualPrices:
-        """Row prices for pricing; tiny noise zeroed, signs normalised."""
+        """Row prices for pricing; tiny noise zeroed, negatives clamped."""
         if result.status != lp.OPTIMAL:
             raise ValueError(f"duals need an optimal LP, got {result.status}")
-        clamp = not self.equality_rows
 
-        def clean(value: float, nonneg: bool) -> float:
+        def clean(value: float) -> float:
             if abs(value) < DUAL_ZERO_TOL:
                 return 0.0
-            return max(0.0, value) if nonneg else float(value)
+            return max(0.0, value)
 
         y = result.duals
         return DualPrices(
-            count_price=clean(float(y[self.count_row]), clamp),
-            cover_price=[
-                clean(float(y[r]), clamp) for r in self.cover_rows
-            ],
-            clique_price=[
-                clean(-float(y[r]), True) for r in self.clique_rows
-            ],
+            count_price=clean(float(y[self.count_row])),
+            cover_price=[clean(float(y[r])) for r in self.cover_rows],
+            clique_price=[clean(-float(y[r])) for r in self.clique_rows],
         )
 
     def artificial_level(self, result: lp.LpResult) -> float:
         """Largest artificial value; positive at convergence = infeasible."""
         return max(float(result.x[a]) for a in self.artificials)
 
-    # -- row generation ---------------------------------------------------------
-
-    def add_clique_row(self, clique: Sequence[int]) -> int:
-        """Install one more clique row, backfilling pooled columns."""
-        g = self.inst.graph
-        members = sorted(clique)
-        for i in range(len(members)):
-            for j in range(i + 1, len(members)):
-                if not g.has_edge(members[i], members[j]):
-                    raise ValueError("separating set is not a clique")
-        index = self.fam.add(members)
-        mset = set(members)
-        entries = []
-        for pos, col in enumerate(self.columns):
-            if mset.intersection(col.subset):
-                entries.append((col.var, 1.0))
-                self.columns[pos] = Column(
-                    col.subset, col.touched + (index,), col.var
-                )
-        row = self.model.add_row(lp.LESS, 1.0, entries)
-        self.clique_rows.append(row)
-        return row
-
 
 def init_rmp(
-    inst: Instance,
-    fam: CliqueFamily,
-    *,
-    equality_rows: bool = False,
-    connectivity_cut: str = "auto",
+    inst: Instance, fam: CliqueFamily, *, connectivity_cut: str = "auto"
 ) -> Rmp:
-    return Rmp(
-        inst,
-        fam,
-        equality_rows=equality_rows,
-        connectivity_cut=connectivity_cut,
-    )
+    return Rmp(inst, fam, connectivity_cut=connectivity_cut)
 
-
-# ---------------------------------------------------------------------------
-# root separation of additional clique rows
-
-
-def _maximal_cliques(g: Graph, limit: int) -> tuple[list[tuple[int, ...]], bool]:
-    """All maximal cliques (pivoting search); flag is False when truncated."""
-    out: list[tuple[int, ...]] = []
-    complete = True
-
-    def expand(r: list[int], p: set[int], x: set[int]) -> bool:
-        if not p and not x:
-            out.append(tuple(sorted(r)))
-            return len(out) < limit
-        pivot_pool = p | x
-        pivot = max(
-            sorted(pivot_pool), key=lambda u: len(g.adj_set[u] & p)
-        )
-        for v in sorted(p - g.adj_set[pivot]):
-            if not expand(r + [v], p & g.adj_set[v], x & g.adj_set[v]):
-                return False
-            p.remove(v)
-            x.add(v)
-        return True
-
-    complete = expand([], set(range(g.n)), set())
-    return out, complete
-
-
-def separate_clique_cut(
-    g: Graph,
-    columns: Sequence[Column],
-    values: Sequence[float],
-    *,
-    max_cliques: int = 200_000,
-) -> Optional[list[int]]:
-    """Most violated 'one cluster per clique' row, or None.
-
-    Scores every maximal clique by the total weight of the clusters it
-    meets.  Because the weights are nonnegative the score only grows when
-    a clique is extended, so searching maximal cliques alone is exact.
-    Isolated vertices can never appear (their singleton 'cliques' meet at
-    most one cluster of weight <= 1).
-    """
-    active = [
-        (frozenset(col.subset), float(val))
-        for col, val in zip(columns, values)
-        if val > DUAL_ZERO_TOL
-    ]
-    if not active:
-        return None
-    cliques, complete = _maximal_cliques(g, max_cliques)
-    if not complete:
-        log.warning(
-            "clique separation stopped after %d maximal cliques; skipping",
-            max_cliques,
-        )
-        return None
-    best_score = 0.0
-    best: Optional[tuple[int, ...]] = None
-    for clique in cliques:
-        cset = frozenset(clique)
-        score = sum(val for sub, val in active if sub & cset)
-        if score > best_score + DUAL_ZERO_TOL or (
-            best is not None
-            and abs(score - best_score) <= DUAL_ZERO_TOL
-            and clique < best
-        ):
-            best_score = score
-            best = clique
-    if best is not None and best_score > 1.0 + CLIQUE_VIOLATION_TOL:
-        return list(best)
-    return None

@@ -19,10 +19,6 @@ Stage 1 takes one minimum cut.  When it comes back empty and the count
 price is positive, stage 2 re-runs the cut once per eligible vertex with
 the count price added to that vertex's source arc, which forces the
 vertex into the cluster whenever any violated cluster contains it.
-
-Negative cover prices (possible under the equality-row variant) become
-penalty arcs to the sink, so the same identity between cut values and
-violations carries over unchanged.
 """
 
 from __future__ import annotations
@@ -97,10 +93,7 @@ def build_network(
     net = FlowNetwork(2 + n + len(fam.cliques))
     source_arcs = []
     for v in range(n):
-        price = prices.cover_price[v]
-        source_arcs.append(net.add_arc(0, 2 + v, max(price, 0.0)))
-        if price < 0.0:
-            net.add_arc(2 + v, 1, -price)
+        source_arcs.append(net.add_arc(0, 2 + v, prices.cover_price[v]))
     for i, clique in enumerate(fam.cliques):
         price = prices.clique_price[i]
         if price <= 0.0:
@@ -154,16 +147,15 @@ def price(
     state: BranchState,
     *,
     max_columns: int = 10,
-    early_exit: bool = False,
 ) -> PricingOutcome:
     """Two-stage search for violated cluster columns.
 
     Stage 1 returns the single best cluster when the plain minimum cut
     already carries one.  An empty stage-1 cluster is conclusive unless
     the count price is positive, in which case stage 2 sweeps one boosted
-    cut per eligible vertex and returns the best finds (all of them with
-    ``early_exit``\\ =False, the first one otherwise).  An empty outcome
-    certifies that no cluster column prices out.
+    cut per eligible vertex and returns up to ``max_columns`` of its
+    finds, most violated first.  An empty outcome certifies that no
+    cluster column prices out.
     """
     n = g.n
     net, source_arcs = build_network(g, fam, prices, state)
@@ -193,8 +185,6 @@ def price(
         if violation > VIOLATION_TOL:
             _check_admissible(g, state, subset)
             found[subset] = violation
-            if early_exit:
-                break
     if not found:
         return PricingOutcome()
     ranked = sorted(found.items(), key=lambda item: (-item[1], item[0]))

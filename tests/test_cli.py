@@ -85,6 +85,15 @@ def test_bad_flags_exit_one(tmp_path, capsys):
     assert main(["frobnicate"]) == 1
     assert main(["solve", p3]) == 1  # --k is required
     capsys.readouterr()
+    for argv in (
+        ["solve", p3, "--k", "1"],
+        ["solve", KARATE, "--k", "5", "--pricing-max-cols", "0"],
+        ["solve", KARATE, "--k", "5", "--pricing-max-cols", "-1"],
+        ["lp-bounds", p3, "--k", "1"],
+        ["oracle", p3, "--k", "0"],
+    ):
+        assert main(argv) == 1, argv
+        assert "kvcut: error: argument" in capsys.readouterr().err, argv
 
 
 def test_reports_are_deterministic_apart_from_timing(tmp_path):
@@ -142,20 +151,6 @@ def test_bench_survives_a_broken_instance(tmp_path, capsys):
     assert len(error_rows) == 1
     assert error_rows[0][0] == missing
     assert len(error_rows[0]) == len(BENCH_COLUMNS)
-
-
-def test_bench_threads_match_the_serial_run(tmp_path, capsys, monkeypatch):
-    p3 = path3_file(tmp_path)
-    c6 = cycle6_file(tmp_path)
-
-    def run():
-        assert main(["bench", p3, c6, "--k", "2,3,4"]) == 0
-        rows = list(csv.reader(capsys.readouterr().out.splitlines()))
-        return [row[:12] for row in rows]  # drop the timing columns
-
-    serial = run()
-    monkeypatch.setenv("KVCUT_THREADS", "4")
-    assert run() == serial
 
 
 # ------------------------------------------------------------ weights

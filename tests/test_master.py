@@ -1,4 +1,3 @@
-import itertools
 import random
 from pathlib import Path
 
@@ -9,13 +8,11 @@ from kvcut.graph import Graph, is_clique, read_dimacs
 from kvcut.instance import Instance, gnp_graph
 from kvcut.master import (
     COVER,
-    Column,
     EDGES,
     FAMILY_MODES,
     PARTITION,
     build_clique_family,
     init_rmp,
-    separate_clique_cut,
 )
 from kvcut.pricing import BranchState, price
 
@@ -185,68 +182,3 @@ def test_artificial_level_flags_infeasible_node():
             break
     assert rmp.artificial_level(res) > 1e-7
 
-
-# ----------------------------------------------------------- separation
-
-
-def _cols(subsets, weights):
-    cols = [Column(tuple(sorted(s)), (), -1) for s in subsets]
-    return cols, list(weights)
-
-
-def _clique_score(subsets, weights, clique):
-    cset = set(clique)
-    return sum(w for s, w in zip(subsets, weights) if set(s) & cset)
-
-
-def test_separation_on_planted_clique():
-    # uniform lambda = 1/(l-1) over singletons of an l-clique violates
-    # that clique's row
-    for ell in (2, 3, 5):
-        g = Graph(ell, [(a, b) for a in range(ell) for b in range(a + 1, ell)])
-        subsets = [(v,) for v in range(ell)]
-        weights = [1.0 / (ell - 1)] * ell
-        found = separate_clique_cut(g, *_cols(subsets, weights))
-        assert found is not None
-        assert is_clique(g, found)
-        score = _clique_score(subsets, weights, found)
-        assert abs(score - ell / (ell - 1)) < 1e-9
-        assert score > 1.0 + 1e-6
-
-
-def test_separation_zero_weights_returns_none():
-    cols, vals = _cols([(0,), (1, 2)], [0.0, 0.0])
-    assert separate_clique_cut(triangle(), cols, vals) is None
-
-
-def test_separation_triangle_score():
-    cols, vals = _cols([(0,), (1,), (2,)], [0.4, 0.4, 0.4])
-    found = separate_clique_cut(triangle(), cols, vals)
-    assert sorted(found) == [0, 1, 2]
-    assert abs(_clique_score([(0,), (1,), (2,)], vals, found) - 1.2) < 1e-9
-
-
-def test_separation_is_exact_on_small_graphs():
-    rng = random.Random(40)
-    for trial in range(25):
-        n = rng.randint(2, 8)
-        g = gnp_graph(n, rng.uniform(0.3, 0.9), seed=1000 + trial)
-        subsets = []
-        weights = []
-        for _ in range(rng.randint(1, 6)):
-            size = rng.randint(1, n)
-            subsets.append(tuple(sorted(rng.sample(range(n), size))))
-            weights.append(round(rng.uniform(0, 0.7), 3))
-        best = 0.0
-        for r in range(1, n + 1):
-            for combo in itertools.combinations(range(n), r):
-                if not is_clique(g, combo):
-                    continue
-                best = max(best, _clique_score(subsets, weights, combo))
-        found = separate_clique_cut(g, *_cols(subsets, weights))
-        if best > 1.0 + 1e-6:
-            assert found is not None, trial
-            got = _clique_score(subsets, weights, found)
-            assert abs(got - best) < 1e-9, trial
-        else:
-            assert found is None, trial

@@ -125,15 +125,6 @@ def test_stage_two_on_shaped_duals():
         assert col.violation == pytest.approx(1.0)
 
 
-def test_stage_two_early_exit_takes_first_find():
-    g = path3()
-    outcome = price(
-        g, edge_family(g), shaped_duals(), BranchState(), early_exit=True
-    )
-    assert outcome.stage == 2
-    assert [c.subset for c in outcome.columns] == [(0,)]
-
-
 def test_stage_one_fires_when_plain_cut_is_nonempty():
     g = path3()
     duals = DualPrices(0.0, [5.0, 0.0, 0.0], [1.0, 1.0])
@@ -193,15 +184,14 @@ def _admissible_subsets(g, bs):
                 yield combo
 
 
-def _random_config(rng, allow_negative=False):
+def _random_config(rng):
     n = rng.randint(2, 8)
     g = gnp_graph(n, rng.uniform(0.15, 0.9), seed=rng.randrange(10**6))
     mode = rng.choice(["cover", "partition", "edges"])
     fam = build_clique_family(g, mode)
-    lo = -1.5 if allow_negative else 0.0
     duals = DualPrices(
         round(rng.uniform(0.0, 3.0), 3) if rng.random() < 0.8 else 0.0,
-        [round(rng.uniform(lo, 2.0), 3) for _ in range(n)],
+        [round(rng.uniform(0.0, 2.0), 3) for _ in range(n)],
         [round(rng.uniform(0.0, 2.5), 3) for _ in fam.cliques],
     )
     cut = frozenset(v for v in range(n) if rng.random() < 0.15)
@@ -245,16 +235,3 @@ def test_two_stage_matches_exhaustive_search():
         if price(g, fam, duals, bs).columns:
             found += 1
     assert found >= 15  # the sweep saw real violations, not just silence
-
-
-def test_negative_cover_prices_reach_the_same_optimum():
-    # the equality-row variant can hand the network negative vertex
-    # prices; those turn into sink-side penalty arcs
-    rng = random.Random(12)
-    negatives = 0
-    for _ in range(40):
-        g, fam, duals, bs = _random_config(rng, allow_negative=True)
-        _check_against_exhaustive(g, fam, duals, bs)
-        if any(p < 0.0 for p in duals.cover_price):
-            negatives += 1
-    assert negatives >= 20
