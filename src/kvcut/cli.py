@@ -22,6 +22,7 @@ from .graph import DimacsError, Graph, read_dimacs
 from .instance import Instance, format_weights, parse_weights, random_costs
 from .lab import bound_report
 from .master import FAMILY_MODES
+from .pricing import MAX_COLUMNS
 from .oracle import (
     BudgetExceeded,
     CostBounded,
@@ -70,6 +71,13 @@ def _int_at_least(low: int):
     return parse
 
 
+def _k_list(text: str) -> list[int]:
+    ks = [_int_at_least(2)(part) for part in text.split(",") if part]
+    if not ks:
+        raise argparse.ArgumentTypeError("needs at least one value")
+    return ks
+
+
 def _k_flag(p: argparse.ArgumentParser) -> None:
     p.add_argument("--k", type=_int_at_least(2), required=True)
 
@@ -87,7 +95,8 @@ def _engine_flags(p: argparse.ArgumentParser) -> None:
         "--connectivity-cut", choices=("auto", "on", "off"), default="auto"
     )
     p.add_argument(
-        "--pricing-max-cols", type=_int_at_least(1), default=10, metavar="N"
+        "--pricing-max-cols", type=_int_at_least(1), default=MAX_COLUMNS,
+        metavar="N",
     )
 
 
@@ -214,28 +223,18 @@ def _bench_row(rep: SolveReport) -> list:
     ]
 
 
-def _bench_one(path: str, k: int, weights: str, opts: SolveOptions):
-    g = _load_graph(path, weights)
-    return solve(Instance(g, k), opts)
-
-
 def cmd_bench(args: argparse.Namespace) -> int:
-    try:
-        ks = [int(part) for part in args.k.split(",") if part]
-    except ValueError as exc:
-        raise CliError(f"bad --k list {args.k!r}") from exc
-    if not ks:
-        raise CliError("--k needs at least one value")
     opts = _options_from(args)
     buf = io.StringIO()
     writer = csv.writer(buf, lineterminator="\n")
     writer.writerow(BENCH_COLUMNS)
     failures = 0
-    for k in ks:
+    for k in args.k:
         group = []
         for path in args.instances:
             try:
-                res = _bench_one(path, k, args.weights, opts)
+                g = _load_graph(path, args.weights)
+                res = solve(Instance(g, k), opts)
             except Exception as exc:  # noqa: BLE001 - batch survives
                 print(f"error: {path} k={k}: {exc}", file=sys.stderr)
                 writer.writerow([path, "", "", k, "Error"] + [""] * 9)
@@ -347,7 +346,7 @@ def build_parser() -> _Parser:
 
     p = sub.add_parser("bench", help="solve a batch and emit a CSV table")
     p.add_argument("instances", nargs="+")
-    p.add_argument("--k", required=True, metavar="K1,K2,...")
+    p.add_argument("--k", type=_k_list, required=True, metavar="K1,K2,...")
     _weights_flag(p)
     _engine_flags(p)
     p.add_argument("--output", default=None, metavar="PATH")

@@ -7,8 +7,9 @@ incumbent (after re-verifying the component count directly on the
 graph), or branches on a fractional deletion variable chosen by a
 reliability-style pseudocost rule with strong-branching probes.
 
-Big-M artificial columns keep every node LP feasible, so a node whose
-converged LP still carries a positive artificial is provably infeasible
+Big-M artificial columns keep every node LP feasible except against the
+connectivity row, so a node whose master LP is infeasible, or whose
+converged LP still carries a positive artificial, is provably infeasible
 and is dropped.  Branching restricts pricing through extra network arcs
 and deactivates pooled columns that contradict the node's fixings; both
 views are recomputed from the node's own state, so moving around the
@@ -26,10 +27,10 @@ from typing import Optional
 
 from . import lp
 from .flow import weighted_vertex_connectivity
-from .graph import automorphism_generators, connected_components
+from .graph import Graph, automorphism_generators, connected_components
 from .instance import INFEASIBLE, TRIVIAL, Instance, screen
 from .master import COVER, Rmp, build_clique_family, init_rmp
-from .pricing import BranchState, price
+from .pricing import MAX_COLUMNS, BranchState, price
 from .symmetry import orbit_of, propagate
 
 log = logging.getLogger(__name__)
@@ -40,8 +41,6 @@ TIME_LIMIT = "TimeLimit"
 
 #: x-values this close to an integer count as integral
 INT_TOL = 1e-6
-#: an artificial above this at CG convergence certifies node infeasibility
-ARTIFICIAL_TOL = 1e-7
 BOUND_EPS = 1e-6
 #: strong-branching probes stop after this many simplex pivots
 PROBE_PIVOT_CAP = 100
@@ -59,6 +58,11 @@ class _Timeout(Exception):
     pass
 
 
+def _check_deadline(deadline: Optional[float]):
+    if deadline is not None and time.monotonic() > deadline:
+        raise _Timeout
+
+
 @dataclass
 class SolveOptions:
     time_limit: Optional[float] = None
@@ -66,7 +70,7 @@ class SolveOptions:
     symmetry: bool = True
     clique_family: str = COVER
     connectivity_cut: str = "auto"
-    pricing_max_columns: int = 10
+    pricing_max_columns: int = MAX_COLUMNS
     orbit_branching: bool = False
 
 
@@ -171,6 +175,54 @@ def disconnection_heuristic(inst: Instance) -> Optional[Incumbent]:
         removed.update(best[1])
 
 
+@dataclass
+class CgWork:
+    """Master pivots and pricing seconds, summed over the loops given it."""
+
+    pivots: int = 0
+    pricing_seconds: float = 0.0
+
+
+def column_generation(
+    rmp: Rmp,
+    g: Graph,
+    state: BranchState,
+    basis: Optional[lp.Basis] = None,
+    *,
+    work: CgWork,
+    max_columns: int = MAX_COLUMNS,
+    deadline: Optional[float] = None,
+) -> Optional[lp.LpResult]:
+    """Solve the master, price, add columns; repeat until none is added.
+
+    Returns the converged LP, or None when the master LP is infeasible
+    (the connectivity row has no artificial).  Raises ``EngineError`` on
+    any other LP failure, and ``_Timeout`` before a master solve past the
+    deadline, with ``work`` counted so far.
+    """
+    while True:
+        _check_deadline(deadline)
+        res = rmp.model.solve(warm=basis)
+        work.pivots += res.iterations
+        if res.status == lp.INFEASIBLE:
+            log.debug("master LP infeasible")
+            return None
+        if res.status != lp.OPTIMAL:
+            raise EngineError(f"master LP ended with {res.status}")
+        basis = res.basis
+        t0 = time.monotonic()
+        outcome = price(
+            g, rmp.fam, rmp.extract_duals(res), state, max_columns=max_columns
+        )
+        work.pricing_seconds += time.monotonic() - t0
+        if not sum(rmp.add_column(col.subset) for col in outcome.columns):
+            if outcome.columns:
+                # the violated cluster is pooled and active, so its margin
+                # is below the simplex tolerance; treat CG as converged
+                log.debug("pricing returned only pooled columns")
+            return res
+
+
 def solve(inst: Instance, opts: Optional[SolveOptions] = None) -> SolveReport:
     return _Search(inst, opts or SolveOptions()).run()
 
@@ -184,7 +236,7 @@ class _Search:
         self.deadline = (
             None if opts.time_limit is None else self.start + opts.time_limit
         )
-        self.pricing_seconds = 0.0
+        self.work = CgWork()
         self.integral_costs = all(
             float(c).is_integer() for c in self.g.costs
         )
@@ -203,10 +255,6 @@ class _Search:
 
     # -- plumbing -------------------------------------------------------------
 
-    def _check_time(self):
-        if self.deadline is not None and time.monotonic() > self.deadline:
-            raise _Timeout
-
     def _report(self, status: str, **extra) -> SolveReport:
         rep = SolveReport(
             instance=self.g.name,
@@ -219,7 +267,7 @@ class _Search:
             cols_total=len(self.rmp.columns) if self.rmp else 0,
             cols_root=self.cols_root,
             root_lp_bound=self.root_bound,
-            pricing_seconds=self.pricing_seconds,
+            pricing_seconds=self.work.pricing_seconds,
             total_seconds=time.monotonic() - self.start,
         )
         for key, value in extra.items():
@@ -295,7 +343,7 @@ class _Search:
         heapq.heappush(self.heap, (root.bound, 0, root.id, root))
         try:
             while self.heap:
-                self._check_time()
+                _check_deadline(self.deadline)
                 bound, _, _, node = heapq.heappop(self.heap)
                 if self._prunable(bound):
                     continue
@@ -340,55 +388,22 @@ class _Search:
         for index, col in enumerate(rmp.columns):
             rmp.set_column_active(index, state.allows_cluster(self.g, col.subset))
 
-    def _column_generation(
-        self, state: BranchState, basis: Optional[lp.Basis]
-    ) -> Optional[lp.LpResult]:
-        rmp = self.rmp
-        while True:
-            self._check_time()
-            res = rmp.model.solve(warm=basis)
-            if res.status == lp.INFEASIBLE:
-                # artificials make this unreachable for sane data; be safe
-                log.debug("node LP infeasible despite artificials")
-                return None
-            if res.status != lp.OPTIMAL:
-                raise EngineError(f"master LP ended with {res.status}")
-            basis = res.basis
-            prices = rmp.extract_duals(res)
-            t0 = time.monotonic()
-            outcome = price(
-                self.g,
-                rmp.fam,
-                prices,
-                state,
-                max_columns=self.opts.pricing_max_columns,
-            )
-            self.pricing_seconds += time.monotonic() - t0
-            if not outcome.columns:
-                return res
-            added = 0
-            for col in outcome.columns:
-                if rmp.add_column(col.subset):
-                    added += 1
-            if added == 0:
-                # the violated cluster is pooled and active, so its margin
-                # is below the simplex tolerance; treat CG as converged
-                log.debug("pricing returned only pooled columns")
-                return res
-
     def _process(self, node: BnpNode):
         state = self._effective_state(node)
         if state is None:
             return  # dominated by a symmetric sibling
         self._apply_state(state)
-        res = self._column_generation(state, node.basis)
+        res = column_generation(
+            self.rmp, self.g, state, node.basis, work=self.work,
+            max_columns=self.opts.pricing_max_columns, deadline=self.deadline,
+        )
         if res is None:
             return
         bound = res.objective
         if node.id == 0:
             self.root_bound = bound
             self.cols_root = len(self.rmp.columns)
-        if self.rmp.artificial_level(res) > ARTIFICIAL_TOL:
+        if self.rmp.infeasible(res):
             return  # no admissible solution under these fixings
         if node.branch_var is not None and math.isfinite(node.bound):
             self._record_branch_gain(node, bound)

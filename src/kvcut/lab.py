@@ -1,8 +1,8 @@
 """Root LP-bound laboratory for three formulations of the same problem.
 
 Computes, per instance, the root relaxation value of (a) the column
-formulation the solver branches on (any clique family, via the same
-master/pricing code the engine uses), (b) the natural vertex-variable
+formulation the solver branches on (any clique family, solved by the
+engine's own column-generation loop), (b) the natural vertex-variable
 model with its exponential family of forest rows, solved by separation,
 and (c) the compact cluster-assignment model.  The known strength
 relations between the three are what the test suite checks; this module
@@ -17,15 +17,15 @@ from dataclasses import dataclass, field
 from typing import Optional
 
 from . import lp
+from .engine import CgWork, column_generation
 from .graph import Graph
 from .instance import Instance
 from .master import COVER, build_clique_family, init_rmp
-from .pricing import BranchState, price
+from .pricing import BranchState
+from .pricing import price  # noqa: F401 - unused; perfbench/spans.py wraps it by name
 
 #: a forest row is added only when violated by more than this
 SEPARATION_TOL = 1e-6
-#: matches the master's certificate for an infeasible relaxation
-ARTIFICIAL_TOL = 1e-7
 MAX_SEPARATION_ROUNDS = 10_000
 
 
@@ -61,34 +61,23 @@ def lp_bound_extended(
 ) -> FormulationBound:
     """Root value of the column formulation under the given clique family.
 
-    Runs column generation to convergence with the same master and
-    pricing code the search tree uses — no connectivity row and no
-    branching restrictions, so the value is the plain relaxation.
+    Runs the search tree's column-generation loop to convergence — no
+    connectivity row and no branching restrictions, so the value is the
+    plain relaxation.
     Returns ``inf`` when the relaxation itself is infeasible (only the
     big-M columns can carry it), which certifies an infeasible instance.
     """
     start = time.monotonic()
     fam = build_clique_family(inst.graph, family)
     rmp = init_rmp(inst, fam, connectivity_cut="off")
-    state = BranchState()
-    iterations = 0
-    basis = None
-    while True:
-        res = rmp.model.solve(warm=basis)
-        if res.status != lp.OPTIMAL:
-            raise ArithmeticError(f"root LP ended with {res.status}")
-        iterations += res.iterations
-        basis = res.basis
-        outcome = price(inst.graph, fam, rmp.extract_duals(res), state)
-        added = sum(rmp.add_column(col.subset) for col in outcome.columns)
-        if not outcome.columns or added == 0:
-            break
-    value = math.inf if rmp.artificial_level(res) > ARTIFICIAL_TOL else res.objective
+    work = CgWork()
+    res = column_generation(rmp, inst.graph, BranchState(), work=work)
+    value = math.inf if res is None or rmp.infeasible(res) else res.objective
     return _with_gap(
         FormulationBound(
             value,
             time.monotonic() - start,
-            iterations,
+            work.pivots,
             columns=len(rmp.columns),
         ),
         optimum,

@@ -456,8 +456,7 @@ class _Simplex:
                 self.status[enter] = AT_UB if direction > 0 else AT_LB
                 self.x[enter] = self.ub[enter] if direction > 0 else self.lb[enter]
                 continue
-            piv = w[leave_pos]
-            if abs(piv) < PIVOT_TOL:
+            if abs(w[leave_pos]) < PIVOT_TOL:
                 bad_pivot_retries += 1
                 if bad_pivot_retries > 3:
                     raise SingularBasisError("persistent zero pivot")
@@ -474,19 +473,21 @@ class _Simplex:
             self.status[enter] = BASIC
             self.xb[leave_pos] = start + direction * t_best
             self.x[enter] = self.xb[leave_pos]
-            self.Binv[leave_pos, :] /= piv
-            mask = np.abs(w) > 0.0
-            mask[leave_pos] = False
-            if mask.any():
-                # no named view of the pivot row: it would keep this inverse
-                # alive through the _refactor below, one more m x m array
-                self.Binv[mask, :] -= np.outer(w[mask], self.Binv[leave_pos, :])
+            self._update_inverse(leave_pos, w)
             self.pivots_since_refactor += 1
             if self.pivots_since_refactor >= _REFACTOR_EVERY:
                 self._refactor()
                 for p, jb in enumerate(self.basic):
                     if jb < n:
                         self.x[jb] = self.xb[p]
+
+    def _update_inverse(self, p: int, w: np.ndarray):
+        """Rank-one update of B^-1 after the column with B^-1 a = w enters row p."""
+        self.Binv[p, :] /= w[p]
+        mask = np.abs(w) > 0.0
+        mask[p] = False
+        if mask.any():
+            self.Binv[mask, :] -= np.outer(w[mask], self.Binv[p, :])
 
     def _phase1_value(self) -> float:
         return sum(abs(self.xb[p]) for p, j in enumerate(self.basic) if j >= self.n)
@@ -510,18 +511,12 @@ class _Simplex:
             if cand == -1:
                 continue
             w = self.Binv @ self.A[:, cand]
-            piv = w[p]
-            if abs(piv) < PIVOT_TOL:
+            if abs(w[p]) < PIVOT_TOL:
                 continue
             val = self.lb[cand] if self.status[cand] == AT_LB else self.ub[cand]
             self.basic[p] = cand
             self.status[cand] = BASIC
-            self.Binv[p, :] /= piv
-            col = self.Binv[p, :]
-            mask = np.abs(w) > 0.0
-            mask[p] = False
-            if mask.any():
-                self.Binv[mask, :] -= np.outer(w[mask], col)
+            self._update_inverse(p, w)
             # degenerate swap: the artificial sat at 0, the entering column
             # keeps its current value
             self.xb[p] = val

@@ -40,6 +40,9 @@ DUAL_ZERO_TOL = 1e-9
 #: the connectivity row applies automatically only up to this many parts
 CONNECTIVITY_MAX_K = 15
 
+#: an artificial above this at CG convergence certifies infeasibility
+ARTIFICIAL_TOL = 1e-7
+
 
 # ---------------------------------------------------------------------------
 # clique families
@@ -287,9 +290,9 @@ class Rmp:
             clique_price=[clean(-float(y[r])) for r in self.clique_rows],
         )
 
-    def artificial_level(self, result: lp.LpResult) -> float:
-        """Largest artificial value; positive at convergence = infeasible."""
-        return max(float(result.x[a]) for a in self.artificials)
+    def infeasible(self, result: lp.LpResult) -> bool:
+        """Whether a converged LP still needs an artificial: no solution exists."""
+        return max(float(result.x[a]) for a in self.artificials) > ARTIFICIAL_TOL
 
 
 def init_rmp(

@@ -32,6 +32,8 @@ from .master import CliqueFamily, DualPrices
 
 #: a cluster is worth adding when its violation exceeds this
 VIOLATION_TOL = 1e-6
+#: stage 2 returns at most this many clusters unless told otherwise
+MAX_COLUMNS = 10
 
 
 @dataclass(frozen=True)
@@ -124,18 +126,6 @@ def cluster_violation(
     return total - sum(prices.clique_price[i] for i in touched)
 
 
-def _check_admissible(g: Graph, state: BranchState, subset: tuple[int, ...]):
-    sset = set(subset)
-    assert sset, "pricing produced an empty cluster"
-    assert not (
-        sset & state.fixed_to_cut
-    ), "pricing produced a cluster through a deleted vertex"
-    for w in state.fixed_to_keep:
-        assert w in sset or sset.isdisjoint(
-            g.adj_set[w]
-        ), "pricing produced a cluster adjacent to a kept vertex"
-
-
 def _source_vertices(side: list[int], n: int) -> tuple[int, ...]:
     return tuple(u - 2 for u in side if 2 <= u < 2 + n)
 
@@ -146,7 +136,7 @@ def price(
     prices: DualPrices,
     state: BranchState,
     *,
-    max_columns: int = 10,
+    max_columns: int = MAX_COLUMNS,
 ) -> PricingOutcome:
     """Two-stage search for violated cluster columns.
 
@@ -164,7 +154,7 @@ def price(
     if subset:
         violation = cluster_violation(fam, prices, subset)
         if violation > VIOLATION_TOL:
-            _check_admissible(g, state, subset)
+            assert state.allows_cluster(g, subset)
             return PricingOutcome([PricedColumn(subset, violation)], 1)
         return PricingOutcome()
     if prices.count_price <= VIOLATION_TOL:
@@ -183,7 +173,7 @@ def price(
             continue
         violation = cluster_violation(fam, prices, subset)
         if violation > VIOLATION_TOL:
-            _check_admissible(g, state, subset)
+            assert state.allows_cluster(g, subset)
             found[subset] = violation
     if not found:
         return PricingOutcome()

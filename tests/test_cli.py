@@ -91,6 +91,9 @@ def test_bad_flags_exit_one(tmp_path, capsys):
         ["solve", KARATE, "--k", "5", "--pricing-max-cols", "-1"],
         ["lp-bounds", p3, "--k", "1"],
         ["oracle", p3, "--k", "0"],
+        ["bench", p3, "--k", "1,5"],
+        ["bench", p3, "--k", "5,x"],
+        ["bench", p3, "--k", ","],
     ):
         assert main(argv) == 1, argv
         assert "kvcut: error: argument" in capsys.readouterr().err, argv

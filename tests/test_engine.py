@@ -1,20 +1,27 @@
 import dataclasses
 import random
+import time
 from pathlib import Path
 
 import pytest
 
+from kvcut import lp
 from kvcut.engine import (
     INFEASIBLE_STATUS,
     OPTIMAL,
     TIME_LIMIT,
+    CgWork,
     SolveOptions,
+    _Timeout,
+    column_generation,
     disconnection_heuristic,
     solve,
 )
 from kvcut.graph import Graph, connected_components, is_k_vertex_cut, read_dimacs
 from kvcut.instance import Instance, gnp_graph, make_weighted
+from kvcut.master import build_clique_family, init_rmp
 from kvcut.oracle import Infeasible, OracleResult, brute_force
+from kvcut.pricing import BranchState, price
 
 DATA = Path(__file__).parent.parent / "src" / "kvcut" / "data"
 
@@ -88,6 +95,56 @@ def test_karate_k5_optimum():
     assert rep.max_depth == 2
     assert rep.cols_total == 525
     assert rep.cols_root == 53
+
+
+# ------------------------------------------------------------ column generation
+
+
+def _root_rmp(g, k, connectivity_cut="auto"):
+    inst = Instance(g, k)
+    return init_rmp(
+        inst, build_clique_family(g), connectivity_cut=connectivity_cut
+    )
+
+
+def test_column_generation_converges_at_the_karate_root():
+    g = karate()
+    rmp = _root_rmp(g, 5)
+    work = CgWork()
+    res = column_generation(rmp, g, BranchState(), work=work)
+    assert res.status == lp.OPTIMAL
+    assert not rmp.infeasible(res)
+    assert res.objective == pytest.approx(20 / 13, abs=1e-9)
+    assert len(rmp.columns) == 53  # the root's cols_root in the pinned solve
+    assert work.pivots > 0
+    # converged: nothing prices out that is not already pooled
+    outcome = price(g, rmp.fam, rmp.extract_duals(res), BranchState())
+    assert not any(rmp.add_column(col.subset) for col in outcome.columns)
+
+
+def test_column_generation_reports_an_infeasible_master():
+    # the connectivity row has no artificial: with every vertex kept it
+    # asks for a positive deletion cost that no x can pay
+    g = Graph(3, [(0, 1), (1, 2)])
+    rmp = _root_rmp(g, 2, connectivity_cut="on")
+    state = BranchState(fixed_to_keep=frozenset(range(3)))
+    for v in range(3):
+        rmp.set_vertex_fixed(v, 0)
+    for index, col in enumerate(rmp.columns):
+        rmp.set_column_active(index, state.allows_cluster(g, col.subset))
+    assert column_generation(rmp, g, state, work=CgWork()) is None
+
+
+def test_column_generation_stops_at_a_past_deadline():
+    g = karate()
+    rmp = _root_rmp(g, 5)
+    work = CgWork()
+    with pytest.raises(_Timeout):
+        column_generation(
+            rmp, g, BranchState(), work=work, deadline=time.monotonic() - 1.0
+        )
+    assert work.pivots == 0
+    assert work.pricing_seconds == 0.0
 
 
 # ------------------------------------------------------------ vs the oracle

@@ -1,9 +1,15 @@
 import itertools
+import json
 import math
+import os
 import random
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import kvcut
 from kvcut import lp
 from kvcut.graph import Graph
 from kvcut.instance import FEASIBLE, Instance, gnp_graph, make_weighted, screen
@@ -119,6 +125,50 @@ def test_extended_cover_bound_on_p3_is_one():
     full = _extended_lp_all_subsets(path3(), 2, [(0, 1), (1, 2)])
     assert got.value == pytest.approx(full, abs=1e-6)
     assert got.columns is not None and got.columns < 7
+
+
+# The extended bound at k=4: (instance, family, value, pivots, columns).
+# These are the counts under one BLAS thread, as the benchmark runs; with
+# two threads bcspwr01/edges takes 157 pivots and ends with 76 columns.
+PINNED_EXTENDED_WORK = [
+    ("karate", "cover", 15 / 13, 278, 102),
+    ("bcspwr01", "partition", 81 / 17, 179, 90),
+    ("bcspwr01", "edges", 117 / 37, 158, 88),
+]
+
+_EXTENDED_WORK_SCRIPT = """
+import json, sys
+from kvcut.graph import read_dimacs
+from kvcut.instance import Instance
+from kvcut.lab import lp_bound_extended
+b = lp_bound_extended(Instance(read_dimacs(sys.argv[1]).graph, 4), sys.argv[2])
+print(json.dumps([b.value, b.iterations, b.columns]))
+"""
+
+
+@pytest.mark.parametrize(
+    "name, family, value, pivots, columns", PINNED_EXTENDED_WORK
+)
+def test_extended_bound_work_is_pinned(name, family, value, pivots, columns):
+    # the column-generation work, pinned so that a refactor cannot move it
+    # silently; a child process fixes the BLAS thread count before numpy
+    # loads
+    src = str(Path(kvcut.__file__).parent.parent)
+    env = dict(os.environ, PYTHONPATH=src)
+    for var in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS"):
+        env[var] = "1"
+    data = Path(kvcut.__file__).parent / "data" / f"{name}.col"
+    proc = subprocess.run(
+        [sys.executable, "-c", _EXTENDED_WORK_SCRIPT, str(data), family],
+        capture_output=True,
+        text=True,
+        env=env,
+        timeout=300,
+    )
+    assert proc.returncode == 0, proc.stderr
+    got_value, got_pivots, got_columns = json.loads(proc.stdout)
+    assert got_value == pytest.approx(value, abs=1e-9)
+    assert (got_pivots, got_columns) == (pivots, columns)
 
 
 def test_compact_bound_on_p3_is_zero():

@@ -7,20 +7,51 @@ catches it in the unit suite instead.
 
 from pathlib import Path
 
-import kvcut.engine
+import pytest
+
+from kvcut import engine, lab
+from kvcut.graph import Graph
+from kvcut.instance import Instance
 
 PERFBENCH = Path(__file__).parent.parent / "perfbench"
 
 
-def test_tracer_installs_and_uninstalls(monkeypatch):
+@pytest.fixture
+def spans(monkeypatch):
     monkeypatch.syspath_prepend(str(PERFBENCH))
     import spans
 
-    original = kvcut.engine.price
+    return spans
+
+
+def test_tracer_installs_and_uninstalls(spans):
+    original = engine.price
     tracer = spans.Tracer()
     try:
         spans.install(tracer)  # AttributeError when a wrapped name is gone
-        assert kvcut.engine.price is not original
+        assert engine.price is not original
     finally:
         tracer.uninstall()
-    assert kvcut.engine.price is original
+    assert engine.price is original
+
+
+@pytest.mark.parametrize(
+    "run",
+    [
+        lambda: lab.lp_bound_extended(Instance(Graph(3, [(0, 1), (1, 2)]), 2)),
+        lambda: engine.solve(
+            Instance(Graph(5, [(i, (i + 1) % 5) for i in range(5)]), 2)
+        ),
+    ],
+    ids=["lab", "engine"],
+)
+def test_tracer_records_pricing_calls(spans, run):
+    # the wrapped price binding is the one column generation calls; a loop
+    # moved to another module would zero the benchmark's pricing metrics
+    tracer = spans.Tracer()
+    spans.install(tracer)
+    try:
+        run()
+    finally:
+        tracer.uninstall()
+    assert any(s.name == "pricing.price" for s in tracer.spans)
