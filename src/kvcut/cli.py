@@ -1,7 +1,9 @@
 """Command-line front end: solve, benchmark, bound lab, oracle, weights.
 
 Exit codes: 0 when the instance is solved (Optimal or Trivial), 2 when
-it is proven Infeasible, 3 on TimeLimit, 1 for usage or IO problems.
+it is proven Infeasible, 3 on TimeLimit, 1 for usage or IO problems, 4
+on an internal solver failure (an ``EngineError`` or a singular simplex
+basis), reported as one line on stderr.
 Timing lives in its own JSON sub-object so reports can be compared
 byte-for-byte with timing stripped.
 """
@@ -21,6 +23,7 @@ from typing import Optional
 from .graph import DimacsError, Graph, read_dimacs
 from .instance import Instance, format_weights, parse_weights, random_costs
 from .lab import bound_report
+from .lp import SingularBasisError
 from .master import FAMILY_MODES
 from .pricing import MAX_COLUMNS
 from .oracle import (
@@ -33,6 +36,7 @@ from .oracle import (
 )
 from .engine import (
     INFEASIBLE_STATUS,
+    EngineError,
     OPTIMAL,
     TIME_LIMIT,
     SolveOptions,
@@ -44,6 +48,7 @@ EXIT_SOLVED = 0
 EXIT_USAGE = 1
 EXIT_INFEASIBLE = 2
 EXIT_TIME_LIMIT = 3
+EXIT_INTERNAL = 4
 
 
 class CliError(Exception):
@@ -86,10 +91,6 @@ def _engine_flags(p: argparse.ArgumentParser) -> None:
     p.add_argument("--time-limit", type=float, default=None, metavar="SECONDS")
     p.add_argument("--heuristic", choices=("on", "off"), default="on")
     p.add_argument("--symmetry", choices=("on", "off"), default="on")
-    p.add_argument(
-        "--symmetry-orbit-branching", action="store_true",
-        help="branch on a whole vertex orbit at the root",
-    )
     p.add_argument("--clique-family", choices=FAMILY_MODES, default="cover")
     p.add_argument(
         "--connectivity-cut", choices=("auto", "on", "off"), default="auto"
@@ -111,7 +112,6 @@ def _options_from(args: argparse.Namespace) -> SolveOptions:
         time_limit=args.time_limit,
         heuristic=args.heuristic == "on",
         symmetry=args.symmetry == "on",
-        orbit_branching=args.symmetry_orbit_branching,
         clique_family=args.clique_family,
         connectivity_cut=args.connectivity_cut,
         pricing_max_columns=args.pricing_max_cols,
@@ -385,6 +385,10 @@ def main(argv: Optional[list[str]] = None) -> int:
     except CliError as exc:
         print(f"kvcut: error: {exc}", file=sys.stderr)
         return EXIT_USAGE
+    except (EngineError, SingularBasisError) as exc:
+        # bench reports these per instance; solve, lp-bounds and oracle end here
+        print(f"kvcut: error: internal solver failure: {exc}", file=sys.stderr)
+        return EXIT_INTERNAL
 
 
 if __name__ == "__main__":  # pragma: no cover - exercised via console script

@@ -7,6 +7,11 @@ incumbent (after re-verifying the component count directly on the
 graph), or branches on a fractional deletion variable chosen by a
 reliability-style pseudocost rule with strong-branching probes.
 
+A child node and a probe both start from the parent's optimal basis.
+Their new bounds leave it primal infeasible but dual feasible, so the LP
+re-optimises it with a short dual simplex instead of a cold phase 1; a
+probe stopped by its pivot cap still scores the dual bound it reached.
+
 Big-M artificial columns keep every node LP feasible except against the
 connectivity row, so a node whose master LP is infeasible, or whose
 converged LP still carries a positive artificial, is provably infeasible
@@ -31,7 +36,7 @@ from .graph import Graph, automorphism_generators, connected_components
 from .instance import INFEASIBLE, TRIVIAL, Instance, screen
 from .master import COVER, Rmp, build_clique_family, init_rmp
 from .pricing import MAX_COLUMNS, BranchState, price
-from .symmetry import orbit_of, propagate
+from .symmetry import propagate
 
 log = logging.getLogger(__name__)
 
@@ -42,11 +47,13 @@ TIME_LIMIT = "TimeLimit"
 #: x-values this close to an integer count as integral
 INT_TOL = 1e-6
 BOUND_EPS = 1e-6
-#: strong-branching probes stop after this many simplex pivots
+#: strong-branching probes stop after this many simplex pivots; a probe
+#: stopped in its dual phase still scores the dual bound reached so far
 PROBE_PIVOT_CAP = 100
 #: observations per direction before a variable's pseudocosts are trusted
 RELIABILITY = 4
-#: stand-in gain for a probe that proves its side infeasible
+#: stand-in gain for a probe whose side phase 1 proves infeasible (only
+#: the connectivity row lacks a big-M artificial, so this is rare)
 BIG_GAIN = 1e9
 
 
@@ -71,7 +78,6 @@ class SolveOptions:
     clique_family: str = COVER
     connectivity_cut: str = "auto"
     pricing_max_columns: int = MAX_COLUMNS
-    orbit_branching: bool = False
 
 
 @dataclass
@@ -250,7 +256,6 @@ class _Search:
         self.inflight_bound: Optional[float] = None
         self.pseudo = _Pseudocosts()
         self.generators: list[list[int]] = []
-        self.orbit_sizes: Optional[list[int]] = None
         self.next_id = 1
 
     # -- plumbing -------------------------------------------------------------
@@ -497,12 +502,6 @@ class _Search:
         candidates: list[int],
         xvals: list[float],
     ) -> int:
-        if node.id == 0 and self.opts.orbit_branching and self.generators:
-            if self.orbit_sizes is None:
-                self.orbit_sizes = [
-                    len(orbit_of(v, self.generators)) for v in range(self.g.n)
-                ]
-            return max(candidates, key=lambda v: (self.orbit_sizes[v], -v))
         best_var = candidates[0]
         best_score = -1.0
         for v in candidates:
@@ -529,15 +528,15 @@ class _Search:
         model.set_bounds(xv, pin, pin)
         probe = model.solve(warm=res.basis, iteration_limit=PROBE_PIVOT_CAP)
         model.set_bounds(xv, *saved)
-        if probe.status == lp.OPTIMAL:
-            gain = max(0.0, probe.objective - res.objective)
-            width = frac if direction == 0 else 1.0 - frac
-            if width > INT_TOL:
-                self.pseudo.record(v, direction, gain / width)
-            return gain
         if probe.status == lp.INFEASIBLE:
             return BIG_GAIN
-        return 0.0  # pivot cap hit: no usable value
+        if math.isinf(probe.bound):
+            return 0.0  # stopped before any bound was known
+        gain = max(0.0, probe.bound - res.objective)
+        width = frac if direction == 0 else 1.0 - frac
+        if width > INT_TOL:
+            self.pseudo.record(v, direction, gain / width)
+        return gain
 
     def _branch(
         self,

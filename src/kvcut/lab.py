@@ -17,7 +17,7 @@ from dataclasses import dataclass, field
 from typing import Optional
 
 from . import lp
-from .engine import CgWork, column_generation
+from .engine import CgWork, EngineError, column_generation
 from .graph import Graph
 from .instance import Instance
 from .master import COVER, build_clique_family, init_rmp
@@ -147,7 +147,7 @@ def lp_bound_natural(
                 optimum,
             )
         if res.status != lp.OPTIMAL:
-            raise ArithmeticError(f"bound LP ended with {res.status}")
+            raise EngineError(f"bound LP ended with {res.status}")
         iterations += res.iterations
         basis = res.basis
         xv = [float(res.x[c]) for c in xcols]
@@ -213,7 +213,7 @@ def lp_bound_compact(
         value = g.total_cost() + res.objective
         iterations = res.iterations
     else:
-        raise ArithmeticError(f"assignment LP ended with {res.status}")
+        raise EngineError(f"assignment LP ended with {res.status}")
     return _with_gap(
         FormulationBound(value, time.monotonic() - start, iterations), optimum
     )

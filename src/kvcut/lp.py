@@ -5,8 +5,11 @@ most of them do not expose reliably: exact duals with fixed sign
 conventions, cheap incremental column/row addition with stable ids, and
 warm starts from a saved basis.  The models in this package are small (a
 few hundred rows), so a dense revised simplex with an explicitly
-maintained basis inverse is entirely adequate, and it keeps the numerical
-behaviour deterministic across platforms.
+maintained basis inverse is entirely adequate.  Its pivot path is fixed
+by the model and the BLAS build: the inverse and the products with it
+round differently under different BLAS thread counts, so the work
+counters (and on degenerate models the basis reached) can depend on the
+thread count.
 
 Conventions
 -----------
@@ -16,11 +19,23 @@ Conventions
   fixed at 0 for ==.  The system is then  A z = b  over all columns.
 * Duals: for a minimization problem, >=-rows get duals >= 0, <=-rows get
   duals <= 0, equality rows are free.
-* Infeasible starts are repaired by a phase-1 with per-row artificial
-  columns; no dual rays are ever produced (the callers build their own
-  high-cost recourse columns instead).
+* A warm basis that is primal infeasible but dual feasible (the state
+  after a bound change) is re-optimised by a dual phase: a bounded dual
+  simplex that pivots until the basis is primal feasible, after which
+  phase 2 finishes.  Its objective is a lower bound at every pivot, so a
+  solve that the iteration limit stops there still reports one
+  (``LpResult.bound``).
+* Any other infeasible start is repaired by a cold phase 1 with per-row
+  artificial columns; no dual rays are ever produced (the callers build
+  their own high-cost recourse columns instead).  A dual phase that finds
+  no entering column hands over to phase 1 too, so phase 1 is the one
+  certificate of infeasibility.
 * Pricing is most-negative reduced cost, falling back to Bland's rule
   after a run of degenerate pivots, so the method always terminates.
+* Every OPTIMAL is certified on a fresh factorization: row residuals and
+  variable bounds within FEAS_TOL, reduced-cost signs within RC_TOL.  A
+  basis that fails gets one more round of phase 2; failing again, the
+  solve reports UNCERTIFIED.
 """
 
 from __future__ import annotations
@@ -43,6 +58,7 @@ OPTIMAL = "optimal"
 INFEASIBLE = "infeasible"
 UNBOUNDED = "unbounded"
 ITERATION_LIMIT = "iteration_limit"
+UNCERTIFIED = "uncertified"  # phase 2 ended twice at a basis that failed the certificate
 
 AT_LB, AT_UB, BASIC = 0, 1, 2
 
@@ -76,6 +92,9 @@ class LpResult:
     basis: Optional[Basis] = None
     iterations: int = 0
     phase1_infeasibility: float = 0.0
+    #: a lower bound on the optimum: the objective when OPTIMAL, the dual
+    #: objective where a dual phase stopped, -inf when none is known
+    bound: float = -INF
 
 
 class LinearProgram:
@@ -215,6 +234,7 @@ class _Simplex:
         self.iters = 0
         self.pivots_since_refactor = 0
         self.warm = warm
+        self.bound = -INF  # last dual objective of a dual phase
 
     # -- column helpers (artificial-aware) ----------------------------------
 
@@ -318,6 +338,12 @@ class _Simplex:
             r -= self.A[:, nz] @ vals
         return self.Binv @ r
 
+    def _primal_feasible(self) -> bool:
+        return all(
+            self.col_lb(j) - FEAS_TOL <= self.xb[p] <= self.col_ub(j) + FEAS_TOL
+            for p, j in enumerate(self.basic)
+        )
+
     def _refresh(self):
         for j in range(self.n):
             if self.status[j] == AT_LB:
@@ -381,7 +407,6 @@ class _Simplex:
     def _iterate(self, phase: int) -> str:
         costs = self._phase_costs(phase)
         m, n = self.m, self.n
-        fixed = self.lb == self.ub
         bland = False
         degenerate_streak = 0
         bad_pivot_retries = 0
@@ -392,18 +417,14 @@ class _Simplex:
             cb = costs[self.basic]
             y = cb @ self.Binv
             d = costs[:n] - y @ self.A
-            viol = np.zeros(n)
-            sel_lb = (self.status == AT_LB) & ~fixed & (d < -RC_TOL)
-            sel_ub = (self.status == AT_UB) & ~fixed & (d > RC_TOL)
-            viol[sel_lb] = -d[sel_lb]
-            viol[sel_ub] = d[sel_ub]
-            if not viol.any():
+            mispriced = self._mispriced(d)
+            if not mispriced.any():
                 return OPTIMAL
             if bland:
-                enter = int(np.nonzero(viol)[0][0])
+                enter = int(np.flatnonzero(mispriced)[0])
             else:
-                enter = int(np.argmax(viol))
-            direction = 1.0 if sel_lb[enter] else -1.0
+                enter = int(np.argmax(np.where(mispriced, np.abs(d), 0.0)))
+            direction = 1.0 if self.status[enter] == AT_LB else -1.0
             w = self.Binv @ self.A[:, enter]
             dw = direction * w
             t_best = self.ub[enter] - self.lb[enter]
@@ -489,6 +510,124 @@ class _Simplex:
         if mask.any():
             self.Binv[mask, :] -= np.outer(w[mask], self.Binv[p, :])
 
+    def _duals(self) -> np.ndarray:
+        """Row prices of the phase-2 costs; artificials cost nothing there."""
+        return self._phase_costs(2)[self.basic] @ self.Binv
+
+    def _reduced_costs(self) -> np.ndarray:
+        return self.c - self._duals() @ self.A
+
+    def _mispriced(self, d: np.ndarray) -> np.ndarray:
+        """Nonfixed nonbasic model columns whose reduced cost has the wrong sign."""
+        free = self.lb < self.ub
+        return free & (
+            ((self.status == AT_LB) & (d < -RC_TOL))
+            | ((self.status == AT_UB) & (d > RC_TOL))
+        )
+
+    def _dual_feasible(self) -> bool:
+        """Whether the basis prices out under the phase-2 costs, with no artificial."""
+        if any(j >= self.n for j in self.basic):
+            return False
+        return not self._mispriced(self._reduced_costs()).any()
+
+    def _dual_phase(self) -> str:
+        """Bounded dual simplex from a dual feasible, primal infeasible basis.
+
+        Each pivot moves the most violated basic variable to its violated
+        bound and brings in the column chosen by the textbook dual ratio
+        test, which keeps every reduced-cost sign.  Returns OPTIMAL once
+        the basis is primal feasible, ITERATION_LIMIT at the cap, or
+        INFEASIBLE when a violated row has no entering column (for
+        phase 1 to confirm).  ``self.bound`` tracks the dual objective.
+        """
+        free = self.lb < self.ub
+        bland = False
+        degenerate_streak = 0
+        bad_pivot_retries = 0
+        while True:
+            basic = np.asarray(self.basic)
+            lo, hi = self.lb[basic], self.ub[basic]
+            excess = np.maximum(lo - self.xb, self.xb - hi)
+            self.x[basic] = self.xb
+            self.bound = max(self.bound, float(self.c @ self.x))
+            violated = excess > FEAS_TOL
+            if not violated.any():
+                return OPTIMAL
+            if self.iters >= self.iteration_limit:
+                return ITERATION_LIMIT
+            self.iters += 1
+            if bland:
+                rows = np.flatnonzero(violated)
+                r = int(rows[np.argmin(basic[rows])])
+            else:
+                r = int(np.argmax(excess))
+            to_lb = self.xb[r] < lo[r]
+            target = lo[r] if to_lb else hi[r]
+            d = self._reduced_costs()
+            alpha = self.Binv[r] @ self.A
+            # x_r rises to its lower bound (or falls to its upper bound)
+            # when a column at its lower bound with alpha < 0 (> 0) rises,
+            # or one at its upper bound with alpha > 0 (< 0) falls
+            rise = -alpha if to_lb else alpha
+            at_lb = self.status == AT_LB
+            at_ub = self.status == AT_UB
+            cand = np.flatnonzero(
+                free & ((at_lb & (rise > PIVOT_TOL)) | (at_ub & (rise < -PIVOT_TOL)))
+            )
+            if cand.size == 0:
+                return INFEASIBLE
+            slack = np.maximum(np.where(at_lb[cand], d[cand], -d[cand]), 0.0)
+            ratio = slack / np.abs(alpha[cand])
+            step = float(ratio.min())
+            ties = cand[ratio <= step + PIVOT_TOL]
+            # Bland mode takes the lowest column id, otherwise the
+            # numerically safest pivot element
+            q = int(ties[0]) if bland else int(ties[np.argmax(np.abs(alpha[ties]))])
+            if step <= PIVOT_TOL:
+                degenerate_streak += 1
+                if degenerate_streak >= _BLAND_AFTER:
+                    bland = True
+            else:
+                degenerate_streak = 0
+                bland = False
+            w = self.Binv @ self.A[:, q]
+            if abs(w[r]) < PIVOT_TOL:
+                bad_pivot_retries += 1
+                if bad_pivot_retries > 3:
+                    raise SingularBasisError("persistent zero pivot")
+                self._refactor()
+                continue
+            bad_pivot_retries = 0
+            out = self.basic[r]
+            self.status[out] = AT_LB if to_lb else AT_UB
+            self.x[out] = target
+            theta = (self.xb[r] - target) / w[r]  # signed move of x_q
+            self.xb -= theta * w
+            self.xb[r] = self.x[q] + theta
+            self.basic[r] = q
+            self.status[q] = BASIC
+            self._update_inverse(r, w)
+            self.pivots_since_refactor += 1
+            if self.pivots_since_refactor >= _REFACTOR_EVERY:
+                self._refactor()
+
+    def _certified(self) -> bool:
+        """Primal and dual feasibility of the current (freshly factored) basis."""
+        x = self.x[: self.n]
+        residual = self.A @ x - self.b
+        for p, j in enumerate(self.basic):
+            if j >= self.n:  # a pinned artificial must sit at zero
+                k = j - self.n
+                residual[self.art_row[k]] += self.art_sign[k] * self.xb[p]
+                if abs(self.xb[p]) > FEAS_TOL:
+                    return False
+        if np.any(np.abs(residual) > FEAS_TOL):
+            return False
+        if np.any(x < self.lb - FEAS_TOL) or np.any(x > self.ub + FEAS_TOL):
+            return False
+        return not self._mispriced(self._reduced_costs()).any()
+
     def _phase1_value(self) -> float:
         return sum(abs(self.xb[p]) for p, j in enumerate(self.basic) if j >= self.n)
 
@@ -526,6 +665,8 @@ class _Simplex:
 
     def run(self) -> LpResult:
         if self.m == 0:
+            # optimal by construction: each column sits at the bound its
+            # cost favours, so there is nothing to certify
             x = np.empty(self.n)
             for j in range(self.n):
                 if self.c[j] > 0 or (self.c[j] == 0 and self.lb[j] > -INF):
@@ -535,41 +676,49 @@ class _Simplex:
             if not np.all(np.isfinite(x)):
                 return LpResult(UNBOUNDED)
             status = [AT_LB if self.lb[j] > -INF else AT_UB for j in range(self.n)]
-            return LpResult(OPTIMAL, float(self.c @ x), x, np.zeros(0), Basis([], status))
+            obj = float(self.c @ x)
+            return LpResult(OPTIMAL, obj, x, np.zeros(0), Basis([], status), bound=obj)
         loaded = self.warm is not None and self._load_warm(self.warm)
         if not loaded:
             self._cold_basis()
         self._refresh()
-        infeasible_start = False
-        for p in range(self.m):
-            j = self.basic[p]
-            lo, hi = self.col_lb(j), self.col_ub(j)
-            if not (lo - FEAS_TOL <= self.xb[p] <= hi + FEAS_TOL):
-                infeasible_start = True
-                break
-        if infeasible_start:
-            if loaded:
+        if loaded and not self._primal_feasible():
+            st = self._dual_phase() if self._dual_feasible() else INFEASIBLE
+            if st == ITERATION_LIMIT:
+                return LpResult(st, iterations=self.iters, bound=self.bound)
+            if st != OPTIMAL:
+                # not dual feasible, or infeasible by the dual ratio test:
+                # restart cold and let phase 1 decide
                 self._cold_basis()
                 self._refresh()
+                loaded = False
+        if not loaded:
             self._install_artificials()
         if any(j >= self.n for j in self.basic) and self._phase1_value() > FEAS_TOL:
             st = self._iterate(1)
             if st != OPTIMAL:
-                return LpResult(st, iterations=self.iters)
+                return LpResult(st, iterations=self.iters, bound=self.bound)
             scale = max(1.0, float(np.max(np.abs(self.b))) if self.m else 1.0)
             infeas = self._phase1_value()
             if infeas > FEAS_TOL * scale:
                 return LpResult(INFEASIBLE, iterations=self.iters, phase1_infeasibility=infeas)
         self.art_ub = 0.0
         self._drive_out_artificials()
-        st = self._iterate(2)
-        if st != OPTIMAL:
-            return LpResult(st, iterations=self.iters)
-        self._refactor()
+        for _ in range(2):  # one more round of phase 2 if the certificate fails
+            st = self._iterate(2)
+            if st != OPTIMAL:
+                return LpResult(st, iterations=self.iters, bound=self.bound)
+            self._refactor()
+            if self._certified():
+                break
+        else:
+            return LpResult(UNCERTIFIED, iterations=self.iters, bound=self.bound)
         obj = float(self.c @ self.x[: self.n])
-        duals = self._phase_costs(2)[self.basic] @ self.Binv
         snapshot = Basis(
             [j if j < self.n else -1 for j in self.basic],
             [int(s) for s in self.status],
         )
-        return LpResult(OPTIMAL, obj, self.x[: self.n].copy(), duals, snapshot, self.iters)
+        return LpResult(
+            OPTIMAL, obj, self.x[: self.n].copy(), self._duals(), snapshot,
+            self.iters, bound=obj,
+        )

@@ -125,16 +125,3 @@ def propagate(
                     out.force_keep.add(vertex)
     return out
 
-
-def orbit_of(vertex: int, generators: Sequence[Sequence[int]]) -> set[int]:
-    """The vertex's orbit under the group the generators generate."""
-    orbit = {vertex}
-    frontier = [vertex]
-    while frontier:
-        v = frontier.pop()
-        for perm in generators:
-            image = perm[v]
-            if image not in orbit:
-                orbit.add(image)
-                frontier.append(image)
-    return orbit

@@ -6,8 +6,11 @@ from pathlib import Path
 
 import pytest
 
+from kvcut import cli
 from kvcut.cli import BENCH_COLUMNS, main
+from kvcut.engine import EngineError
 from kvcut.graph import Graph, write_dimacs
+from kvcut.lp import SingularBasisError
 
 DATA = Path(__file__).parent.parent / "src" / "kvcut" / "data"
 KARATE = str(DATA / "karate.col")
@@ -97,6 +100,25 @@ def test_bad_flags_exit_one(tmp_path, capsys):
     ):
         assert main(argv) == 1, argv
         assert "kvcut: error: argument" in capsys.readouterr().err, argv
+
+
+@pytest.mark.parametrize(
+    "command, entry, error",
+    [
+        ("solve", "solve", EngineError("node LP ended with uncertified")),
+        ("lp-bounds", "bound_report", SingularBasisError("basis became singular")),
+        ("oracle", "brute_force", EngineError("broken")),
+    ],
+)
+def test_internal_failure_exits_four(tmp_path, capsys, monkeypatch, command, entry, error):
+    def fail(*args, **kwargs):
+        raise error
+
+    monkeypatch.setattr(cli, entry, fail)
+    assert main([command, path3_file(tmp_path), "--k", "2"]) == 4
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"kvcut: error: internal solver failure: {error}\n"
 
 
 def test_reports_are_deterministic_apart_from_timing(tmp_path):

@@ -91,9 +91,9 @@ def test_karate_k5_optimum():
     # the default path's work, pinned so that a refactor cannot move it
     # silently
     assert rep.cut == (0, 1)
-    assert rep.nodes == 6
-    assert rep.max_depth == 2
-    assert rep.cols_total == 525
+    assert rep.nodes == 3
+    assert rep.max_depth == 1
+    assert rep.cols_total == 126
     assert rep.cols_root == 53
 
 

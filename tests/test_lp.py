@@ -230,3 +230,142 @@ def test_set_bounds_deactivates_column():
     res = model.solve()
     assert abs(res.objective - 6.0) < 1e-9
     assert res.x[x] == 0.0
+
+
+# ------------------------------------------------------------ warm re-solves
+
+
+@pytest.fixture
+def spy(monkeypatch):
+    """Counts, per solve path, how often the simplex entered it."""
+    calls = {"phase1": 0, "dual": 0, "cold": 0}
+    iterate = lp._Simplex._iterate
+    dual_phase = lp._Simplex._dual_phase
+    cold_basis = lp._Simplex._cold_basis
+
+    def spy_iterate(self, phase):
+        calls["phase1"] += phase == 1
+        return iterate(self, phase)
+
+    def spy_dual(self):
+        calls["dual"] += 1
+        return dual_phase(self)
+
+    def spy_cold(self):
+        calls["cold"] += 1
+        return cold_basis(self)
+
+    monkeypatch.setattr(lp._Simplex, "_iterate", spy_iterate)
+    monkeypatch.setattr(lp._Simplex, "_dual_phase", spy_dual)
+    monkeypatch.setattr(lp._Simplex, "_cold_basis", spy_cold)
+    return calls
+
+
+def _tightened_lps(seed, count):
+    """Optimal random bounded LPs, each with one interior variable's bound
+    moved past its value: the old basis stays dual feasible but is no
+    longer primal feasible.  Yields (model, cols, costs, bounds, rows, basis)."""
+    rng = random.Random(seed)
+    made = 0
+    while made < count:
+        n, m = rng.randint(3, 12), rng.randint(2, 10)
+        costs, bounds, rows = _random_lp(rng, n, m)
+        model, cols = build(costs, bounds, rows)
+        first = model.solve()
+        if first.status != lp.OPTIMAL:
+            continue
+        inner = [
+            j for j in range(n)
+            if bounds[j][0] + 1e-3 < first.x[cols[j]] < bounds[j][1] - 1e-3
+        ]
+        if not inner:
+            continue
+        j = rng.choice(inner)
+        lo, hi = bounds[j]
+        value = first.x[cols[j]]
+        if rng.random() < 0.5:
+            bounds[j] = (lo, lo + 0.5 * (value - lo))
+        else:
+            bounds[j] = (value + 0.5 * (hi - value), hi)
+        model.set_bounds(cols[j], *bounds[j])
+        made += 1
+        yield model, cols, costs, bounds, rows, first.basis
+
+
+def test_bound_change_re_solves_warm_without_phase_one(spy):
+    optimal = 0
+    for model, _, costs, bounds, rows, basis in _tightened_lps(5, 40):
+        cold = build(costs, bounds, rows)[0].solve()
+        before = dict(spy)
+        warm = model.solve(warm=basis)
+        assert warm.status == cold.status
+        if warm.status != lp.OPTIMAL:
+            continue  # only phase 1 may call a changed LP infeasible
+        optimal += 1
+        assert abs(warm.objective - cold.objective) <= 1e-7 * (1 + abs(cold.objective))
+        _check_certificate(costs, bounds, rows, warm)
+        assert spy["dual"] == before["dual"] + 1
+        assert spy["phase1"] == before["phase1"]
+        assert spy["cold"] == before["cold"]
+    assert optimal >= 25
+
+
+def test_capped_warm_solve_bounds_the_optimum():
+    capped = 0
+    for model, _, costs, bounds, rows, basis in _tightened_lps(11, 40):
+        exact = model.solve()
+        res = model.solve(warm=basis, iteration_limit=1)
+        if res.status != lp.ITERATION_LIMIT:
+            continue
+        capped += 1
+        assert math.isnan(res.objective)
+        assert res.bound > -INF
+        if exact.status == lp.OPTIMAL:
+            assert res.bound <= exact.objective + 1e-9
+    assert capped >= 10
+
+
+def test_warm_basis_that_is_not_dual_feasible_solves_cold(spy):
+    checked = 0
+    for model, cols, costs, bounds, rows, basis in _tightened_lps(17, 20):
+        # a new column priced below zero at its lower bound breaks dual
+        # feasibility of the old basis
+        coefs = [1.0] * len(rows)
+        costs.append(-10.0)
+        bounds.append((0.0, 1.0))
+        for (_, _, row), a in zip(rows, coefs):
+            row.append(a)
+        cols.append(model.add_variable(-10.0, 0.0, 1.0, entries=list(enumerate(coefs))))
+        cold = build(costs, bounds, rows)[0].solve()
+        before = dict(spy)
+        warm = model.solve(warm=basis)
+        assert spy["dual"] == before["dual"]
+        assert spy["cold"] == before["cold"] + 1
+        assert warm.status == cold.status
+        if warm.status == lp.OPTIMAL:
+            assert abs(warm.objective - cold.objective) <= 1e-7 * (1 + abs(cold.objective))
+            # the model's new column sits after the logicals; reorder x
+            warm.x = warm.x[cols]
+            _check_certificate(costs, bounds, rows, warm)
+            checked += 1
+    assert checked >= 5
+
+
+# ------------------------------------------------------------ certificate
+
+
+def test_mispriced_basis_is_not_reported_optimal(monkeypatch):
+    # a phase 2 that stops at once leaves both columns priced below zero
+    model, _ = build([-1.0, -1.0], [(0.0, 4.0)] * 2, [(lp.LESS, 5.0, [1.0, 1.0])])
+    monkeypatch.setattr(lp._Simplex, "_iterate", lambda self, phase: lp.OPTIMAL)
+    assert model.solve().status == lp.UNCERTIFIED
+
+
+def test_bound_violating_basis_is_not_reported_optimal(monkeypatch):
+    model, cols = build([1.0], [(0.0, INF)], [(lp.GREATER, 3.0, [1.0])])
+    first = model.solve()
+    model.set_bounds(cols[0], 0.0, 2.0)  # x = 3 stays basic above its bound
+    monkeypatch.setattr(lp._Simplex, "_primal_feasible", lambda self: True)
+    assert model.solve(warm=first.basis).status == lp.UNCERTIFIED
+    monkeypatch.undo()
+    assert model.solve(warm=first.basis).status == lp.INFEASIBLE
