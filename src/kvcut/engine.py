@@ -31,7 +31,7 @@ from dataclasses import dataclass
 from typing import Optional
 
 from . import lp
-from .flow import weighted_vertex_connectivity
+from .flow import ComponentResults, weighted_vertex_connectivity
 from .graph import Graph, automorphism_generators, connected_components
 from .instance import INFEASIBLE, TRIVIAL, Instance, screen
 from .master import COVER, Rmp, build_clique_family, init_rmp
@@ -150,16 +150,22 @@ class _Pseudocosts:
         return down * frac, up * (1.0 - frac)
 
 
-def disconnection_heuristic(inst: Instance) -> Optional[Incumbent]:
+def disconnection_heuristic(
+    inst: Instance, connectivity: Optional[ComponentResults] = None
+) -> Optional[Incumbent]:
     """Greedy warm start: repeatedly split the cheapest breakable component.
 
     Each round computes, per surviving component, the cheapest vertex set
     whose removal disconnects it, and removes the cheapest such set over
     all components (ties to the component with the lowest vertex index).
     Fails — returns None — exactly when too few components remain and
-    every one of them is a clique.
+    every one of them is a clique.  Per-component results are read from
+    and stored in ``connectivity`` (a fresh dict when not given), so a
+    component that survives a round unchanged is not computed again.
     """
     g, k = inst.graph, inst.k
+    if connectivity is None:
+        connectivity = {}
     removed: set[int] = set()
     while True:
         keep = [v for v in range(g.n) if v not in removed]
@@ -168,17 +174,10 @@ def disconnection_heuristic(inst: Instance) -> Optional[Incumbent]:
             cut = tuple(sorted(removed))
             cost = sum(g.costs[v] for v in cut)
             return Incumbent(cut, cost, len(comps))
-        best: Optional[tuple[float, list[int]]] = None
-        for comp in comps:  # ordered by lowest contained vertex
-            sub, ids = g.induced(comp)
-            conn = weighted_vertex_connectivity(sub)
-            if conn.unbreakable:
-                continue
-            if best is None or conn.cost < best[0] - 1e-9:
-                best = (conn.cost, sorted(ids[v] for v in conn.vertices))
-        if best is None:
+        conn = weighted_vertex_connectivity(g, keep, connectivity)
+        if conn.unbreakable:
             return None
-        removed.update(best[1])
+        removed.update(conn.vertices)
 
 
 @dataclass
@@ -336,11 +335,17 @@ class _Search:
             return self._report(INFEASIBLE_STATUS)
 
         fam = build_clique_family(self.g, self.opts.clique_family)
+        # the master's connectivity row and the heuristic's first round
+        # need the same per-component cuts; compute each once
+        connectivity: ComponentResults = {}
         self.rmp = init_rmp(
-            self.inst, fam, connectivity_cut=self.opts.connectivity_cut
+            self.inst,
+            fam,
+            connectivity_cut=self.opts.connectivity_cut,
+            connectivity=connectivity,
         )
         if self.opts.heuristic:
-            self.incumbent = disconnection_heuristic(self.inst)
+            self.incumbent = disconnection_heuristic(self.inst, connectivity)
         if self.opts.symmetry:
             self.generators = automorphism_generators(self.g)
 

@@ -1,15 +1,24 @@
 """Max-flow / min-cut kernel and weighted vertex connectivity.
 
-A small Dinic implementation over adjacency-indexed arc pairs.  Infinite
-capacities are materialized as a sentinel strictly larger than the sum of
-all finite capacities, so every finite min cut stays strictly below it and
+A small Dinic implementation over adjacency-indexed arc pairs.  Dinic runs
+in place on a residual-capacity list that ``FlowNetwork.residual`` builds
+from the network's capacities.  Infinite capacities are materialized there
+as a sentinel strictly larger than the sum of all finite capacities plus
+any headroom asked for, so every finite min cut stays strictly below it and
 cut membership is unambiguous.
+
+Residuals are the unit of reuse.  A fresh residual can be copied once per
+s-t pair instead of being rebuilt, as the connectivity routines do with
+one split network per component.  A residual left by a finished flow stays
+a feasible flow when a capacity is raised by at most the headroom, so the
+flow of the raised network can resume from a copy of it (parametric
+max-flow, Gallo, Grigoriadis & Tarjan 1989), as stage-2 pricing does.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional
+from typing import Iterable, Optional
 
 from .graph import Graph, connected_components, is_clique
 
@@ -37,20 +46,33 @@ class FlowNetwork:
         self.head[v].append(a + 1)
         return a
 
-    def increase_capacity(self, arc: int, extra: float):
-        self.cap[arc] += extra
+    def residual(self, headroom: float = 0.0) -> list[float]:
+        """Residual capacities of the zero flow, one entry per arc.
 
-    def max_flow(self, s: int, t: int) -> tuple[float, list[int]]:
+        Infinite arcs get a sentinel above every finite cut, including
+        cuts through arcs a caller later raises by at most ``headroom``
+        in total.
+        """
+        sentinel = sum(c for c in self.cap if c != INF) + headroom + 1.0
+        return [sentinel if c == INF else c for c in self.cap]
+
+    def max_flow(
+        self, s: int, t: int, res: Optional[list[float]] = None
+    ) -> tuple[float, list[int]]:
         """Dinic.  Returns (flow value, source side of a minimum cut).
 
-        The source side is the set of nodes reachable from s in the final
-        residual network, i.e. the unique minimal min-cut source side.
-        The network itself is not modified, so capacities can be tweaked
-        and the flow recomputed (the pricing stage does exactly that).
+        Runs on ``res`` in place when given (a list from ``residual``,
+        possibly left by earlier flows and with raised entries) and on a
+        fresh ``residual()`` otherwise; the value is the flow this call
+        adds.  The source side is the set of nodes reachable from s in the
+        final residual network, i.e. the unique minimal min-cut source
+        side, whatever flow the residual started from.  The network
+        itself is never modified.
         """
-        finite_total = sum(c for c in self.cap if c != INF)
-        sentinel = finite_total + 1.0
-        res = [sentinel if c == INF else c for c in self.cap]
+        if s == t:
+            raise ValueError(f"source and sink are the same node {s}")
+        if res is None:
+            res = self.residual()
         n = self.n
         total = 0.0
         while True:
@@ -136,12 +158,24 @@ def split_network(g: Graph) -> FlowNetwork:
     return net
 
 
-def min_vertex_cut_between(g: Graph, s: int, t: int) -> VertexCut:
-    """Cheapest vertex set whose removal disconnects s from t (both kept)."""
+def min_vertex_cut_between(
+    g: Graph,
+    s: int,
+    t: int,
+    net: Optional[FlowNetwork] = None,
+    base: Optional[list[float]] = None,
+) -> VertexCut:
+    """Cheapest vertex set whose removal disconnects s from t (both kept).
+
+    A caller cutting many pairs passes g's ``split_network`` and its fresh
+    ``residual()`` once; each call runs on a copy of ``base``.
+    """
     if s == t or g.has_edge(s, t):
         raise ValueError("endpoints must be distinct and non-adjacent")
-    net = split_network(g)
-    value, side = net.max_flow(2 * s + 1, 2 * t)
+    if net is None:
+        net = split_network(g)
+    res = None if base is None else base.copy()
+    value, side = net.max_flow(2 * s + 1, 2 * t, res)
     side_set = set(side)
     cut = [
         v
@@ -160,43 +194,63 @@ class ConnectivityResult:
     vertices: Optional[list[int]] = None
 
 
+#: per-component results, keyed by the component's sorted vertex ids
+ComponentResults = dict[tuple[int, ...], ConnectivityResult]
+
+
 def component_connectivity(g: Graph, component: list[int]) -> ConnectivityResult:
     """Cheapest vertex set disconnecting one connected component.
 
     Cliques (including singletons) cannot be disconnected.  Otherwise run
     min vertex cuts from the lowest-index vertex u to every non-neighbor,
     plus a guard pass from each neighbor of u (needed when u itself sits in
-    every optimal separator).
+    every optimal separator).  All cuts share one split network of the
+    component's induced subgraph, so the result depends on nothing outside
+    the component.
     """
     comp = sorted(component)
     if is_clique(g, comp):
         return ConnectivityResult(unbreakable=True)
-    comp_set = set(comp)
-    u0 = comp[0]
+    sub, ids = g.induced(comp)
+    net = split_network(sub)
+    base = net.residual()
     best: Optional[VertexCut] = None
-    sources = [u0] + [w for w in g.adj[u0] if w in comp_set]
-    for src in sources:
-        for t in comp:
-            if t == src or g.has_edge(src, t):
+    for src in [0] + sub.adj[0]:  # sub's vertex 0 is the component's lowest
+        for t in range(sub.n):
+            if t == src or sub.has_edge(src, t):
                 continue
-            cand = min_vertex_cut_between(g, src, t)
+            cand = min_vertex_cut_between(sub, src, t, net, base)
             if best is None or cand.cost < best.cost - CUT_TOL:
                 best = cand
     # a non-clique component always has a non-adjacent pair in it, and the
     # guard pass guarantees at least one source avoids the optimal separator
     assert best is not None
-    return ConnectivityResult(False, best.cost, best.vertices)
+    return ConnectivityResult(False, best.cost, [ids[v] for v in best.vertices])
 
 
-def weighted_vertex_connectivity(g: Graph) -> ConnectivityResult:
+def weighted_vertex_connectivity(
+    g: Graph,
+    within: Optional[Iterable[int]] = None,
+    results: Optional[ComponentResults] = None,
+) -> ConnectivityResult:
     """Min-cost vertex set whose removal increases the component count.
 
-    For a disconnected graph this is the minimum over components; a graph
-    whose components are all cliques cannot be broken further.
+    For a disconnected graph this is the minimum over components, ties to
+    the component with the lowest vertex; a graph whose components are all
+    cliques cannot be broken further.  ``within`` restricts to an induced
+    subgraph without building it.  A component's result depends only on
+    its vertex set, so ``results`` may carry them from one call to the
+    next: components found there are not computed again, and the others
+    are stored.
     """
+    if results is None:
+        results = {}
     best: Optional[ConnectivityResult] = None
-    for comp in connected_components(g):
-        res = component_connectivity(g, comp)
+    for comp in connected_components(g, within):
+        key = tuple(comp)
+        res = results.get(key)
+        if res is None:
+            res = results[key] = component_connectivity(g, comp)
         if res.unbreakable:
             continue
         if best is None or res.cost < best.cost - CUT_TOL:

@@ -25,7 +25,7 @@ from dataclasses import dataclass
 from typing import Optional, Sequence
 
 from . import lp
-from .flow import weighted_vertex_connectivity
+from .flow import ComponentResults, weighted_vertex_connectivity
 from .graph import Graph
 from .instance import Instance
 
@@ -163,7 +163,9 @@ class Rmp:
     """Mutable restricted master: LP model plus the column pool.
 
     One instance per solve; the branch-and-price engine mutates variable
-    bounds in place when it moves between tree nodes.
+    bounds in place when it moves between tree nodes.  The connectivity
+    row stores its per-component results in ``connectivity`` when given,
+    so the caller can share them.
     """
 
     def __init__(
@@ -172,6 +174,7 @@ class Rmp:
         fam: CliqueFamily,
         *,
         connectivity_cut: str = "auto",
+        connectivity: Optional[ComponentResults] = None,
     ):
         g = inst.graph
         self.fam = fam
@@ -199,7 +202,7 @@ class Rmp:
             connectivity_cut == "auto" and inst.k <= CONNECTIVITY_MAX_K
         )
         if want_row:
-            conn = weighted_vertex_connectivity(g)
+            conn = weighted_vertex_connectivity(g, results=connectivity)
             if not conn.unbreakable:
                 self.connectivity_rhs = conn.cost
                 self.connectivity_row = self.model.add_row(
@@ -296,7 +299,13 @@ class Rmp:
 
 
 def init_rmp(
-    inst: Instance, fam: CliqueFamily, *, connectivity_cut: str = "auto"
+    inst: Instance,
+    fam: CliqueFamily,
+    *,
+    connectivity_cut: str = "auto",
+    connectivity: Optional[ComponentResults] = None,
 ) -> Rmp:
-    return Rmp(inst, fam, connectivity_cut=connectivity_cut)
+    return Rmp(
+        inst, fam, connectivity_cut=connectivity_cut, connectivity=connectivity
+    )
 

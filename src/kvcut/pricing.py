@@ -19,6 +19,11 @@ Stage 1 takes one minimum cut.  When it comes back empty and the count
 price is positive, stage 2 re-runs the cut once per eligible vertex with
 the count price added to that vertex's source arc, which forces the
 vertex into the cluster whenever any violated cluster contains it.
+Raising one source arc keeps the stage-1 flow feasible, so each boosted
+cut resumes from a copy of the stage-1 residual instead of starting
+from zero flow; the network itself is never changed.  The minimal
+min-cut source side does not depend on the flow a run starts from, so a
+resumed cut finds the same cluster a cold one would.
 """
 
 from __future__ import annotations
@@ -85,7 +90,6 @@ def build_network(
     fam: CliqueFamily,
     prices: DualPrices,
     state: BranchState,
-    boosted: Optional[int] = None,
 ) -> tuple[FlowNetwork, list[int]]:
     """The pricing network plus the source-arc id of every vertex.
 
@@ -109,8 +113,6 @@ def build_network(
     for v in state.fixed_to_keep:
         for w in g.adj[v]:
             net.add_arc(2 + w, 2 + v, INF)
-    if boosted is not None:
-        net.increase_capacity(source_arcs[boosted], prices.count_price)
     return net, source_arcs
 
 
@@ -143,13 +145,15 @@ def price(
     Stage 1 returns the single best cluster when the plain minimum cut
     already carries one.  An empty stage-1 cluster is conclusive unless
     the count price is positive, in which case stage 2 sweeps one boosted
-    cut per eligible vertex and returns up to ``max_columns`` of its
-    finds, most violated first.  An empty outcome certifies that no
-    cluster column prices out.
+    cut per eligible vertex, each resumed from the stage-1 residual, and
+    returns up to ``max_columns`` of its finds, most violated first.  An
+    empty outcome certifies that no cluster column prices out.
     """
     n = g.n
     net, source_arcs = build_network(g, fam, prices, state)
-    _, side = net.max_flow(0, 1)
+    # the sentinel must stay above the boosted cuts of stage 2
+    base = net.residual(headroom=prices.count_price)
+    _, side = net.max_flow(0, 1, base)
     subset = _source_vertices(side, n)
     if subset:
         violation = cluster_violation(fam, prices, subset)
@@ -165,9 +169,9 @@ def price(
     for v in range(n):
         if v in state.fixed_to_cut:
             continue
-        net.increase_capacity(source_arcs[v], boost)
-        _, side = net.max_flow(0, 1)
-        net.increase_capacity(source_arcs[v], -boost)
+        res = base.copy()
+        res[source_arcs[v]] += boost
+        _, side = net.max_flow(0, 1, res)
         subset = _source_vertices(side, n)
         if not subset or subset in found:
             continue

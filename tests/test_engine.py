@@ -19,7 +19,7 @@ from kvcut.engine import (
 )
 from kvcut.graph import Graph, connected_components, is_k_vertex_cut, read_dimacs
 from kvcut.instance import Instance, gnp_graph, make_weighted
-from kvcut.master import build_clique_family, init_rmp
+from kvcut.master import CONNECTIVITY_MAX_K, build_clique_family, init_rmp
 from kvcut.oracle import Infeasible, OracleResult, brute_force
 from kvcut.pricing import BranchState, price
 
@@ -229,6 +229,31 @@ def test_heuristic_bounds_the_karate_optimum():
     assert inc is not None
     assert is_k_vertex_cut(karate(), inc.cut, 3)
     assert inc.objective >= 1.0  # never better than the true optimum
+
+
+def test_shared_connectivity_does_not_change_the_heuristic():
+    # the master's connectivity row leaves its per-component results for
+    # the heuristic's first round; with or without them the incumbent is
+    # the same.  Above CONNECTIVITY_MAX_K the master builds no row and
+    # shares nothing.
+    rng = random.Random(23)
+    shared = disconnected = 0
+    for trial in range(36):
+        big_k = trial % 6 == 0
+        n = 36 if big_k else rng.randint(6, 20)
+        p = 0.08 if big_k else rng.choice([0.1, 0.2, 0.35])
+        g = gnp_graph(n, p, seed=rng.randrange(10**6))
+        g = g.with_costs([float(rng.choice([0, 1, 2, 5])) for _ in range(n)])
+        k = CONNECTIVITY_MAX_K + 1 if big_k else rng.randint(2, 4)
+        inst = Instance(g, k)
+        results = {}
+        init_rmp(inst, build_clique_family(g), connectivity=results)
+        assert bool(results) != big_k, trial
+        shared += bool(results)
+        disconnected += len(connected_components(g)) > 1
+        with_shared = disconnection_heuristic(inst, results)
+        assert with_shared == disconnection_heuristic(inst), trial
+    assert shared >= 25 and disconnected >= 10
 
 
 def test_heuristic_success_is_always_feasible():

@@ -66,12 +66,42 @@ def test_pricing_shaped_network():
     assert set(side) == {s, u, c1}
 
 
-def test_capacity_increase_reuses_network():
+def test_max_flow_rejects_equal_endpoints():
     net = FlowNetwork(2)
-    arc = net.add_arc(0, 1, 1.0)
-    assert net.max_flow(0, 1)[0] == 1.0
-    net.increase_capacity(arc, 2.5)
-    assert net.max_flow(0, 1)[0] == 3.5
+    net.add_arc(0, 1, 1.0)
+    with pytest.raises(ValueError, match="same node 0"):
+        net.max_flow(0, 0)
+
+
+def test_resumed_flow_matches_cold_flow_after_raising_one_arc():
+    # a finished flow stays feasible when one capacity rises, so Dinic
+    # resumes from its residual; the total and the minimal source side
+    # must equal a cold run on the raised network.  Infinite arcs and a
+    # raise far above every finite capacity catch a sentinel without
+    # headroom for the raise.
+    rng = random.Random(31)
+    for trial in range(80):
+        n = rng.randint(3, 8)
+        net = FlowNetwork(n)
+        for a in range(n):
+            for b in range(n):
+                if a != b and rng.random() < 0.4:
+                    cap = INF if rng.random() < 0.15 else round(rng.uniform(0, 4), 2)
+                    net.add_arc(a, b, cap)
+        finite = [a for a in range(0, len(net.cap), 2) if net.cap[a] != INF]
+        if not finite:
+            continue
+        arc = rng.choice(finite)
+        extra = rng.choice([0.5, 3.0, 1e6])
+        base = net.residual(headroom=extra)
+        first, _ = net.max_flow(0, n - 1, base)
+        res = base.copy()
+        res[arc] += extra
+        more, side = net.max_flow(0, n - 1, res)
+        net.cap[arc] += extra
+        cold, cold_side = net.max_flow(0, n - 1)
+        assert first + more == pytest.approx(cold, rel=1e-12, abs=1e-9), trial
+        assert side == cold_side, trial
 
 
 def test_all_infinite_paths():

@@ -8,8 +8,10 @@ from kvcut.graph import Graph
 from kvcut.instance import gnp_graph
 from kvcut.master import DualPrices, build_clique_family
 from kvcut.pricing import (
+    MAX_COLUMNS,
     VIOLATION_TOL,
     BranchState,
+    PricedColumn,
     build_network,
     cluster_violation,
     price,
@@ -70,15 +72,6 @@ def test_network_shape_on_shaped_duals():
     assert sorted(c for c in forward if c != INF) == [1.0, 1.0, 1.0, 3.0, 3.0]
     assert sum(1 for c in forward if c == INF) == 4
     assert [net.cap[a] for a in source_arcs] == [1.0, 1.0, 1.0]
-
-
-def test_network_boost_raises_one_source_arc():
-    g = path3()
-    net, source_arcs = build_network(
-        g, edge_family(g), shaped_duals(), BranchState(), boosted=0
-    )
-    assert net.cap[source_arcs[0]] == 4.0
-    assert net.cap[source_arcs[1]] == 1.0
 
 
 def test_network_encodes_cut_fixing_as_sink_arc():
@@ -235,3 +228,50 @@ def test_two_stage_matches_exhaustive_search():
         if price(g, fam, duals, bs).columns:
             found += 1
     assert found >= 15  # the sweep saw real violations, not just silence
+
+
+# ------------------------------------------------------------ warm stage 2
+
+
+def _cold_cluster(g, fam, duals, bs, boosted=None):
+    """One minimum cut from zero flow on a fresh network, boosted by hand."""
+    net, source_arcs = build_network(g, fam, duals, bs)
+    if boosted is not None:
+        net.cap[source_arcs[boosted]] += duals.count_price
+    _, side = net.max_flow(0, 1)
+    return tuple(u - 2 for u in side if 2 <= u < 2 + g.n)
+
+
+def _cold_sweep(g, fam, duals, bs):
+    found = {}
+    for v in range(g.n):
+        if v in bs.fixed_to_cut:
+            continue
+        subset = _cold_cluster(g, fam, duals, bs, boosted=v)
+        if subset and subset not in found:
+            violation = cluster_violation(fam, duals, subset)
+            if violation > VIOLATION_TOL:
+                found[subset] = violation
+    ranked = sorted(found.items(), key=lambda item: (-item[1], item[0]))
+    return [PricedColumn(s, viol) for s, viol in ranked[:MAX_COLUMNS]]
+
+
+def test_warm_stage_two_matches_a_cold_sweep():
+    # every third configuration prices the count row at 1e6 against unit
+    # covers and cliques priced at their size: stage 1 comes back empty
+    # and each boost dwarfs every finite capacity of the network
+    rng = random.Random(7)
+    swept = found = 0
+    for trial in range(90):
+        g, fam, duals, bs = _random_config(rng)
+        if trial % 3 == 0:
+            duals = DualPrices(
+                1e6, [1.0] * g.n, [float(len(c)) for c in fam.cliques]
+            )
+        if _cold_cluster(g, fam, duals, bs) or duals.count_price <= VIOLATION_TOL:
+            continue  # stage 2 does not run
+        outcome = price(g, fam, duals, bs)
+        assert outcome.columns == _cold_sweep(g, fam, duals, bs), trial
+        swept += 1
+        found += bool(outcome.columns)
+    assert swept >= 40 and found >= 30
