@@ -76,6 +76,18 @@ def _int_at_least(low: int):
     return parse
 
 
+def _positive_seconds(text: str) -> float:
+    try:
+        value = float(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"invalid float value: {text!r}")
+    if not 0 < value < math.inf:  # also rejects nan
+        raise argparse.ArgumentTypeError(
+            f"must be a positive finite number, got {text!r}"
+        )
+    return value
+
+
 def _k_list(text: str) -> list[int]:
     ks = [_int_at_least(2)(part) for part in text.split(",") if part]
     if not ks:
@@ -88,7 +100,9 @@ def _k_flag(p: argparse.ArgumentParser) -> None:
 
 
 def _engine_flags(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--time-limit", type=float, default=None, metavar="SECONDS")
+    p.add_argument(
+        "--time-limit", type=_positive_seconds, default=None, metavar="SECONDS"
+    )
     p.add_argument("--heuristic", choices=("on", "off"), default="on")
     p.add_argument("--symmetry", choices=("on", "off"), default="on")
     p.add_argument("--clique-family", choices=FAMILY_MODES, default="cover")

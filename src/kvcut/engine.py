@@ -4,13 +4,12 @@ Per tree node the engine runs column generation to convergence (master
 LP solve, price, add, repeat), reads the node's dual bound off the final
 LP, and either prunes, accepts an integral deletion vector as a new
 incumbent (after re-verifying the component count directly on the
-graph), or branches on a fractional deletion variable chosen by a
-reliability-style pseudocost rule with strong-branching probes.
+graph), or branches on a fractional deletion variable chosen by
+pseudocosts: the bound gains the tree's own child nodes have recorded.
 
-A child node and a probe both start from the parent's optimal basis.
-Their new bounds leave it primal infeasible but dual feasible, so the LP
-re-optimises it with a short dual simplex instead of a cold phase 1; a
-probe stopped by its pivot cap still scores the dual bound it reached.
+A child node starts from the parent's optimal basis.  Its new bound
+leaves it primal infeasible but dual feasible, so the LP re-optimises it
+with a short dual simplex instead of a cold phase 1.
 
 Big-M artificial columns keep every node LP feasible except against the
 connectivity row, so a node whose master LP is infeasible, or whose
@@ -47,14 +46,6 @@ TIME_LIMIT = "TimeLimit"
 #: x-values this close to an integer count as integral
 INT_TOL = 1e-6
 BOUND_EPS = 1e-6
-#: strong-branching probes stop after this many simplex pivots; a probe
-#: stopped in its dual phase still scores the dual bound reached so far
-PROBE_PIVOT_CAP = 100
-#: observations per direction before a variable's pseudocosts are trusted
-RELIABILITY = 4
-#: stand-in gain for a probe whose side phase 1 proves infeasible (only
-#: the connectivity row lacks a big-M artificial, so this is rare)
-BIG_GAIN = 1e9
 
 
 class EngineError(RuntimeError):
@@ -137,14 +128,11 @@ class _Pseudocosts:
             entry[2] += per_unit
             entry[3] += 1.0
 
-    def counts(self, vertex: int) -> tuple[int, int]:
+    def estimate(self, vertex: int, frac: float) -> tuple[float, float]:
+        """Expected (down, up) gains; (0, 0) for a vertex never observed."""
         entry = self.stats.get(vertex)
         if entry is None:
-            return 0, 0
-        return int(entry[1]), int(entry[3])
-
-    def estimate(self, vertex: int, frac: float) -> tuple[float, float]:
-        entry = self.stats[vertex]
+            return 0.0, 0.0
         down = entry[0] / entry[1] if entry[1] else 0.0
         up = entry[2] / entry[3] if entry[3] else 0.0
         return down * frac, up * (1.0 - frac)
@@ -435,7 +423,7 @@ class _Search:
         if not fractional:
             self._integral_leaf(node, state, res, xvals, bound)
             return
-        var = self._select_branch(node, state, res, fractional, xvals)
+        var = self._select_branch(fractional, xvals)
         self._branch(node, var, xvals[var], res.basis, bound)
 
     def _record_branch_gain(self, node: BnpNode, bound: float):
@@ -499,49 +487,18 @@ class _Search:
 
     # -- branching ----------------------------------------------------------------
 
-    def _select_branch(
-        self,
-        node: BnpNode,
-        state: BranchState,
-        res: lp.LpResult,
-        candidates: list[int],
-        xvals: list[float],
-    ) -> int:
+    def _select_branch(self, candidates: list[int], xvals: list[float]) -> int:
+        """The candidate with the largest product of pseudocost gains."""
         best_var = candidates[0]
         best_score = -1.0
         for v in candidates:
             frac = xvals[v] - math.floor(xvals[v])
-            down_n, up_n = self.pseudo.counts(v)
-            if down_n >= RELIABILITY and up_n >= RELIABILITY:
-                gain_down, gain_up = self.pseudo.estimate(v, frac)
-            else:
-                gain_down = self._probe(v, 0, res, frac)
-                gain_up = self._probe(v, 1, res, frac)
+            gain_down, gain_up = self.pseudo.estimate(v, frac)
             score = max(gain_down, 1e-6) * max(gain_up, 1e-6)
             if score > best_score:  # ties keep the lowest vertex index
                 best_score = score
                 best_var = v
         return best_var
-
-    def _probe(
-        self, v: int, direction: int, res: lp.LpResult, frac: float
-    ) -> float:
-        model = self.rmp.model
-        xv = self.rmp.x_vars[v]
-        saved = model.bounds(xv)
-        pin = float(direction)
-        model.set_bounds(xv, pin, pin)
-        probe = model.solve(warm=res.basis, iteration_limit=PROBE_PIVOT_CAP)
-        model.set_bounds(xv, *saved)
-        if probe.status == lp.INFEASIBLE:
-            return BIG_GAIN
-        if math.isinf(probe.bound):
-            return 0.0  # stopped before any bound was known
-        gain = max(0.0, probe.bound - res.objective)
-        width = frac if direction == 0 else 1.0 - frac
-        if width > INT_TOL:
-            self.pseudo.record(v, direction, gain / width)
-        return gain
 
     def _branch(
         self,

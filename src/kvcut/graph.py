@@ -7,6 +7,7 @@ construction iterates them in input order.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from typing import Iterable, Optional, Sequence
 
@@ -56,6 +57,8 @@ class Graph:
         else:
             if len(costs) != n:
                 raise ValueError("cost vector length does not match vertex count")
+            if not all(math.isfinite(c) for c in costs):
+                raise ValueError("vertex costs must be finite")
             if any(c < 0 for c in costs):
                 raise ValueError("vertex costs must be nonnegative")
             self.costs = [float(c) for c in costs]

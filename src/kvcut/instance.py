@@ -7,6 +7,7 @@ the whole benchmark harness are reproducible bit for bit.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Iterator, Optional
 
@@ -130,6 +131,8 @@ def parse_weights(text: str, n: int) -> list[float]:
             raise WeightFileError(f"line {ln}: vertex {v} out of range 1..{n}")
         if costs[v - 1] is not None:
             raise WeightFileError(f"line {ln}: vertex {v} assigned twice")
+        if not math.isfinite(c):
+            raise WeightFileError(f"line {ln}: cost {parts[2]!r} is not finite")
         if c < 0:
             raise WeightFileError(f"line {ln}: negative cost")
         costs[v - 1] = c

@@ -22,9 +22,7 @@ Conventions
 * A warm basis that is primal infeasible but dual feasible (the state
   after a bound change) is re-optimised by a dual phase: a bounded dual
   simplex that pivots until the basis is primal feasible, after which
-  phase 2 finishes.  Its objective is a lower bound at every pivot, so a
-  solve that the iteration limit stops there still reports one
-  (``LpResult.bound``).
+  phase 2 finishes.
 * Any other infeasible start is repaired by a cold phase 1 with per-row
   artificial columns; no dual rays are ever produced (the callers build
   their own high-cost recourse columns instead).  A dual phase that finds
@@ -92,9 +90,6 @@ class LpResult:
     basis: Optional[Basis] = None
     iterations: int = 0
     phase1_infeasibility: float = 0.0
-    #: a lower bound on the optimum: the objective when OPTIMAL, the dual
-    #: objective where a dual phase stopped, -inf when none is known
-    bound: float = -INF
 
 
 class LinearProgram:
@@ -196,9 +191,6 @@ class LinearProgram:
         self._lb[col] = lb
         self._ub[col] = ub
 
-    def bounds(self, col: int) -> tuple[float, float]:
-        return float(self._lb[col]), float(self._ub[col])
-
     def solve(
         self, warm: Optional[Basis] = None, iteration_limit: int = DEFAULT_ITER_LIMIT
     ) -> LpResult:
@@ -234,7 +226,6 @@ class _Simplex:
         self.iters = 0
         self.pivots_since_refactor = 0
         self.warm = warm
-        self.bound = -INF  # last dual objective of a dual phase
 
     # -- column helpers (artificial-aware) ----------------------------------
 
@@ -539,7 +530,7 @@ class _Simplex:
         test, which keeps every reduced-cost sign.  Returns OPTIMAL once
         the basis is primal feasible, ITERATION_LIMIT at the cap, or
         INFEASIBLE when a violated row has no entering column (for
-        phase 1 to confirm).  ``self.bound`` tracks the dual objective.
+        phase 1 to confirm).
         """
         free = self.lb < self.ub
         bland = False
@@ -549,8 +540,6 @@ class _Simplex:
             basic = np.asarray(self.basic)
             lo, hi = self.lb[basic], self.ub[basic]
             excess = np.maximum(lo - self.xb, self.xb - hi)
-            self.x[basic] = self.xb
-            self.bound = max(self.bound, float(self.c @ self.x))
             violated = excess > FEAS_TOL
             if not violated.any():
                 return OPTIMAL
@@ -677,7 +666,7 @@ class _Simplex:
                 return LpResult(UNBOUNDED)
             status = [AT_LB if self.lb[j] > -INF else AT_UB for j in range(self.n)]
             obj = float(self.c @ x)
-            return LpResult(OPTIMAL, obj, x, np.zeros(0), Basis([], status), bound=obj)
+            return LpResult(OPTIMAL, obj, x, np.zeros(0), Basis([], status))
         loaded = self.warm is not None and self._load_warm(self.warm)
         if not loaded:
             self._cold_basis()
@@ -685,7 +674,7 @@ class _Simplex:
         if loaded and not self._primal_feasible():
             st = self._dual_phase() if self._dual_feasible() else INFEASIBLE
             if st == ITERATION_LIMIT:
-                return LpResult(st, iterations=self.iters, bound=self.bound)
+                return LpResult(st, iterations=self.iters)
             if st != OPTIMAL:
                 # not dual feasible, or infeasible by the dual ratio test:
                 # restart cold and let phase 1 decide
@@ -697,7 +686,7 @@ class _Simplex:
         if any(j >= self.n for j in self.basic) and self._phase1_value() > FEAS_TOL:
             st = self._iterate(1)
             if st != OPTIMAL:
-                return LpResult(st, iterations=self.iters, bound=self.bound)
+                return LpResult(st, iterations=self.iters)
             scale = max(1.0, float(np.max(np.abs(self.b))) if self.m else 1.0)
             infeas = self._phase1_value()
             if infeas > FEAS_TOL * scale:
@@ -707,12 +696,12 @@ class _Simplex:
         for _ in range(2):  # one more round of phase 2 if the certificate fails
             st = self._iterate(2)
             if st != OPTIMAL:
-                return LpResult(st, iterations=self.iters, bound=self.bound)
+                return LpResult(st, iterations=self.iters)
             self._refactor()
             if self._certified():
                 break
         else:
-            return LpResult(UNCERTIFIED, iterations=self.iters, bound=self.bound)
+            return LpResult(UNCERTIFIED, iterations=self.iters)
         obj = float(self.c @ self.x[: self.n])
         snapshot = Basis(
             [j if j < self.n else -1 for j in self.basic],
@@ -720,5 +709,5 @@ class _Simplex:
         )
         return LpResult(
             OPTIMAL, obj, self.x[: self.n].copy(), self._duals(), snapshot,
-            self.iters, bound=obj,
+            self.iters,
         )

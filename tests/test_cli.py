@@ -1,5 +1,6 @@
 import csv
 import json
+import os
 import subprocess
 import sys
 from pathlib import Path
@@ -26,6 +27,12 @@ def _write(tmp_path, name, g, comment=""):
     path = tmp_path / name
     path.write_text(write_dimacs(g, comment))
     return str(path)
+
+
+def _child_env():
+    """The environment for a child ``python -m kvcut.cli``: kvcut is
+    imported from this checkout's src, installed or not."""
+    return dict(os.environ, PYTHONPATH=str(Path(cli.__file__).parent.parent))
 
 
 def path3_file(tmp_path):
@@ -97,6 +104,11 @@ def test_bad_flags_exit_one(tmp_path, capsys):
         ["bench", p3, "--k", "1,5"],
         ["bench", p3, "--k", "5,x"],
         ["bench", p3, "--k", ","],
+        ["solve", p3, "--k", "2", "--time-limit", "nan"],
+        ["solve", p3, "--k", "2", "--time-limit", "0"],
+        ["solve", p3, "--k", "2", "--time-limit", "-1"],
+        ["solve", p3, "--k", "2", "--time-limit", "inf"],
+        ["bench", p3, "--k", "2", "--time-limit", "nan"],
     ):
         assert main(argv) == 1, argv
         assert "kvcut: error: argument" in capsys.readouterr().err, argv
@@ -204,6 +216,25 @@ def test_weight_file_must_cover_every_vertex(tmp_path, capsys):
     assert "short.txt" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("cost", ["nan", "inf", "-inf"])
+def test_non_finite_weight_exits_one(tmp_path, cost):
+    # in a child process with a timeout: a NaN or infinite cost that
+    # slips through can make the solve spin past any --time-limit
+    p3 = path3_file(tmp_path)
+    weights = tmp_path / "w.txt"
+    weights.write_text(f"n 1 1\nn 2 {cost}\nn 3 1\n")
+    proc = subprocess.run(
+        [sys.executable, "-m", "kvcut.cli", "solve", p3, "--k", "2",
+         "--weights", f"file:{weights}"],
+        capture_output=True,
+        text=True,
+        env=_child_env(),
+        timeout=60,
+    )
+    assert proc.returncode == 1, proc.stderr
+    assert "line 2" in proc.stderr
+
+
 # ------------------------------------------------------------ lp-bounds
 
 
@@ -270,6 +301,7 @@ def test_console_script_runs_end_to_end(tmp_path):
         [sys.executable, "-m", "kvcut.cli", "solve", str(path), "--k", "2"],
         capture_output=True,
         text=True,
+        env=_child_env(),
         timeout=120,
     )
     assert proc.returncode == 0, proc.stderr

@@ -1,10 +1,15 @@
 import dataclasses
+import json
+import os
 import random
+import subprocess
+import sys
 import time
 from pathlib import Path
 
 import pytest
 
+import kvcut
 from kvcut import lp
 from kvcut.engine import (
     INFEASIBLE_STATUS,
@@ -12,6 +17,7 @@ from kvcut.engine import (
     TIME_LIMIT,
     CgWork,
     SolveOptions,
+    _Search,
     _Timeout,
     column_generation,
     disconnection_heuristic,
@@ -82,19 +88,43 @@ def test_karate_k3_optimum():
     assert is_k_vertex_cut(karate(), rep.cut, 3)
 
 
+_KARATE_K5_SCRIPT = """
+import dataclasses, json, sys
+from kvcut.engine import solve
+from kvcut.graph import read_dimacs
+from kvcut.instance import Instance
+rep = solve(Instance(read_dimacs(sys.argv[1]).graph, 5))
+print(json.dumps(dataclasses.asdict(rep)))
+"""
+
+
 def test_karate_k5_optimum():
-    rep = solve(Instance(karate(), 5))
-    assert rep.status == OPTIMAL
-    assert rep.objective == pytest.approx(2.0)
-    assert is_k_vertex_cut(karate(), rep.cut, 5)
-    assert rep.root_lp_bound <= 2.0 + 1e-6
+    # a child process fixes the BLAS thread count before numpy loads, so
+    # the pinned work does not depend on the host's default thread count
+    src = str(Path(kvcut.__file__).parent.parent)
+    env = dict(os.environ, PYTHONPATH=src)
+    for var in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS"):
+        env[var] = "1"
+    proc = subprocess.run(
+        [sys.executable, "-c", _KARATE_K5_SCRIPT, str(DATA / "karate.col")],
+        capture_output=True,
+        text=True,
+        env=env,
+        timeout=300,
+    )
+    assert proc.returncode == 0, proc.stderr
+    rep = json.loads(proc.stdout)
+    assert rep["status"] == OPTIMAL
+    assert rep["objective"] == pytest.approx(2.0)
+    assert is_k_vertex_cut(karate(), rep["cut"], 5)
+    assert rep["root_lp_bound"] <= 2.0 + 1e-6
     # the default path's work, pinned so that a refactor cannot move it
     # silently
-    assert rep.cut == (0, 1)
-    assert rep.nodes == 3
-    assert rep.max_depth == 1
-    assert rep.cols_total == 126
-    assert rep.cols_root == 53
+    assert tuple(rep["cut"]) == (0, 1)
+    assert rep["nodes"] == 6
+    assert rep["max_depth"] == 2
+    assert rep["cols_total"] == 149
+    assert rep["cols_root"] == 53
 
 
 # ------------------------------------------------------------ column generation
@@ -271,3 +301,54 @@ def test_heuristic_success_is_always_feasible():
             inst.graph, within=set(range(inst.graph.n)) - set(inc.cut)
         )
         assert inc.components == len(pieces), inst
+
+
+# ------------------------------------------------------------ branching
+
+
+def test_branch_selection_solves_no_lp(monkeypatch):
+    # branching reads only the pseudocosts the tree has learned from its
+    # own node gains; it never re-solves the master
+    selecting = False
+    selections = 0
+    real_solve = lp.LinearProgram.solve
+    real_select = _Search._select_branch
+
+    def solve_outside_selection(self, *args, **kwargs):
+        if selecting:
+            raise AssertionError("branch selection solved an LP")
+        return real_solve(self, *args, **kwargs)
+
+    def select(self, *args, **kwargs):
+        nonlocal selecting, selections
+        selecting = True
+        selections += 1
+        try:
+            return real_select(self, *args, **kwargs)
+        finally:
+            selecting = False
+
+    monkeypatch.setattr(lp.LinearProgram, "solve", solve_outside_selection)
+    monkeypatch.setattr(_Search, "_select_branch", select)
+    rep = solve(Instance(karate(), 5))
+    assert rep.status == OPTIMAL and selections > 0
+
+    search = _Search(Instance(karate(), 5), SolveOptions())
+    xvals = [0.0] * 34
+    for v in (3, 7, 9, 11):
+        xvals[v] = 0.5
+    candidates = [3, 7, 9, 11]
+    # nothing observed yet: every score ties, so the lowest index wins
+    assert search._select_branch(candidates, xvals) == 3
+    # products 0.25 (vertex 3), 1 (7), 5e-6 (9, never observed up) and
+    # 0.25 (11): the largest product wins
+    for v, down, up in ((3, 1.0, 1.0), (7, 2.0, 2.0), (11, 1.0, 1.0)):
+        search.pseudo.record(v, 0, down)
+        search.pseudo.record(v, 1, up)
+    search.pseudo.record(9, 0, 10.0)
+    assert search._select_branch(candidates, xvals) == 7
+    # vertex 11 now averages 2 per unit each way, so its product ties with
+    # vertex 7's, and the lower index keeps the branch
+    search.pseudo.record(11, 0, 3.0)
+    search.pseudo.record(11, 1, 3.0)
+    assert search._select_branch(candidates, xvals) == 7

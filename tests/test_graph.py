@@ -96,6 +96,12 @@ def test_graph_rejects_bad_input():
         Graph(2, [(0, 1)], costs=[1.0, -2.0])
 
 
+@pytest.mark.parametrize("cost", ["nan", "inf", "-inf"])
+def test_graph_rejects_non_finite_costs(cost):
+    with pytest.raises(ValueError, match="finite"):
+        Graph(2, [(0, 1)], costs=[1.0, float(cost)])
+
+
 # ----------------------------------------------------------- components
 
 

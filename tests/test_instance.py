@@ -101,3 +101,9 @@ def test_weight_file_rejects_garbage():
         parse_weights("n 1 2\nn 9 4\n", 3)  # vertex id out of range
     with pytest.raises(ValueError):
         parse_weights("n 1 2\n", 3)  # vertices 2 and 3 missing
+
+
+@pytest.mark.parametrize("cost", ["nan", "inf", "-inf"])
+def test_weight_file_rejects_non_finite_costs(cost):
+    with pytest.raises(ValueError, match=f"line 2: cost '{cost}' is not finite"):
+        parse_weights(f"n 1 2\nn 2 {cost}\nn 3 1\n", 3)

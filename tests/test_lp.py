@@ -310,21 +310,6 @@ def test_bound_change_re_solves_warm_without_phase_one(spy):
     assert optimal >= 25
 
 
-def test_capped_warm_solve_bounds_the_optimum():
-    capped = 0
-    for model, _, costs, bounds, rows, basis in _tightened_lps(11, 40):
-        exact = model.solve()
-        res = model.solve(warm=basis, iteration_limit=1)
-        if res.status != lp.ITERATION_LIMIT:
-            continue
-        capped += 1
-        assert math.isnan(res.objective)
-        assert res.bound > -INF
-        if exact.status == lp.OPTIMAL:
-            assert res.bound <= exact.objective + 1e-9
-    assert capped >= 10
-
-
 def test_warm_basis_that_is_not_dual_feasible_solves_cold(spy):
     checked = 0
     for model, cols, costs, bounds, rows, basis in _tightened_lps(17, 20):

@@ -10,11 +10,10 @@ from pathlib import Path
 import pytest
 
 from kvcut import engine, lab
-from kvcut.graph import Graph, read_dimacs
+from kvcut.graph import Graph
 from kvcut.instance import Instance
 
 PERFBENCH = Path(__file__).parent.parent / "perfbench"
-KARATE = Path(__file__).parent.parent / "src" / "kvcut" / "data" / "karate.col"
 
 
 @pytest.fixture
@@ -56,19 +55,3 @@ def test_tracer_records_pricing_calls(spans, run):
     finally:
         tracer.uninstall()
     assert any(s.name == "pricing.price" for s in tracer.spans)
-
-
-def test_tracer_tells_probes_apart(spans):
-    # the tracer counts a solve as a strong-branching probe by its
-    # iteration_limit keyword; karate k=5 branches at the root
-    tracer = spans.Tracer()
-    spans.install(tracer)
-    try:
-        rep = engine.solve(Instance(read_dimacs(KARATE).graph, 5))
-    finally:
-        tracer.uninstall()
-    assert rep.nodes > 1
-    solves = [s for s in tracer.spans if s.name == "lp.solve"]
-    probes = [s for s in solves if s.counts["probe"]]
-    assert probes and len(probes) < len(solves)
-    assert not any(s.counts["limit_hit"] for s in probes)
