@@ -3,9 +3,16 @@
 A small Dinic implementation over adjacency-indexed arc pairs.  Dinic runs
 in place on a residual-capacity list that ``FlowNetwork.residual`` builds
 from the network's capacities.  Infinite capacities are materialized there
-as a sentinel strictly larger than the sum of all finite capacities plus
-any headroom asked for, so every finite min cut stays strictly below it and
-cut membership is unambiguous.
+as a sentinel strictly larger than twice the sum of all finite capacities
+plus any headroom asked for, so every finite min cut stays strictly below
+it and cut membership is unambiguous.
+
+Each phase's BFS stops once it labels the sink: nodes at the sink's level
+or deeper lie on no shortest augmenting path.  The BFS that cannot reach
+the sink labels exactly the nodes reachable from the source, so the
+minimal min-cut source side is read from its labels.  A ``limit`` stops
+the flow as soon as its value reaches it; connectivity uses this to drop
+a pair once it can no longer beat the best separator found so far.
 
 Residuals are the unit of reuse.  A fresh residual can be copied once per
 s-t pair instead of being rebuilt, as the connectivity routines do with
@@ -51,14 +58,15 @@ class FlowNetwork:
 
         Infinite arcs get a sentinel above every finite cut, including
         cuts through arcs a caller later raises by at most ``headroom``
-        in total.
+        in total.  Doubling the sum keeps it above the largest finite cut
+        when the sum is so large that adding 1.0 alone would round away.
         """
-        sentinel = sum(c for c in self.cap if c != INF) + headroom + 1.0
+        sentinel = 2.0 * (sum(c for c in self.cap if c != INF) + headroom) + 1.0
         return [sentinel if c == INF else c for c in self.cap]
 
     def max_flow(
-        self, s: int, t: int, res: Optional[list[float]] = None
-    ) -> tuple[float, list[int]]:
+        self, s: int, t: int, res: Optional[list[float]] = None, limit: float = INF
+    ) -> tuple[float, Optional[list[int]]]:
         """Dinic.  Returns (flow value, source side of a minimum cut).
 
         Runs on ``res`` in place when given (a list from ``residual``,
@@ -66,36 +74,38 @@ class FlowNetwork:
         fresh ``residual()`` otherwise; the value is the flow this call
         adds.  The source side is the set of nodes reachable from s in the
         final residual network, i.e. the unique minimal min-cut source
-        side, whatever flow the residual started from.  The network
-        itself is never modified.
+        side, whatever flow the residual started from.  Once the value
+        reaches ``limit`` the flow stops and the side is None.  The
+        network itself is never modified.
         """
         if s == t:
             raise ValueError(f"source and sink are the same node {s}")
         if res is None:
             res = self.residual()
-        n = self.n
+        n, head, to = self.n, self.head, self.to
         total = 0.0
-        while True:
+        while total < limit or limit == INF:  # a flow can overflow to inf
             level = [-1] * n
             level[s] = 0
             queue = [s]
-            qi = 0
-            while qi < len(queue):
-                u = queue[qi]
-                qi += 1
-                for a in self.head[u]:
-                    v = self.to[a]
+            for u in queue:  # grows while it is scanned
+                lv = level[u] + 1
+                for a in head[u]:
+                    v = to[a]
                     if level[v] < 0 and res[a] > CUT_TOL:
-                        level[v] = level[u] + 1
+                        level[v] = lv
                         queue.append(v)
-            if level[t] < 0:
-                break
+                if level[t] >= 0:
+                    break  # deeper nodes cannot lie on a shortest path to t
+            else:
+                # t is unreachable, so the labelled nodes are the source side
+                return total, [v for v in range(n) if level[v] >= 0]
             it = [0] * n
             path: list[int] = []  # arc ids along the current partial path
             u = s
             while True:
                 if u == t:
-                    push = min(res[a] for a in path)
+                    push = min([res[a] for a in path])
                     total += push
                     rewind = len(path)
                     for i, a in enumerate(path):
@@ -103,38 +113,30 @@ class FlowNetwork:
                         res[a ^ 1] += push
                         if res[a] <= CUT_TOL and i < rewind:
                             rewind = i
+                    if total >= limit:
+                        break  # to the limit test
                     del path[rewind:]
-                    u = s if not path else self.to[path[-1]]
+                    u = to[path[-1]] if path else s
                     continue
-                advanced = False
-                while it[u] < len(self.head[u]):
-                    a = self.head[u][it[u]]
-                    v = self.to[a]
-                    if res[a] > CUT_TOL and level[v] == level[u] + 1:
-                        path.append(a)
-                        u = v
-                        advanced = True
+                arcs = head[u]
+                i, m, lv = it[u], len(arcs), level[u] + 1
+                while i < m:
+                    a = arcs[i]
+                    if res[a] > CUT_TOL and level[to[a]] == lv:
                         break
-                    it[u] += 1
-                if advanced:
+                    i += 1
+                it[u] = i
+                if i < m:
+                    path.append(a)
+                    u = to[a]
                     continue
                 if u == s:
                     break  # blocking flow for this level graph is complete
                 level[u] = -1  # dead end for this phase
                 a = path.pop()
-                u = self.to[a ^ 1]
+                u = to[a ^ 1]
                 it[u] += 1  # skip the arc that led into the dead end
-        side = [False] * n
-        side[s] = True
-        stack = [s]
-        while stack:
-            u = stack.pop()
-            for a in self.head[u]:
-                v = self.to[a]
-                if not side[v] and res[a] > CUT_TOL:
-                    side[v] = True
-                    stack.append(v)
-        return total, [v for v in range(n) if side[v]]
+        return total, None
 
 
 @dataclass
@@ -164,18 +166,22 @@ def min_vertex_cut_between(
     t: int,
     net: Optional[FlowNetwork] = None,
     base: Optional[list[float]] = None,
-) -> VertexCut:
+    limit: float = INF,
+) -> Optional[VertexCut]:
     """Cheapest vertex set whose removal disconnects s from t (both kept).
 
     A caller cutting many pairs passes g's ``split_network`` and its fresh
-    ``residual()`` once; each call runs on a copy of ``base``.
+    ``residual()`` once; each call runs on a copy of ``base``.  Returns
+    None when the cut costs at least ``limit``.
     """
     if s == t or g.has_edge(s, t):
         raise ValueError("endpoints must be distinct and non-adjacent")
     if net is None:
         net = split_network(g)
     res = None if base is None else base.copy()
-    value, side = net.max_flow(2 * s + 1, 2 * t, res)
+    value, side = net.max_flow(2 * s + 1, 2 * t, res, limit)
+    if side is None:
+        return None
     side_set = set(side)
     cut = [
         v
@@ -206,7 +212,8 @@ def component_connectivity(g: Graph, component: list[int]) -> ConnectivityResult
     plus a guard pass from each neighbor of u (needed when u itself sits in
     every optimal separator).  All cuts share one split network of the
     component's induced subgraph, so the result depends on nothing outside
-    the component.
+    the component.  Each pair's flow stops once it can no longer beat the
+    best cut found so far, which leaves the chosen separator unchanged.
     """
     comp = sorted(component)
     if is_clique(g, comp):
@@ -219,8 +226,11 @@ def component_connectivity(g: Graph, component: list[int]) -> ConnectivityResult
         for t in range(sub.n):
             if t == src or sub.has_edge(src, t):
                 continue
-            cand = min_vertex_cut_between(sub, src, t, net, base)
-            if best is None or cand.cost < best.cost - CUT_TOL:
+            # a pair whose flow reaches this limit cannot beat best; the
+            # test below still decides when best.cost is inf (no limit)
+            limit = INF if best is None else best.cost - CUT_TOL
+            cand = min_vertex_cut_between(sub, src, t, net, base, limit)
+            if cand is not None and (best is None or cand.cost < limit):
                 best = cand
     # a non-clique component always has a non-adjacent pair in it, and the
     # guard pass guarantees at least one source avoids the optimal separator

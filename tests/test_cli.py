@@ -235,6 +235,26 @@ def test_non_finite_weight_exits_one(tmp_path, cost):
     assert "line 2" in proc.stderr
 
 
+@pytest.mark.parametrize("cost", ["1e16", "1e20", "1e300"])
+def test_huge_weight_solves(tmp_path, cost):
+    # in a child process with a timeout: a connectivity cut that came back
+    # empty under a cost this large made the heuristic loop forever
+    p3 = path3_file(tmp_path)
+    weights = tmp_path / "w.txt"
+    weights.write_text(f"n 1 1\nn 2 {cost}\nn 3 1\n")
+    proc = subprocess.run(
+        [sys.executable, "-m", "kvcut.cli", "solve", p3, "--k", "2",
+         "--weights", f"file:{weights}"],
+        capture_output=True,
+        text=True,
+        env=_child_env(),
+        timeout=60,
+    )
+    assert proc.returncode == 0, proc.stderr
+    doc = json.loads(proc.stdout)
+    assert (doc["status"], doc["cut"], doc["objective"]) == ("Optimal", [2], float(cost))
+
+
 # ------------------------------------------------------------ lp-bounds
 
 

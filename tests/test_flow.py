@@ -1,10 +1,12 @@
 import itertools
+import math
 import random
 from pathlib import Path
 
 import pytest
 
 from kvcut.flow import (
+    CUT_TOL,
     INF,
     FlowNetwork,
     component_connectivity,
@@ -12,7 +14,7 @@ from kvcut.flow import (
     split_network,
     weighted_vertex_connectivity,
 )
-from kvcut.graph import Graph, connected_components, read_dimacs
+from kvcut.graph import Graph, connected_components, is_clique, read_dimacs
 
 DATA = Path(__file__).parent.parent / "src" / "kvcut" / "data"
 
@@ -283,3 +285,144 @@ def test_split_network_shape():
     # one split arc per vertex plus two infinite arcs per edge,
     # each stored with its residual twin
     assert len(net.cap) == 2 * (3 + 4)
+
+
+def _random_network(rng, n, density=0.4, inf_share=0.15):
+    """Arcs with capacities in quarters, so every cut sum is exact."""
+    net = FlowNetwork(n)
+    for a in range(n):
+        for b in range(n):
+            if a != b and rng.random() < density:
+                inf = rng.random() < inf_share
+                net.add_arc(a, b, INF if inf else rng.randint(0, 16) / 4)
+    return net
+
+
+def _smallest_min_cut_side(net, s, t):
+    """(capacity, side) of the fewest-node minimum-capacity source set, by
+    enumerating every node set with s and without t."""
+    arcs = [(net.to[a + 1], net.to[a], net.cap[a]) for a in range(0, len(net.cap), 2)]
+    others = [v for v in range(net.n) if v != s and v != t]
+    best = None
+    for r in range(len(others) + 1):
+        for combo in itertools.combinations(others, r):
+            side = {s, *combo}
+            cap = sum(c for a, b, c in arcs if a in side and b not in side)
+            if best is None or cap < best[0]:
+                best = (cap, sorted(side))
+    return best
+
+
+def test_max_flow_side_is_the_smallest_minimum_cut():
+    # the side comes from the last BFS's labels; it must be the minimal
+    # min-cut source side for cold flows and for flows resumed after one
+    # arc is raised.  The first network puts t one BFS level from s, next
+    # to other nodes of that level, so the BFS stops early there.
+    first = FlowNetwork(5)
+    for a, b, cap in [(0, 4, 1.0), (0, 1, 2.0), (0, 2, INF), (1, 4, 1.5),
+                      (2, 3, 1.0), (2, 1, 0.5), (3, 4, 2.0)]:
+        first.add_arc(a, b, cap)
+    rng = random.Random(53)
+    nets = [first] + [_random_network(rng, rng.randint(3, 7)) for _ in range(120)]
+    checked = 0
+    for trial, net in enumerate(nets):
+        t = net.n - 1
+        expected = _smallest_min_cut_side(net, 0, t)
+        if expected[0] == INF:
+            continue
+        value, side = net.max_flow(0, t)
+        assert value == expected[0], trial
+        assert side == expected[1], trial
+        finite = [a for a in range(0, len(net.cap), 2) if net.cap[a] != INF]
+        if finite:
+            arc, extra = rng.choice(finite), rng.choice([0.25, 2.0, 64.0])
+            base = net.residual(headroom=extra)
+            done, _ = net.max_flow(0, t, base)
+            base[arc] += extra
+            more, side = net.max_flow(0, t, base)
+            net.cap[arc] += extra
+            expected = _smallest_min_cut_side(net, 0, t)
+            assert done + more == expected[0], trial
+            assert side == expected[1], trial
+        checked += 1
+    assert checked >= 80
+
+
+def test_max_flow_limit_returns_a_side_exactly_below_the_limit():
+    rng = random.Random(61)
+    for trial in range(80):
+        net = _random_network(rng, rng.randint(3, 8))
+        t = net.n - 1
+        value, side = net.max_flow(0, t)
+        for limit in (value, math.nextafter(value, INF), value + 0.25,
+                      value - 0.25, 0.0, -1.0, INF):
+            got, got_side = net.max_flow(0, t, limit=limit)
+            if value < limit:
+                assert (got, got_side) == (value, side), (trial, limit)
+            else:
+                assert got_side is None and got >= limit, (trial, limit)
+
+
+def _plain_connectivity(g):
+    """weighted_vertex_connectivity without the cutoff: every pair of the
+    same sweep runs to the end and replaces the best when strictly cheaper."""
+    best = None
+    for comp in connected_components(g):
+        sub, ids = g.induced(comp)
+        if is_clique(sub, list(range(sub.n))):
+            continue
+        net = split_network(sub)
+        base = net.residual()
+        cut = None
+        for src in [0] + sub.adj[0]:
+            for t in range(sub.n):
+                if t != src and not sub.has_edge(src, t):
+                    cand = min_vertex_cut_between(sub, src, t, net, base)
+                    if cut is None or cand.cost < cut.cost - CUT_TOL:
+                        cut = cand
+        if best is None or cut.cost < best[0] - CUT_TOL:
+            best = (cut.cost, [ids[v] for v in cut.vertices])
+    return best
+
+
+def test_connectivity_cutoff_keeps_the_plain_sweeps_separator():
+    # unit costs tie often and zero costs make zero cuts, so the tie rule
+    # is what is tested; sparse draws give disconnected inputs.  On a C4
+    # whose cuts overflow to inf every pair ties at inf.
+    c4 = Graph(4, [(0, 1), (1, 2), (2, 3), (3, 0)], costs=[1e308] * 4)
+    res = weighted_vertex_connectivity(c4)
+    assert (res.cost, res.vertices) == _plain_connectivity(c4) == (INF, [1, 3])
+    rng = random.Random(89)
+    kinds = set()
+    for trial in range(150):
+        n = rng.randint(4, 12)
+        p = rng.choice([0.15, 0.3, 0.5])
+        edges = [(a, b) for a in range(n) for b in range(a + 1, n) if rng.random() < p]
+        kind = trial % 3
+        if kind == 0:
+            costs = [1.0] * n
+        elif kind == 1:
+            costs = [float(rng.choice([0, 0, 1, 2])) for _ in range(n)]
+        else:
+            costs = [float(rng.randint(1, 9)) for _ in range(n)]
+        g = Graph(n, edges, costs=costs)
+        expected = _plain_connectivity(g)
+        res = weighted_vertex_connectivity(g)
+        if expected is None:
+            assert res.unbreakable, trial
+            continue
+        assert (res.cost, res.vertices) == expected, trial
+        comps = connected_components(g)
+        kinds.add((kind, len(comps) > 1))
+        if len(comps) == 1:
+            direct = component_connectivity(g, comps[0])
+            assert (direct.cost, direct.vertices) == expected, trial
+    assert kinds == {(k, d) for k in range(3) for d in (False, True)}
+
+
+@pytest.mark.parametrize("cost", [1e16, 1e20, 1e300])
+def test_connectivity_with_a_huge_cost(cost):
+    # the infinite arcs' sentinel must stay above a cut this large
+    g = Graph(3, [(0, 1), (1, 2)], costs=[1.0, cost, 1.0])
+    res = weighted_vertex_connectivity(g)
+    assert (res.cost, res.vertices) == (cost, [1])
