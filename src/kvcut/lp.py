@@ -11,6 +11,21 @@ round differently under different BLAS thread counts, so the work
 counters (and on degenerate models the basis reached) can depend on the
 thread count.
 
+The kernel is lean without leaving that path:
+
+* A certified OPTIMAL whose basis holds no artificial leaves its fresh
+  inverse on the model, and the next solve takes it instead of inverting
+  when its warm basis lists the same column in every row -- the usual
+  case in column generation.  That is exact: a column never changes once
+  written, ``add_row`` adds a row, bounds do not enter the basis matrix,
+  and inverting the same matrix gives the same array.
+* The ratio test, basic values and status set-up are array expressions
+  with the same float operations as a scan in row or column order; the
+  ratio test scans in Python only when the smallest steps tie.
+* The rank-one inverse update runs over blocks of rows, so its
+  temporaries stay small; each element still gets one multiply and one
+  subtract.
+
 Conventions
 -----------
 * Minimization only.
@@ -51,6 +66,7 @@ PIVOT_TOL = 1e-10
 DEFAULT_ITER_LIMIT = 200_000
 _REFACTOR_EVERY = 100
 _BLAND_AFTER = 40  # consecutive degenerate pivots before switching to Bland
+_UPDATE_BLOCK = 128  # rows per block of the rank-one inverse update
 
 OPTIMAL = "optimal"
 INFEASIBLE = "infeasible"
@@ -107,6 +123,8 @@ class LinearProgram:
         self._rhs = np.zeros(self._rcap)
         self.row_sense: list[str] = []
         self.logical: list[int] = []  # column id of each row's logical
+        # (basic column id per row, B^-1) of the last certified solve
+        self._factor: Optional[tuple[tuple[int, ...], np.ndarray]] = None
 
     def _grow_cols(self, need: int):
         new = self._ccap
@@ -215,6 +233,7 @@ class _Simplex:
         self.c = lp._c[: self.n].copy()
         self.lb = lp._lb[: self.n].copy()
         self.ub = lp._ub[: self.n].copy()
+        self.free = self.lb < self.ub
         self.art_row: list[int] = []
         self.art_sign: list[float] = []
         self.art_ub = INF  # pinned to 0 for phase 2
@@ -229,19 +248,16 @@ class _Simplex:
 
     # -- column helpers (artificial-aware) ----------------------------------
 
-    def col_vec(self, j: int) -> np.ndarray:
-        if j < self.n:
-            return self.A[:, j]
-        v = np.zeros(self.m)
-        k = j - self.n
-        v[self.art_row[k]] = self.art_sign[k]
-        return v
-
-    def col_lb(self, j: int) -> float:
-        return self.lb[j] if j < self.n else 0.0
-
-    def col_ub(self, j: int) -> float:
-        return self.ub[j] if j < self.n else self.art_ub
+    def _bounds_of(self, cols: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """Lower and upper bounds of the given column ids; artificials are in [0, art_ub]."""
+        model = cols < self.n
+        if model.all():
+            return self.lb[cols], self.ub[cols]
+        safe = np.where(model, cols, 0)
+        return (
+            np.where(model, self.lb[safe], 0.0),
+            np.where(model, self.ub[safe], self.art_ub),
+        )
 
     def _new_artificial(self, row: int, sign: float) -> int:
         j = self.n + len(self.art_row)
@@ -251,56 +267,43 @@ class _Simplex:
 
     # -- basis setup ---------------------------------------------------------
 
-    def _default_status(self, j: int) -> int:
-        return AT_LB if self.lb[j] > -INF else AT_UB
-
     def _cold_basis(self):
-        for j in range(self.n):
-            self.status[j] = self._default_status(j)
+        self.status[:] = np.where(self.lb > -INF, AT_LB, AT_UB)
         self.basic = list(self.lp.logical)
-        for j in self.basic:
-            self.status[j] = BASIC
+        self.status[self.basic] = BASIC
         self.Binv = np.eye(self.m)
         self.art_row.clear()
         self.art_sign.clear()
 
     def _load_warm(self, warm: Basis) -> bool:
-        if len(warm.basic) > self.m:
+        m, n = self.m, self.n
+        if len(warm.basic) > m:
             return False
-        slots = list(warm.basic) + [-1] * (self.m - len(warm.basic))
-        seen = set()
-        for j in slots:
-            if j == -1:
-                continue
-            if not (0 <= j < self.n) or j in seen:
+        basic = list(warm.basic) + [-1] * (m - len(warm.basic))
+        placed = [j for j in basic if j != -1]
+        if any(not 0 <= j < n for j in placed) or len(set(placed)) < len(placed):
+            return False
+        # a column starts at its finite bound, except that one recorded at
+        # a finite upper bound stays there
+        self.status[:] = np.where(self.lb > -INF, AT_LB, AT_UB)
+        up = np.flatnonzero(np.array(warm.status[:n]) == AT_UB)
+        self.status[up] = np.where(self.ub[up] < INF, AT_UB, AT_LB)
+        self.status[placed] = BASIC
+        self.basic = basic
+        pending = [p for p, j in enumerate(basic) if j == -1]
+        factor, self.lp._factor = self.lp._factor, None
+        if not pending and factor and factor[0] == tuple(basic):
+            self.Binv = factor[1]
+        else:
+            factor = None  # free a stale inverse before inv() allocates its own
+            # one gather, then unit columns for the rows without a column
+            B = self.A[:, [max(j, 0) for j in basic]]
+            B[:, pending] = 0.0
+            B[pending, pending] = 1.0
+            try:
+                self.Binv = np.linalg.inv(B)
+            except np.linalg.LinAlgError:
                 return False
-            seen.add(j)
-        for j in range(self.n):
-            if j < len(warm.status) and warm.status[j] != BASIC:
-                st = warm.status[j]
-                if st == AT_LB and self.lb[j] == -INF:
-                    st = AT_UB
-                elif st == AT_UB and self.ub[j] == INF:
-                    st = AT_LB
-                self.status[j] = st
-            else:
-                self.status[j] = self._default_status(j)
-        self.basic = []
-        pending = []
-        B = np.zeros((self.m, self.m))
-        for p, j in enumerate(slots):
-            if j == -1:
-                pending.append(p)
-                B[p, p] = 1.0
-                self.basic.append(-1)
-            else:
-                B[:, p] = self.col_vec(j)
-                self.basic.append(j)
-                self.status[j] = BASIC
-        try:
-            self.Binv = np.linalg.inv(B)
-        except np.linalg.LinAlgError:
-            return False
         if not np.all(np.isfinite(self.Binv)):
             return False
         # materialize placeholder artificials, oriented by their residual
@@ -316,40 +319,31 @@ class _Simplex:
     def _basic_values(self) -> np.ndarray:
         """B^-1 (b - N x_N); nonbasic artificials always sit at 0."""
         r = self.b.copy()
-        nz = [
-            j
-            for j in range(self.n)
-            if self.status[j] != BASIC
-            and (self.lb[j] if self.status[j] == AT_LB else self.ub[j]) != 0.0
-        ]
-        if nz:
-            vals = np.asarray(
-                [self.lb[j] if self.status[j] == AT_LB else self.ub[j] for j in nz]
-            )
-            r -= self.A[:, nz] @ vals
+        at = np.where(self.status == AT_LB, self.lb, self.ub)
+        nz = np.flatnonzero((self.status != BASIC) & (at != 0.0))
+        if nz.size:
+            r -= self.A[:, nz] @ at[nz]
         return self.Binv @ r
 
     def _primal_feasible(self) -> bool:
-        return all(
-            self.col_lb(j) - FEAS_TOL <= self.xb[p] <= self.col_ub(j) + FEAS_TOL
-            for p, j in enumerate(self.basic)
-        )
+        lo, hi = self._bounds_of(np.asarray(self.basic))
+        return bool(np.all((lo - FEAS_TOL <= self.xb) & (self.xb <= hi + FEAS_TOL)))
 
     def _refresh(self):
-        for j in range(self.n):
-            if self.status[j] == AT_LB:
-                self.x[j] = self.lb[j]
-            elif self.status[j] == AT_UB:
-                self.x[j] = self.ub[j]
+        np.copyto(self.x, self.lb, where=self.status == AT_LB)
+        np.copyto(self.x, self.ub, where=self.status == AT_UB)
         self.xb = self._basic_values()
-        for p, j in enumerate(self.basic):
-            if j < self.n:
-                self.x[j] = self.xb[p]
+        basic = np.asarray(self.basic)
+        model = basic < self.n
+        self.x[basic[model]] = self.xb[model]
 
     def _refactor(self):
-        B = np.empty((self.m, self.m))
-        for p, j in enumerate(self.basic):
-            B[:, p] = self.col_vec(j)
+        basic = np.asarray(self.basic)
+        B = self.A[:, np.where(basic < self.n, basic, 0)]
+        for p in np.flatnonzero(basic >= self.n).tolist():
+            k = self.basic[p] - self.n
+            B[:, p] = 0.0
+            B[self.art_row[k], p] = self.art_sign[k]
         self.Binv = None  # free the old inverse before inv() allocates its own
         try:
             self.Binv = np.linalg.inv(B)
@@ -367,7 +361,7 @@ class _Simplex:
         for p in range(self.m):
             j = self.basic[p]
             v = self.xb[p]
-            lo, hi = self.col_lb(j), self.col_ub(j)
+            lo, hi = self.lb[j], self.ub[j]
             if lo - FEAS_TOL <= v <= hi + FEAS_TOL:
                 continue
             if v < lo:
@@ -397,7 +391,11 @@ class _Simplex:
 
     def _iterate(self, phase: int) -> str:
         costs = self._phase_costs(phase)
-        m, n = self.m, self.n
+        n = self.n
+        # cost and bounds of each row's basic column, kept in step with pivots
+        basic = np.asarray(self.basic)
+        cb = costs[basic]
+        lo, hi = self._bounds_of(basic)
         bland = False
         degenerate_streak = 0
         bad_pivot_retries = 0
@@ -405,7 +403,6 @@ class _Simplex:
             if self.iters >= self.iteration_limit:
                 return ITERATION_LIMIT
             self.iters += 1
-            cb = costs[self.basic]
             y = cb @ self.Binv
             d = costs[:n] - y @ self.A
             mispriced = self._mispriced(d)
@@ -414,42 +411,13 @@ class _Simplex:
             if bland:
                 enter = int(np.flatnonzero(mispriced)[0])
             else:
-                enter = int(np.argmax(np.where(mispriced, np.abs(d), 0.0)))
+                enter = int(np.where(mispriced, np.abs(d), 0.0).argmax())
             direction = 1.0 if self.status[enter] == AT_LB else -1.0
             w = self.Binv @ self.A[:, enter]
             dw = direction * w
-            t_best = self.ub[enter] - self.lb[enter]
-            leave_pos = -1
-            leave_to = AT_LB
-            for p in range(m):
-                jb = self.basic[p]
-                if dw[p] > PIVOT_TOL:
-                    lo = self.col_lb(jb)
-                    if lo == -INF:
-                        continue
-                    t = (self.xb[p] - lo) / dw[p]
-                    to = AT_LB
-                elif dw[p] < -PIVOT_TOL:
-                    hi = self.col_ub(jb)
-                    if hi == INF:
-                        continue
-                    t = (self.xb[p] - hi) / dw[p]
-                    to = AT_UB
-                else:
-                    continue
-                t = max(t, 0.0)
-                if leave_pos >= 0 and abs(t - t_best) <= PIVOT_TOL:
-                    # ties: Bland mode picks the lowest variable id (the
-                    # anti-cycling guarantee needs it), otherwise prefer the
-                    # numerically safest pivot element
-                    if bland:
-                        better = jb < self.basic[leave_pos]
-                    else:
-                        better = abs(dw[p]) > abs(dw[leave_pos])
-                    if better:
-                        t_best, leave_pos, leave_to = t, p, to
-                elif t < t_best - PIVOT_TOL:
-                    t_best, leave_pos, leave_to = t, p, to
+            t_best, leave_pos, leave_to = self._ratio_test(
+                dw, self.ub[enter] - self.lb[enter], bland, lo, hi
+            )
             if leave_pos == -1 and t_best == INF:
                 return UNBOUNDED
             if t_best <= PIVOT_TOL:
@@ -462,9 +430,6 @@ class _Simplex:
             if leave_pos == -1:
                 # bound flip: entering runs across to its other bound
                 self.xb -= t_best * dw
-                for p, jb in enumerate(self.basic):
-                    if jb < n:
-                        self.x[jb] = self.xb[p]
                 self.status[enter] = AT_UB if direction > 0 else AT_LB
                 self.x[enter] = self.ub[enter] if direction > 0 else self.lb[enter]
                 continue
@@ -478,28 +443,79 @@ class _Simplex:
             out = self.basic[leave_pos]
             if out < n:
                 self.status[out] = leave_to
-                self.x[out] = self.col_lb(out) if leave_to == AT_LB else self.col_ub(out)
+                self.x[out] = self.lb[out] if leave_to == AT_LB else self.ub[out]
             self.xb -= t_best * dw
             start = self.lb[enter] if direction > 0 else self.ub[enter]
             self.basic[leave_pos] = enter
+            cb[leave_pos] = costs[enter]
+            lo[leave_pos], hi[leave_pos] = self.lb[enter], self.ub[enter]
             self.status[enter] = BASIC
             self.xb[leave_pos] = start + direction * t_best
-            self.x[enter] = self.xb[leave_pos]
             self._update_inverse(leave_pos, w)
             self.pivots_since_refactor += 1
             if self.pivots_since_refactor >= _REFACTOR_EVERY:
                 self._refactor()
-                for p, jb in enumerate(self.basic):
-                    if jb < n:
-                        self.x[jb] = self.xb[p]
+
+    def _ratio_test(
+        self, dw: np.ndarray, t_flip: float, bland: bool, lo: np.ndarray, hi: np.ndarray
+    ) -> tuple[float, int, int]:
+        """Primal ratio test for moving the basic values by -t dw, t >= 0.
+
+        ``lo`` and ``hi`` are the bounds of each row's basic column.
+        Returns (t, leaving row, bound it leaves at), or (t_flip, -1, AT_LB)
+        when the entering column reaches its other bound first.  The result
+        is that of a scan in row order over the rows with |dw| > PIVOT_TOL:
+        a step more than PIVOT_TOL below the best so far replaces it; a
+        step within PIVOT_TOL of it replaces it on the lower variable id in
+        Bland mode (the anti-cycling guarantee needs it), otherwise on the
+        larger |dw| (the numerically safer pivot).  A row heading for an
+        infinite bound gets the step inf or nan, which never replaces
+        anything.  A smallest step more than PIVOT_TOL below every other
+        one decides the scan alone, so the scan runs only on near ties.
+        """
+        rows = (np.abs(dw) > PIVOT_TOL).nonzero()[0]
+        if not rows.size:
+            return t_flip, -1, AT_LB
+        d = dw[rows]
+        t = (self.xb[rows] - np.where(d > 0.0, lo[rows], hi[rows])) / d
+        t = np.where(t < 0.0, 0.0, t)  # max(t, 0.0): keeps -0.0 and nan
+        i = int(t.argmin())  # the first nan, if there is one
+        t_min = t[i].item()
+        # both tests only get easier as the other step grows, so the
+        # smallest other step stands for all of them
+        t_2 = min(t[:i].min(initial=INF), t[i + 1 :].min(initial=INF)).item()
+        if abs(t_2 - t_min) > PIVOT_TOL and t_min < t_2 - PIVOT_TOL:
+            if t_min < t_flip - PIVOT_TOL:
+                return t_min, int(rows[i]), AT_LB if d[i] > 0.0 else AT_UB
+            return t_flip, -1, AT_LB
+        t_best, leave_pos, best_d = t_flip, -1, 0.0
+        for p, tp, dp in zip(rows.tolist(), t.tolist(), d.tolist()):
+            if leave_pos >= 0 and abs(tp - t_best) <= PIVOT_TOL:
+                if bland:
+                    if not self.basic[p] < self.basic[leave_pos]:
+                        continue
+                elif not abs(dp) > abs(best_d):
+                    continue
+            elif not tp < t_best - PIVOT_TOL:
+                continue
+            t_best, leave_pos, best_d = tp, p, dp
+        return t_best, leave_pos, AT_UB if best_d < 0.0 else AT_LB
 
     def _update_inverse(self, p: int, w: np.ndarray):
-        """Rank-one update of B^-1 after the column with B^-1 a = w enters row p."""
-        self.Binv[p, :] /= w[p]
+        """Rank-one update of B^-1 after the column with B^-1 a = w enters row p.
+
+        The rows with w != 0 are updated in blocks, which keeps each
+        block's temporaries small and in cache.
+        """
+        Binv = self.Binv
+        Binv[p, :] /= w[p]
         mask = np.abs(w) > 0.0
         mask[p] = False
-        if mask.any():
-            self.Binv[mask, :] -= np.outer(w[mask], self.Binv[p, :])
+        rows = mask.nonzero()[0]
+        pivot_row = Binv[p, :]  # row p is in no block, so the view stays fixed
+        for start in range(0, rows.size, _UPDATE_BLOCK):
+            block = rows[start : start + _UPDATE_BLOCK]
+            Binv[block, :] -= np.outer(w[block], pivot_row)
 
     def _duals(self) -> np.ndarray:
         """Row prices of the phase-2 costs; artificials cost nothing there."""
@@ -510,8 +526,7 @@ class _Simplex:
 
     def _mispriced(self, d: np.ndarray) -> np.ndarray:
         """Nonfixed nonbasic model columns whose reduced cost has the wrong sign."""
-        free = self.lb < self.ub
-        return free & (
+        return self.free & (
             ((self.status == AT_LB) & (d < -RC_TOL))
             | ((self.status == AT_UB) & (d > RC_TOL))
         )
@@ -532,7 +547,7 @@ class _Simplex:
         INFEASIBLE when a violated row has no entering column (for
         phase 1 to confirm).
         """
-        free = self.lb < self.ub
+        free = self.free
         bland = False
         degenerate_streak = 0
         bad_pivot_retries = 0
@@ -605,7 +620,7 @@ class _Simplex:
         """Primal and dual feasibility of the current (freshly factored) basis."""
         x = self.x[: self.n]
         residual = self.A @ x - self.b
-        for p, j in enumerate(self.basic):
+        for p, j in enumerate(self.basic if self.art_row else ()):
             if j >= self.n:  # a pinned artificial must sit at zero
                 k = j - self.n
                 residual[self.art_row[k]] += self.art_sign[k] * self.xb[p]
@@ -627,7 +642,7 @@ class _Simplex:
         dependent in the current column set; their artificial stays basic at
         zero (pinned) and shows up as -1 in the basis snapshot.
         """
-        for p in range(self.m):
+        for p in range(self.m if self.art_row else 0):
             if self.basic[p] < self.n:
                 continue
             row = self.Binv[p, :] @ self.A
@@ -656,15 +671,11 @@ class _Simplex:
         if self.m == 0:
             # optimal by construction: each column sits at the bound its
             # cost favours, so there is nothing to certify
-            x = np.empty(self.n)
-            for j in range(self.n):
-                if self.c[j] > 0 or (self.c[j] == 0 and self.lb[j] > -INF):
-                    x[j] = self.lb[j]
-                else:
-                    x[j] = self.ub[j]
+            finite_lb = self.lb > -INF
+            x = np.where((self.c > 0) | ((self.c == 0) & finite_lb), self.lb, self.ub)
             if not np.all(np.isfinite(x)):
                 return LpResult(UNBOUNDED)
-            status = [AT_LB if self.lb[j] > -INF else AT_UB for j in range(self.n)]
+            status = np.where(finite_lb, AT_LB, AT_UB).tolist()
             obj = float(self.c @ x)
             return LpResult(OPTIMAL, obj, x, np.zeros(0), Basis([], status))
         loaded = self.warm is not None and self._load_warm(self.warm)
@@ -683,7 +694,7 @@ class _Simplex:
                 loaded = False
         if not loaded:
             self._install_artificials()
-        if any(j >= self.n for j in self.basic) and self._phase1_value() > FEAS_TOL:
+        if self.art_row and self._phase1_value() > FEAS_TOL:
             st = self._iterate(1)
             if st != OPTIMAL:
                 return LpResult(st, iterations=self.iters)
@@ -703,10 +714,11 @@ class _Simplex:
         else:
             return LpResult(UNCERTIFIED, iterations=self.iters)
         obj = float(self.c @ self.x[: self.n])
-        snapshot = Basis(
-            [j if j < self.n else -1 for j in self.basic],
-            [int(s) for s in self.status],
-        )
+        basic = [j if j < self.n else -1 for j in self.basic]
+        if -1 not in basic:
+            # the next warm solve from this basis takes this inverse as is
+            self.lp._factor = (tuple(basic), self.Binv)
+        snapshot = Basis(basic, self.status.tolist())
         return LpResult(
             OPTIMAL, obj, self.x[: self.n].copy(), self._duals(), snapshot,
             self.iters,

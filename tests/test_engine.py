@@ -16,6 +16,7 @@ from kvcut.engine import (
     OPTIMAL,
     TIME_LIMIT,
     CgWork,
+    EngineError,
     SolveOptions,
     _Search,
     _Timeout,
@@ -352,3 +353,13 @@ def test_branch_selection_solves_no_lp(monkeypatch):
     search.pseudo.record(11, 0, 3.0)
     search.pseudo.record(11, 1, 3.0)
     assert search._select_branch(candidates, xvals) == 7
+
+
+@pytest.mark.xfail(strict=True, raises=EngineError)
+def test_large_costs_solve_to_optimality():
+    # known defect: the connectivity row carries the vertex costs, and at
+    # this scale its certificate residual reads 2.4e-7 against FEAS_TOL
+    # 1e-7, so the master LP ends uncertified; the optimum deletes vertex 1
+    rep = solve(Instance(Graph(3, [(0, 1), (1, 2)], [1e9, 1.9e9, 1.8e9]), 2))
+    assert rep.status == OPTIMAL
+    assert rep.cut == (1,)

@@ -131,18 +131,35 @@ def test_extended_cover_bound_on_p3_is_one():
 # These are the counts under one BLAS thread, as the benchmark runs; with
 # two threads bcspwr01/edges takes 157 pivots and ends with 76 columns.
 PINNED_EXTENDED_WORK = [
+    # (graph, clique family or bound, value, pivots, columns or cuts)
     ("karate", "cover", 15 / 13, 278, 102),
     ("bcspwr01", "partition", 81 / 17, 179, 90),
     ("bcspwr01", "edges", 117 / 37, 158, 88),
+    # one cold LP with 1,011 rows: the inverse update runs over many blocks
+    ("bcspwr01", "compact", 0.0, 229, None),
+    # rows added between warm solves, so no solve can reuse the last inverse
+    ("gnp-40-0.08-3", "natural", 5.0, 642, 49),
 ]
 
 _EXTENDED_WORK_SCRIPT = """
 import json, sys
 from kvcut.graph import read_dimacs
-from kvcut.instance import Instance
-from kvcut.lab import lp_bound_extended
-b = lp_bound_extended(Instance(read_dimacs(sys.argv[1]).graph, 4), sys.argv[2])
-print(json.dumps([b.value, b.iterations, b.columns]))
+from kvcut.instance import Instance, gnp_graph, make_weighted
+from kvcut.lab import lp_bound_compact, lp_bound_extended, lp_bound_natural
+name, bound = sys.argv[2], sys.argv[3]
+if name.startswith("gnp-"):
+    _, n, p, seed = name.split("-")
+    g = make_weighted(gnp_graph(int(n), float(p), int(seed)), int(seed))
+else:
+    g = read_dimacs(sys.argv[1]).graph
+inst = Instance(g, 4)
+if bound == "compact":
+    b = lp_bound_compact(inst)
+elif bound == "natural":
+    b = lp_bound_natural(inst)
+else:
+    b = lp_bound_extended(inst, bound)
+print(json.dumps([b.value, b.iterations, b.cuts if bound == "natural" else b.columns]))
 """
 
 
@@ -150,16 +167,16 @@ print(json.dumps([b.value, b.iterations, b.columns]))
     "name, family, value, pivots, columns", PINNED_EXTENDED_WORK
 )
 def test_extended_bound_work_is_pinned(name, family, value, pivots, columns):
-    # the column-generation work, pinned so that a refactor cannot move it
-    # silently; a child process fixes the BLAS thread count before numpy
-    # loads
+    # the simplex work of the bound LPs, pinned so that a refactor cannot
+    # move it silently; a child process fixes the BLAS thread count before
+    # numpy loads
     src = str(Path(kvcut.__file__).parent.parent)
     env = dict(os.environ, PYTHONPATH=src)
     for var in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS"):
         env[var] = "1"
     data = Path(kvcut.__file__).parent / "data" / f"{name}.col"
     proc = subprocess.run(
-        [sys.executable, "-c", _EXTENDED_WORK_SCRIPT, str(data), family],
+        [sys.executable, "-c", _EXTENDED_WORK_SCRIPT, str(data), name, family],
         capture_output=True,
         text=True,
         env=env,

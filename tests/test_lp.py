@@ -1,6 +1,8 @@
+import copy
 import math
 import random
 
+import numpy as np
 import pytest
 
 from kvcut import lp
@@ -354,3 +356,309 @@ def test_bound_violating_basis_is_not_reported_optimal(monkeypatch):
     assert model.solve(warm=first.basis).status == lp.UNCERTIFIED
     monkeypatch.undo()
     assert model.solve(warm=first.basis).status == lp.INFEASIBLE
+
+
+# ------------------------------------------------------------ ratio test
+
+
+def _row_scan(basic, xb, lb, ub, n, art_ub, dw, t_flip, bland):
+    """The primal ratio test as a plain scan in row order, the reference
+    for ``_Simplex._ratio_test``; artificials (ids >= n) live in [0, art_ub]."""
+
+    def col_lb(j):
+        return lb[j] if j < n else 0.0
+
+    def col_ub(j):
+        return ub[j] if j < n else art_ub
+
+    t_best = t_flip
+    leave_pos = -1
+    leave_to = lp.AT_LB
+    for p in range(len(basic)):
+        jb = basic[p]
+        if dw[p] > lp.PIVOT_TOL:
+            lo = col_lb(jb)
+            if lo == -INF:
+                continue
+            t = (xb[p] - lo) / dw[p]
+            to = lp.AT_LB
+        elif dw[p] < -lp.PIVOT_TOL:
+            hi = col_ub(jb)
+            if hi == INF:
+                continue
+            t = (xb[p] - hi) / dw[p]
+            to = lp.AT_UB
+        else:
+            continue
+        t = max(t, 0.0)
+        if leave_pos >= 0 and abs(t - t_best) <= lp.PIVOT_TOL:
+            if bland:
+                better = jb < basic[leave_pos]
+            else:
+                better = abs(dw[p]) > abs(dw[leave_pos])
+            if better:
+                t_best, leave_pos, leave_to = t, p, to
+        elif t < t_best - lp.PIVOT_TOL:
+            t_best, leave_pos, leave_to = t, p, to
+    return t_best, leave_pos, leave_to
+
+
+def _ratio_case(basic, xb, lb, ub, art_ub, dw, t_flip, bland):
+    """(kernel result, reference result), each with the step as a hex
+    string so that -0.0 and 0.0 differ."""
+    s = lp._Simplex(lp.LinearProgram(), None, 1)
+    s.n, s.lb, s.ub, s.art_ub = len(lb), lb, ub, art_ub
+    s.basic, s.xb = list(basic), xb
+    lo, hi = s._bounds_of(np.asarray(basic))
+    got = s._ratio_test(dw, t_flip, bland, lo, hi)
+    want = _row_scan(basic, xb, lb, ub, len(lb), art_ub, dw, t_flip, bland)
+    return (float(got[0]).hex(), *got[1:]), (float(want[0]).hex(), *want[1:])
+
+
+def _random_ratio_case(rng):
+    tol = lp.PIVOT_TOL
+    n = rng.randint(1, 12)
+    m = rng.randint(1, 16)
+    lb = np.array([rng.choice([0.0, -1.0, -INF, 0.5]) for _ in range(n)])
+    ub = np.array([max(lo, 0.0) + rng.choice([0.0, 1.0, INF, 2.5]) for lo in lb])
+    # model columns and artificials (ids n, n+1, ...), each basic once
+    basic = rng.sample(range(n + m), m)
+    art_ub = rng.choice([0.0, INF])
+    choices = [0.0, tol / 2, -tol / 2, 1.0, -1.0, 0.5, -2.0, 3e-3, -7.0]
+    dw = np.array([rng.choice(choices) for _ in range(m)])
+    if rng.random() < 0.5:
+        dw = np.sort(np.abs(dw)) * np.sign(dw)  # growing |dw| in row order makes chains
+    xb = np.empty(m)
+    for p, j in enumerate(basic):
+        lo, hi = (lb[j], ub[j]) if j < n else (0.0, art_ub)
+        bound = lo if dw[p] > 0 else hi
+        if not np.isfinite(bound):
+            bound = rng.choice([0.0, 1.0])
+        # raw steps on a PIVOT_TOL/2 grid, including zero and negative ones
+        step = rng.choice([-3, -1, 0, 1, 2, 3, 4, 5]) * tol / 2
+        if rng.random() < 0.1:
+            step = rng.uniform(0.0, 2.0)
+        xb[p] = bound + step * dw[p]
+    t_flip = rng.choice([INF, 0.0, tol, 2 * tol, 1.0, rng.uniform(0.0, 3.0)])
+    return basic, xb, lb, ub, art_ub, dw, t_flip, rng.random() < 0.5
+
+
+def test_ratio_test_matches_the_row_scan():
+    rng = random.Random(11)
+    flips = 0
+    for _ in range(4000):
+        case = _random_ratio_case(rng)
+        got, want = _ratio_case(*case)
+        assert got == want, case
+        flips += want[1] == -1
+    assert 1000 < flips < 3000  # both outcomes are common
+
+
+def test_ratio_test_follows_a_tie_chain():
+    # steps 0, 0.9 tol and 1.8 tol with growing |dw|: each ties with the
+    # one before, so the scan ends on the last row, whose step is more
+    # than PIVOT_TOL above the minimum
+    tol = lp.PIVOT_TOL
+    lb = np.zeros(3)
+    ub = np.full(3, INF)
+    dw = np.array([1.0, 2.0, 4.0])
+    xb = np.array([0.0, 0.9 * tol, 1.8 * tol]) * dw
+    for bland in (False, True):
+        got, want = _ratio_case([0, 1, 2], xb, lb, ub, INF, dw, INF, bland)
+        assert got == want
+        assert got[1] == (0 if bland else 2)
+    # a larger step ahead of the minimum is replaced by it, then the chain
+    # moves on from there
+    xb2 = np.array([5.0, 0.0, 0.9 * tol])
+    dw2 = np.array([1.0, 1.0, 3.0])
+    got, want = _ratio_case([0, 1, 2], xb2, lb, ub, INF, dw2, INF, False)
+    assert got == want and got[1] == 2
+
+
+def test_ratio_test_with_infinite_basic_values():
+    # inf - inf steps are nan in both: a nan step never replaces anything
+    lb = np.array([0.0, -INF, 0.0])
+    ub = np.array([INF, 0.0, 1.0])
+    with np.errstate(invalid="ignore"):
+        for xb in ([INF, -INF, 0.5], [-INF, 1.0, INF], [0.25, INF, -INF]):
+            for dw in ([1.0, -1.0, 1.0], [-1.0, 1.0, -1.0], [2.0, 0.0, -1.0]):
+                for t_flip in (INF, 1.0):
+                    got, want = _ratio_case(
+                        [0, 1, 2], np.array(xb), lb, ub, INF, np.array(dw), t_flip, False
+                    )
+                    assert got == want, (xb, dw, t_flip)
+
+
+# ------------------------------------------------------------ kept inverse
+
+
+@pytest.fixture
+def inversions(monkeypatch):
+    """Counts the basis inversions of every solve."""
+    calls = [0]
+    inv = np.linalg.inv
+
+    def counted(a):
+        calls[0] += 1
+        return inv(a)
+
+    monkeypatch.setattr(np.linalg, "inv", counted)
+    return calls
+
+
+def _solve_counting(model, basis, inversions):
+    before = inversions[0]
+    res = model.solve(warm=basis)
+    return res, inversions[0] - before
+
+
+def _assert_same_solve(a, b):
+    assert (a.status, a.iterations) == (b.status, b.iterations)
+    if a.status == lp.OPTIMAL:
+        assert a.x.tobytes() == b.x.tobytes()
+        assert a.duals.tobytes() == b.duals.tobytes()
+        assert (a.basis.basic, a.basis.status) == (b.basis.basic, b.basis.status)
+
+
+def test_warm_re_solve_from_the_kept_inverse_is_bit_identical(inversions):
+    rng = random.Random(31)
+    reused = stale = 0
+    for _ in range(40):
+        n, m = rng.randint(3, 10), rng.randint(2, 8)
+        costs, bounds, rows = _random_lp(rng, n, m)
+        model, cols = build(costs, bounds, rows)
+        res = first = model.solve()
+        for step in range(4):
+            if res.status != lp.OPTIMAL:
+                break
+            # a priced-in column or a tightened bound: the basis keeps its columns
+            if step % 2 == 0:
+                entries = [(i, rng.uniform(-1, 1)) for i in range(m)]
+                ub = rng.uniform(1, 3)
+                cols.append(model.add_variable(rng.uniform(-2, 0), 0.0, ub, entries))
+            else:
+                j = rng.choice(cols)
+                model.set_bounds(j, 0.0, max(0.0, 0.5 * float(res.x[j])))
+            clone = copy.deepcopy(model)
+            clone._factor = None
+            # now and then from an older basis, as a sibling node would
+            basis = first.basis if step == 3 else res.basis
+            factor = model._factor
+            kept = factor is not None and factor[0] == tuple(basis.basic)
+            stale += factor is not None and not kept
+            res, mine = _solve_counting(model, basis, inversions)
+            ref, theirs = _solve_counting(clone, basis, inversions)
+            _assert_same_solve(res, ref)
+            assert mine == theirs - kept
+            reused += kept
+    assert reused >= 40
+    assert stale >= 5
+
+
+def test_row_addition_retires_the_kept_inverse(inversions):
+    rng = random.Random(7)
+    for _ in range(10):
+        n = rng.randint(2, 5)
+        costs = [rng.uniform(0.1, 2) for _ in range(n)]
+        bounds = [(0.0, 10.0)] * n
+        rows = [(lp.GREATER, rng.uniform(1, 4), [1.0] * n)]
+        model, cols = build(costs, bounds, rows)
+        before = model.solve()
+        assert model._factor is not None
+        row = (lp.GREATER, rng.uniform(1, 5), [rng.uniform(0.2, 1.0) for _ in cols])
+        model.add_row(row[0], row[1], list(zip(cols, row[2])))
+        grown, _ = build(costs, bounds, rows + [row])
+        after, mine = _solve_counting(model, before.basis, inversions)
+        ref, theirs = _solve_counting(grown, before.basis, inversions)
+        _assert_same_solve(after, ref)
+        assert after.status == lp.OPTIMAL
+        assert mine == theirs
+
+
+def test_basis_with_an_artificial_slot_loads(inversions):
+    # a repeated equality row is carried by a pinned artificial, which the
+    # snapshot records as -1; such a basis leaves no inverse behind
+    model, _ = build(
+        [1.0, 2.0],
+        [(0.0, 4.0)] * 2,
+        [(lp.EQUAL, 2.0, [1.0, 1.0]), (lp.EQUAL, 2.0, [1.0, 1.0])],
+    )
+    first = model.solve()
+    assert first.status == lp.OPTIMAL and -1 in first.basis.basic
+    assert model._factor is None
+    for basis in (first.basis, lp.Basis(first.basis.basic[:1], first.basis.status)):
+        clone = copy.deepcopy(model)
+        res, mine = _solve_counting(model, basis, inversions)
+        ref, theirs = _solve_counting(clone, basis, inversions)
+        _assert_same_solve(res, ref)
+        assert res.status == lp.OPTIMAL and res.objective == pytest.approx(2.0)
+        assert mine == theirs
+    # a kept inverse whose basis matches in every other slot serves no basis
+    # with a -1 slot
+    model, _ = build(
+        [1.0, 2.0, 3.0],
+        [(0.0, 4.0)] * 3,
+        [(lp.GREATER, 1.0, [1.0, 1.0, 0.0]), (lp.GREATER, 1.0, [0.0, 1.0, 1.0])],
+    )
+    first = model.solve()
+    assert first.status == lp.OPTIMAL and model._factor is not None
+    kept_basic, kept_inverse = model._factor
+    for p in range(2):
+        basic = list(first.basis.basic)
+        basic[p] = -1
+        warm = lp.Basis(basic, first.basis.status)
+        model._factor = (kept_basic, kept_inverse.copy())
+        clone = copy.deepcopy(model)
+        clone._factor = None
+        res, mine = _solve_counting(model, warm, inversions)
+        ref, theirs = _solve_counting(clone, warm, inversions)
+        _assert_same_solve(res, ref)
+        assert res.objective == pytest.approx(first.objective)
+        assert mine == theirs
+
+
+def test_warm_load_matches_the_column_loops():
+    # the column scans that set the statuses and the basic values, as
+    # they were before they became array expressions: the reference
+    rng = random.Random(5)
+    loaded = 0
+    for _ in range(200):
+        n = rng.randint(3, 9)
+        lbs = [rng.choice([0.0, -1.0, -INF]) for _ in range(n)]
+        # no free columns: those the model rejects
+        ubs = [
+            rng.choice([0.0, 3.0]) if lo == -INF else lo + rng.choice([0.0, 2.0, INF])
+            for lo in lbs
+        ]
+        m = rng.randint(1, n - 1)
+        model = lp.LinearProgram()
+        cols = [model.add_variable(rng.uniform(-1, 1), lo, hi) for lo, hi in zip(lbs, ubs)]
+        for _ in range(m):
+            model.add_row(lp.LESS, rng.uniform(-2, 2), [(j, rng.uniform(-1, 1)) for j in cols])
+        basic = rng.sample(range(model.ncols), m)
+        kinds = [lp.AT_LB, lp.AT_UB, lp.BASIC]
+        status = [rng.choice(kinds) for _ in range(rng.randint(0, model.ncols))]
+        s = lp._Simplex(model, None, 1)
+        if not s._load_warm(lp.Basis(basic, status)):
+            continue  # a singular basis matrix
+        loaded += 1
+        lb, ub = s.lb, s.ub
+        want = []
+        for j in range(s.n):
+            if j < len(status) and status[j] != lp.BASIC:
+                st = status[j]
+                if st == lp.AT_LB and lb[j] == -INF:
+                    st = lp.AT_UB
+                elif st == lp.AT_UB and ub[j] == INF:
+                    st = lp.AT_LB
+            else:
+                st = lp.AT_LB if lb[j] > -INF else lp.AT_UB
+            want.append(lp.BASIC if j in basic else st)
+        assert s.status.tolist() == want
+        r = s.b.copy()
+        at = [lb[j] if want[j] == lp.AT_LB else ub[j] for j in range(s.n)]
+        nz = [j for j in range(s.n) if want[j] != lp.BASIC and at[j] != 0.0]
+        if nz:
+            r -= s.A[:, nz] @ np.asarray([at[j] for j in nz])
+        assert (s.Binv @ r).tobytes() == s._basic_values().tobytes()
+    assert loaded >= 150
