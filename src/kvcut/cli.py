@@ -24,8 +24,6 @@ from .graph import DimacsError, Graph, read_dimacs
 from .instance import Instance, format_weights, parse_weights, random_costs
 from .lab import bound_report
 from .lp import SingularBasisError
-from .master import FAMILY_MODES
-from .pricing import MAX_COLUMNS
 from .oracle import (
     BudgetExceeded,
     CostBounded,
@@ -103,16 +101,7 @@ def _engine_flags(p: argparse.ArgumentParser) -> None:
     p.add_argument(
         "--time-limit", type=_positive_seconds, default=None, metavar="SECONDS"
     )
-    p.add_argument("--heuristic", choices=("on", "off"), default="on")
     p.add_argument("--symmetry", choices=("on", "off"), default="on")
-    p.add_argument("--clique-family", choices=FAMILY_MODES, default="cover")
-    p.add_argument(
-        "--connectivity-cut", choices=("auto", "on", "off"), default="auto"
-    )
-    p.add_argument(
-        "--pricing-max-cols", type=_int_at_least(1), default=MAX_COLUMNS,
-        metavar="N",
-    )
 
 
 def _weights_flag(p: argparse.ArgumentParser) -> None:
@@ -123,12 +112,7 @@ def _weights_flag(p: argparse.ArgumentParser) -> None:
 
 def _options_from(args: argparse.Namespace) -> SolveOptions:
     return SolveOptions(
-        time_limit=args.time_limit,
-        heuristic=args.heuristic == "on",
-        symmetry=args.symmetry == "on",
-        clique_family=args.clique_family,
-        connectivity_cut=args.connectivity_cut,
-        pricing_max_columns=args.pricing_max_cols,
+        time_limit=args.time_limit, symmetry=args.symmetry == "on"
     )
 
 

@@ -33,8 +33,8 @@ from . import lp
 from .flow import ComponentResults, weighted_vertex_connectivity
 from .graph import Graph, automorphism_generators, connected_components
 from .instance import INFEASIBLE, TRIVIAL, Instance, screen
-from .master import COVER, Rmp, build_clique_family, init_rmp
-from .pricing import MAX_COLUMNS, BranchState, price
+from .master import Rmp, build_clique_family, init_rmp
+from .pricing import BranchState, price
 from .symmetry import propagate
 
 log = logging.getLogger(__name__)
@@ -64,11 +64,7 @@ def _check_deadline(deadline: Optional[float]):
 @dataclass
 class SolveOptions:
     time_limit: Optional[float] = None
-    heuristic: bool = True
     symmetry: bool = True
-    clique_family: str = COVER
-    connectivity_cut: str = "auto"
-    pricing_max_columns: int = MAX_COLUMNS
 
 
 @dataclass
@@ -183,7 +179,6 @@ def column_generation(
     basis: Optional[lp.Basis] = None,
     *,
     work: CgWork,
-    max_columns: int = MAX_COLUMNS,
     deadline: Optional[float] = None,
 ) -> Optional[lp.LpResult]:
     """Solve the master, price, add columns; repeat until none is added.
@@ -204,9 +199,7 @@ def column_generation(
             raise EngineError(f"master LP ended with {res.status}")
         basis = res.basis
         t0 = time.monotonic()
-        outcome = price(
-            g, rmp.fam, rmp.extract_duals(res), state, max_columns=max_columns
-        )
+        outcome = price(g, rmp.fam, rmp.extract_duals(res), state)
         work.pricing_seconds += time.monotonic() - t0
         if not sum(rmp.add_column(col.subset) for col in outcome.columns):
             if outcome.columns:
@@ -322,18 +315,12 @@ class _Search:
         if scr.status == INFEASIBLE:
             return self._report(INFEASIBLE_STATUS)
 
-        fam = build_clique_family(self.g, self.opts.clique_family)
+        fam = build_clique_family(self.g)
         # the master's connectivity row and the heuristic's first round
         # need the same per-component cuts; compute each once
         connectivity: ComponentResults = {}
-        self.rmp = init_rmp(
-            self.inst,
-            fam,
-            connectivity_cut=self.opts.connectivity_cut,
-            connectivity=connectivity,
-        )
-        if self.opts.heuristic:
-            self.incumbent = disconnection_heuristic(self.inst, connectivity)
+        self.rmp = init_rmp(self.inst, fam, connectivity=connectivity)
+        self.incumbent = disconnection_heuristic(self.inst, connectivity)
         if self.opts.symmetry:
             self.generators = automorphism_generators(self.g)
 
@@ -393,7 +380,7 @@ class _Search:
         self._apply_state(state)
         res = column_generation(
             self.rmp, self.g, state, node.basis, work=self.work,
-            max_columns=self.opts.pricing_max_columns, deadline=self.deadline,
+            deadline=self.deadline,
         )
         if res is None:
             return

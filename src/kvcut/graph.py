@@ -281,18 +281,24 @@ def _greedy_stable_set(g: Graph, alive: set[int]) -> list[int]:
     return sorted(picked)
 
 
-def _stable_set_branch(g: Graph, target: int, node_budget: int):
-    """Shared B&B core: maximize a stable set, stopping early at ``target``.
+def has_stable_set_of_size(g: Graph, k: int, node_budget: int = 2_000_000) -> StableSetResult:
+    """Exact branch and bound for "does alpha(G) >= k?".
 
-    Returns (best_set, exhausted, nodes).  ``exhausted`` is False when the
-    node budget ran out before the search space was covered.
+    Grows the largest stable set found, starting from a greedy one, and
+    stops as soon as it reaches ``k``.  Returns YES with a witness, NO
+    when the search space was exhausted, or UNKNOWN when the node budget
+    ran out first.
     """
+    if k <= 0:
+        return StableSetResult(YES, [])
+    if k > g.n:
+        return StableSetResult(NO)
     best = _greedy_stable_set(g, set(range(g.n)))
     nodes = 0
     budget_hit = False
 
     def expand(candidates: list[int], current: list[int]) -> bool:
-        # returns True once a stable set reaching the target is found
+        # returns True once a stable set reaching k is found
         nonlocal nodes, best, budget_hit
         nodes += 1
         if nodes > node_budget:
@@ -300,7 +306,7 @@ def _stable_set_branch(g: Graph, target: int, node_budget: int):
             return False
         if len(current) > len(best):
             best = list(current)
-            if len(best) >= target:
+            if len(best) >= k:
                 return True
         if not candidates or len(current) + len(candidates) <= len(best):
             return False
@@ -320,35 +326,13 @@ def _stable_set_branch(g: Graph, target: int, node_budget: int):
         without_v = [w for w in candidates if w != v]
         return expand(without_v, current)
 
-    if len(best) < target:
+    if len(best) < k:
         expand(list(range(g.n)), [])
-    return best, not budget_hit, nodes
-
-
-def has_stable_set_of_size(g: Graph, k: int, node_budget: int = 2_000_000) -> StableSetResult:
-    """Exact branch and bound for "does alpha(G) >= k?".
-
-    Returns YES with a witness, NO when the search space was exhausted, or
-    UNKNOWN when the node budget ran out first.
-    """
-    if k <= 0:
-        return StableSetResult(YES, [])
-    if k > g.n:
-        return StableSetResult(NO)
-    best, exhausted, nodes = _stable_set_branch(g, k, node_budget)
     if len(best) >= k:
         return StableSetResult(YES, sorted(best[:k]), nodes)
-    if exhausted:
+    if not budget_hit:
         return StableSetResult(NO, nodes_used=nodes)
     return StableSetResult(UNKNOWN, nodes_used=nodes)
-
-
-def max_stable_set(g: Graph, node_budget: int = 5_000_000) -> list[int]:
-    """Maximum stable set (exact; meant for small graphs)."""
-    best, exhausted, _ = _stable_set_branch(g, g.n + 1, node_budget)
-    if not exhausted:
-        raise RuntimeError("node budget exhausted in max_stable_set")
-    return sorted(best)
 
 
 # ---------------------------------------------------------------------------

@@ -69,7 +69,7 @@ def lp_bound_extended(
     """
     start = time.monotonic()
     fam = build_clique_family(inst.graph, family)
-    rmp = init_rmp(inst, fam, connectivity_cut="off")
+    rmp = init_rmp(inst, fam, connectivity_bound=False)
     work = CgWork()
     res = column_generation(rmp, inst.graph, BranchState(), work=work)
     value = math.inf if res is None or rmp.infeasible(res) else res.objective

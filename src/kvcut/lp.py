@@ -127,9 +127,11 @@ class LinearProgram:
         self._factor: Optional[tuple[tuple[int, ...], np.ndarray]] = None
 
     def _grow_cols(self, need: int):
+        # by a quarter, not double: the lab's 1,011 x 1,167 compact LP
+        # would otherwise carry a 1,024 x 2,048 matrix
         new = self._ccap
         while new < need:
-            new *= 2
+            new += max(1, new // 4)
         for name in ("_c", "_lb", "_ub"):
             arr = np.zeros(new)
             arr[: self.ncols] = getattr(self, name)[: self.ncols]

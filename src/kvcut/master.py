@@ -11,8 +11,9 @@ non-adjacent groups) together with per-vertex deletion variables.  Rows:
   selected cluster may touch any clique; since every edge lies inside
   some family clique, integral solutions cannot pick two clusters joined
   by an edge,
-* optionally a *connectivity* row forcing the deletion cost up to the
-  weighted vertex connectivity of the graph.
+* a *connectivity* row forcing the deletion cost up to the weighted
+  vertex connectivity of the graph, for k up to ``CONNECTIVITY_MAX_K``
+  and a graph some vertex set can break.
 
 Deletion variables are binary in the full model; the LP relaxation keeps
 them without an upper bound on purpose (the cover rows already cap them
@@ -37,7 +38,7 @@ FAMILY_MODES = (COVER, PARTITION, EDGES)
 #: duals with magnitude below this are treated as exactly zero
 DUAL_ZERO_TOL = 1e-9
 
-#: the connectivity row applies automatically only up to this many parts
+#: the connectivity row applies only up to this many parts
 CONNECTIVITY_MAX_K = 15
 
 #: an artificial above this at CG convergence certifies infeasibility
@@ -164,8 +165,9 @@ class Rmp:
 
     One instance per solve; the branch-and-price engine mutates variable
     bounds in place when it moves between tree nodes.  The connectivity
-    row stores its per-component results in ``connectivity`` when given,
-    so the caller can share them.
+    row is left out when ``connectivity_bound`` is False; it stores its
+    per-component results in ``connectivity`` when given, so the caller
+    can share them.
     """
 
     def __init__(
@@ -173,7 +175,7 @@ class Rmp:
         inst: Instance,
         fam: CliqueFamily,
         *,
-        connectivity_cut: str = "auto",
+        connectivity_bound: bool = True,
         connectivity: Optional[ComponentResults] = None,
     ):
         g = inst.graph
@@ -196,12 +198,7 @@ class Rmp:
 
         self.connectivity_row: Optional[int] = None
         self.connectivity_rhs: Optional[float] = None
-        if connectivity_cut not in ("auto", "on", "off"):
-            raise ValueError(f"bad connectivity_cut {connectivity_cut!r}")
-        want_row = connectivity_cut == "on" or (
-            connectivity_cut == "auto" and inst.k <= CONNECTIVITY_MAX_K
-        )
-        if want_row:
+        if connectivity_bound and inst.k <= CONNECTIVITY_MAX_K:
             conn = weighted_vertex_connectivity(g, results=connectivity)
             if not conn.unbreakable:
                 self.connectivity_rhs = conn.cost
@@ -302,10 +299,13 @@ def init_rmp(
     inst: Instance,
     fam: CliqueFamily,
     *,
-    connectivity_cut: str = "auto",
+    connectivity_bound: bool = True,
     connectivity: Optional[ComponentResults] = None,
 ) -> Rmp:
     return Rmp(
-        inst, fam, connectivity_cut=connectivity_cut, connectivity=connectivity
+        inst,
+        fam,
+        connectivity_bound=connectivity_bound,
+        connectivity=connectivity,
     )
 

@@ -12,7 +12,7 @@ from __future__ import annotations
 import heapq
 from dataclasses import dataclass
 
-from .graph import connected_components
+from .graph import is_k_vertex_cut
 from .instance import Instance
 
 FULL_REGIME_MAX_N = 20
@@ -49,13 +49,6 @@ class BudgetExceeded:
     explored: int
 
 
-def _splits(inst: Instance, cut: tuple[int, ...]) -> bool:
-    rest = [v for v in range(inst.graph.n) if v not in set(cut)]
-    if not rest:
-        return inst.k <= 0
-    return len(connected_components(inst.graph, within=rest)) >= inst.k
-
-
 def _full(inst: Instance) -> OracleResult | Infeasible:
     g = inst.graph
     if g.n > FULL_REGIME_MAX_N:
@@ -77,7 +70,7 @@ def _full(inst: Instance) -> OracleResult | Infeasible:
                 continue
         else:
             cut = tuple(v for v in range(g.n) if mask >> v & 1)
-        if _splits(inst, cut):
+        if is_k_vertex_cut(g, cut, inst.k):
             best_cost, best_cut = c, cut
     if best_cost is None:
         return Infeasible(1 << g.n)
@@ -98,7 +91,7 @@ def _cost_bounded(inst: Instance, limit: float) -> OracleResult | Infeasible | B
         if c > limit:
             return BudgetExceeded(c, explored)
         explored += 1
-        if _splits(inst, cut):
+        if is_k_vertex_cut(g, cut, inst.k):
             return OracleResult(c, cut, explored)
         start = cut[-1] + 1 if cut else 0
         for v in range(start, g.n):

@@ -37,7 +37,7 @@ from .master import CliqueFamily, DualPrices
 
 #: a cluster is worth adding when its violation exceeds this
 VIOLATION_TOL = 1e-6
-#: stage 2 returns at most this many clusters unless told otherwise
+#: stage 2 returns at most this many clusters
 MAX_COLUMNS = 10
 
 
@@ -137,8 +137,6 @@ def price(
     fam: CliqueFamily,
     prices: DualPrices,
     state: BranchState,
-    *,
-    max_columns: int = MAX_COLUMNS,
 ) -> PricingOutcome:
     """Two-stage search for violated cluster columns.
 
@@ -146,7 +144,7 @@ def price(
     already carries one.  An empty stage-1 cluster is conclusive unless
     the count price is positive, in which case stage 2 sweeps one boosted
     cut per eligible vertex, each resumed from the stage-1 residual, and
-    returns up to ``max_columns`` of its finds, most violated first.  An
+    returns up to ``MAX_COLUMNS`` of its finds, most violated first.  An
     empty outcome certifies that no cluster column prices out.
     """
     n = g.n
@@ -182,5 +180,5 @@ def price(
     if not found:
         return PricingOutcome()
     ranked = sorted(found.items(), key=lambda item: (-item[1], item[0]))
-    columns = [PricedColumn(s, viol) for s, viol in ranked[:max_columns]]
+    columns = [PricedColumn(s, viol) for s, viol in ranked[:MAX_COLUMNS]]
     return PricingOutcome(columns, 2)

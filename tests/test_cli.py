@@ -97,8 +97,6 @@ def test_bad_flags_exit_one(tmp_path, capsys):
     capsys.readouterr()
     for argv in (
         ["solve", p3, "--k", "1"],
-        ["solve", KARATE, "--k", "5", "--pricing-max-cols", "0"],
-        ["solve", KARATE, "--k", "5", "--pricing-max-cols", "-1"],
         ["lp-bounds", p3, "--k", "1"],
         ["oracle", p3, "--k", "0"],
         ["bench", p3, "--k", "1,5"],
@@ -112,6 +110,19 @@ def test_bad_flags_exit_one(tmp_path, capsys):
     ):
         assert main(argv) == 1, argv
         assert "kvcut: error: argument" in capsys.readouterr().err, argv
+    # only --time-limit and --symmetry configure the solver
+    for flag in (
+        ["--clique-family", "cover"],
+        ["--connectivity-cut", "auto"],
+        ["--pricing-max-cols", "10"],
+        ["--pricing-max-cols", "0"],
+        ["--pricing-max-cols", "-1"],
+        ["--heuristic", "on"],
+    ):
+        for argv in (["solve", p3, "--k", "2"], ["bench", p3, "--k", "2"]):
+            assert main(argv + flag) == 1, flag
+            err = capsys.readouterr().err
+            assert "kvcut: error: unrecognized arguments" in err, flag
 
 
 @pytest.mark.parametrize(

@@ -131,10 +131,10 @@ def test_karate_k5_optimum():
 # ------------------------------------------------------------ column generation
 
 
-def _root_rmp(g, k, connectivity_cut="auto"):
+def _root_rmp(g, k, connectivity_bound=True):
     inst = Instance(g, k)
     return init_rmp(
-        inst, build_clique_family(g), connectivity_cut=connectivity_cut
+        inst, build_clique_family(g), connectivity_bound=connectivity_bound
     )
 
 
@@ -157,7 +157,7 @@ def test_column_generation_reports_an_infeasible_master():
     # the connectivity row has no artificial: with every vertex kept it
     # asks for a positive deletion cost that no x can pay
     g = Graph(3, [(0, 1), (1, 2)])
-    rmp = _root_rmp(g, 2, connectivity_cut="on")
+    rmp = _root_rmp(g, 2)
     state = BranchState(fixed_to_keep=frozenset(range(3)))
     for v in range(3):
         rmp.set_vertex_fixed(v, 0)
@@ -213,23 +213,29 @@ def test_matches_oracle_on_random_instances():
     assert optima >= 15
 
 
-def test_option_variants_reach_the_same_optimum():
+def test_option_variants_reach_the_same_optimum(monkeypatch):
+    def without_incumbent(inst, opts):
+        # the tree must also close with no starting incumbent
+        with monkeypatch.context() as m:
+            m.setattr(kvcut.engine, "disconnection_heuristic", lambda *a: None)
+            return solve(inst, opts)
+
     variants = [
-        SolveOptions(clique_family="cover"),
-        SolveOptions(clique_family="partition"),
-        SolveOptions(clique_family="edges"),
-        SolveOptions(connectivity_cut="on"),
-        SolveOptions(connectivity_cut="off"),
-        SolveOptions(pricing_max_columns=1),
-        SolveOptions(heuristic=False, symmetry=False),
+        (solve, SolveOptions()),
+        (solve, SolveOptions(symmetry=False)),
+        (without_incumbent, SolveOptions()),
+        (without_incumbent, SolveOptions(symmetry=False)),
     ]
-    for inst in _random_instances(6, seed=33, n_lo=7, n_hi=10):
-        reports = [solve(inst, opts) for opts in variants]
+    longer = 0
+    for inst in _random_instances(12, seed=33, n_lo=7, n_hi=10):
+        reports = [run(inst, opts) for run, opts in variants]
         statuses = {rep.status for rep in reports}
         assert len(statuses) == 1, inst
         if statuses == {OPTIMAL}:
             objectives = {round(rep.objective, 6) for rep in reports}
             assert len(objectives) == 1, inst
+        longer += reports[2].nodes > reports[0].nodes
+    assert longer  # the missing incumbent made some tree larger
 
 
 def test_repeat_runs_are_identical():

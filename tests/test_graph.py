@@ -17,7 +17,6 @@ from kvcut.graph import (
     is_automorphism,
     is_clique,
     is_k_vertex_cut,
-    max_stable_set,
     parse_dimacs,
     read_dimacs,
     write_dimacs,
@@ -164,7 +163,6 @@ def test_karate_alpha_is_twenty():
     g = read_dimacs(DATA / "karate.col").graph
     assert has_stable_set_of_size(g, 20).status == YES
     assert has_stable_set_of_size(g, 21).status == NO
-    assert len(max_stable_set(g)) == 20
 
 
 def _alpha_brute(g):

@@ -98,9 +98,7 @@ def test_karate_connectivity_row_activation():
     assert init_rmp(Instance(g, 15), fam).connectivity_row is not None
     assert init_rmp(Instance(g, 16), fam).connectivity_row is None
     assert init_rmp(Instance(g, 20), fam).connectivity_row is None
-    forced = init_rmp(Instance(g, 20), fam, connectivity_cut="on")
-    assert forced.connectivity_row is not None
-    off = init_rmp(Instance(g, 5), fam, connectivity_cut="off")
+    off = init_rmp(Instance(g, 5), fam, connectivity_bound=False)
     assert off.connectivity_row is None
 
 
@@ -125,7 +123,7 @@ def test_duals_clamped_and_sigma_zero_when_count_row_slack():
     # a trivial-ish LP the count row can be strictly slack
     g = Graph(4, [(0, 1), (2, 3)])
     inst = Instance(g, 2)
-    rmp = init_rmp(inst, build_clique_family(g), connectivity_cut="off")
+    rmp = init_rmp(inst, build_clique_family(g), connectivity_bound=False)
     res = rmp.model.solve()
     assert res.status == lp.OPTIMAL
     duals = rmp.extract_duals(res)
@@ -140,7 +138,7 @@ def test_duals_clamped_and_sigma_zero_when_count_row_slack():
 def test_dual_feasibility_over_pool_after_convergence():
     inst = Instance(path3(), 2)
     fam = build_clique_family(path3(), COVER)
-    rmp = init_rmp(inst, fam, connectivity_cut="off")
+    rmp = init_rmp(inst, fam, connectivity_bound=False)
     state = BranchState()
     while True:
         res = rmp.model.solve()
@@ -170,7 +168,7 @@ def test_artificial_level_flags_infeasible_node():
     g = Graph(4, [(a, b) for a in range(4) for b in range(a + 1, 4)])
     inst = Instance(g, 2)
     fam = build_clique_family(g, COVER)
-    rmp = init_rmp(inst, fam, connectivity_cut="off")
+    rmp = init_rmp(inst, fam, connectivity_bound=False)
     state = BranchState()
     while True:
         res = rmp.model.solve()

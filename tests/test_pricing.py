@@ -140,10 +140,17 @@ def test_max_columns_keeps_best_by_violation_then_lex():
     duals = DualPrices(1.0, [0.0] * 4, [0.1, 0.1, 0.1])
     outcome = price(star, edge_family(star), duals, BranchState())
     assert [c.subset for c in outcome.columns] == [(1,), (2,), (3,), (0,)]
-    capped = price(
-        star, edge_family(star), duals, BranchState(), max_columns=2
-    )
-    assert [c.subset for c in capped.columns] == [(1,), (2,)]
+    # fourteen violated leaves, with ties at the cap
+    star = Graph(15, [(0, leaf) for leaf in range(1, 15)])
+    prices = [0.3, 0.1, 0.2, 0.1, 0.3, 0.0, 0.2, 0.1, 0.4, 0.0, 0.2, 0.3, 0.1, 0.5]
+    duals = DualPrices(1.0, [0.0] * 15, prices)
+    ranked = [6, 10, 2, 4, 8, 13, 3, 7, 11, 1, 5, 12, 9, 14]
+    assert MAX_COLUMNS < len(ranked)
+    capped = price(star, edge_family(star), duals, BranchState())
+    assert capped.stage == 2
+    assert [c.subset for c in capped.columns] == [
+        (leaf,) for leaf in ranked[:MAX_COLUMNS]
+    ]
 
 
 def test_stage_two_skips_vertices_fixed_to_cut():
