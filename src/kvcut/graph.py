@@ -261,7 +261,6 @@ UNKNOWN = "unknown"
 class StableSetResult:
     status: str  # YES / NO / UNKNOWN
     stable_set: Optional[list[int]] = None  # witness when status == YES
-    nodes_used: int = 0
 
 
 def _greedy_stable_set(g: Graph, alive: set[int]) -> list[int]:
@@ -329,10 +328,8 @@ def has_stable_set_of_size(g: Graph, k: int, node_budget: int = 2_000_000) -> St
     if len(best) < k:
         expand(list(range(g.n)), [])
     if len(best) >= k:
-        return StableSetResult(YES, sorted(best[:k]), nodes)
-    if not budget_hit:
-        return StableSetResult(NO, nodes_used=nodes)
-    return StableSetResult(UNKNOWN, nodes_used=nodes)
+        return StableSetResult(YES, sorted(best[:k]))
+    return StableSetResult(UNKNOWN if budget_hit else NO)
 
 
 # ---------------------------------------------------------------------------

@@ -20,7 +20,7 @@ from . import lp
 from .engine import CgWork, EngineError, column_generation
 from .graph import Graph
 from .instance import Instance
-from .master import COVER, build_clique_family, init_rmp
+from .master import COVER, FAMILY_MODES, build_clique_family, init_rmp
 from .pricing import BranchState
 from .pricing import price  # noqa: F401 - unused; perfbench/spans.py wraps it by name
 
@@ -219,14 +219,10 @@ def lp_bound_compact(
     )
 
 
-def bound_report(
-    inst: Instance,
-    families: tuple[str, ...] = ("cover", "partition", "edges"),
-    optimum: Optional[float] = None,
-) -> BoundReport:
+def bound_report(inst: Instance, optimum: Optional[float] = None) -> BoundReport:
     """All formulation bounds for one instance, keyed by formulation name."""
     report = BoundReport(inst.name, inst.graph.n, inst.graph.m, inst.k)
-    for family in families:
+    for family in FAMILY_MODES:
         report.bounds[f"extended-{family}"] = lp_bound_extended(
             inst, family, optimum
         )

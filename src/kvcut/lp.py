@@ -34,15 +34,17 @@ Conventions
   fixed at 0 for ==.  The system is then  A z = b  over all columns.
 * Duals: for a minimization problem, >=-rows get duals >= 0, <=-rows get
   duals <= 0, equality rows are free.
-* A warm basis that is primal infeasible but dual feasible (the state
-  after a bound change) is re-optimised by a dual phase: a bounded dual
-  simplex that pivots until the basis is primal feasible, after which
-  phase 2 finishes.
-* Any other infeasible start is repaired by a cold phase 1 with per-row
-  artificial columns; no dual rays are ever produced (the callers build
-  their own high-cost recourse columns instead).  A dual phase that finds
-  no entering column hands over to phase 1 too, so phase 1 is the one
-  certificate of infeasibility.
+* A warm basis names model columns only.  A row added since the
+  snapshot starts on its own logical, which leaves the reduced costs as
+  they were, so a violated cut -- like a bound change -- leaves a basis
+  that is primal infeasible but dual feasible.  A dual phase re-optimises
+  it: a bounded dual simplex that pivots until the basis is primal
+  feasible, after which phase 2 finishes.
+* Phase 1 and its per-row artificial columns belong to cold starts
+  only: any other infeasible start is solved cold.  No dual rays are
+  ever produced (the callers build their own high-cost recourse columns
+  instead).  A dual phase that finds no entering column hands over to a
+  cold phase 1 too, so phase 1 is the one certificate of infeasibility.
 * Pricing is most-negative reduced cost, falling back to Bland's rule
   after a run of degenerate pivots, so the method always terminates.
 * Every OPTIMAL is certified on a fresh factorization: row residuals and
@@ -63,7 +65,7 @@ INF = float("inf")
 FEAS_TOL = 1e-7
 RC_TOL = 1e-6
 PIVOT_TOL = 1e-10
-DEFAULT_ITER_LIMIT = 200_000
+ITER_LIMIT = 200_000  # iterations per solve before it gives up
 _REFACTOR_EVERY = 100
 _BLAND_AFTER = 40  # consecutive degenerate pivots before switching to Bland
 _UPDATE_BLOCK = 128  # rows per block of the rank-one inverse update
@@ -87,10 +89,11 @@ class SingularBasisError(ArithmeticError):
 class Basis:
     """Opaque warm-start token.
 
-    ``basic`` holds one column id per row; -1 marks a row that was carried
-    by a repair artificial when the snapshot was taken (redundant row).
-    ``status`` holds AT_LB / AT_UB / BASIC per column id at snapshot time;
-    columns created later default to their finite bound.
+    ``basic`` holds one model column id per row; a redundant row still
+    carried by a repair artificial is recorded by its own logical.  Rows
+    added later start on their own logicals.  ``status`` holds AT_LB /
+    AT_UB / BASIC per column id at snapshot time; columns created later
+    default to their finite bound.
     """
 
     basic: list[int]
@@ -105,7 +108,6 @@ class LpResult:
     duals: Optional[np.ndarray] = None  # value per row id
     basis: Optional[Basis] = None
     iterations: int = 0
-    phase1_infeasibility: float = 0.0
 
 
 class LinearProgram:
@@ -211,25 +213,22 @@ class LinearProgram:
         self._lb[col] = lb
         self._ub[col] = ub
 
-    def solve(
-        self, warm: Optional[Basis] = None, iteration_limit: int = DEFAULT_ITER_LIMIT
-    ) -> LpResult:
-        return _Simplex(self, warm, iteration_limit).run()
+    def solve(self, warm: Optional[Basis] = None) -> LpResult:
+        return _Simplex(self, warm).run()
 
 
 class _Simplex:
-    """One solve: a workspace over the model plus temporary repair artificials.
+    """One solve: a workspace over the model plus a cold start's repair artificials.
 
     Artificial columns live at virtual indices >= n (n = model columns);
     they are +-unit vectors, never re-enter the basis once driven out, and
     are forgotten when the solve finishes.
     """
 
-    def __init__(self, lp: LinearProgram, warm: Optional[Basis], iteration_limit: int):
+    def __init__(self, lp: LinearProgram, warm: Optional[Basis]):
         self.lp = lp
         self.m = lp.nrows
         self.n = lp.ncols
-        self.iteration_limit = iteration_limit
         self.A = lp._A[: self.m, : self.n]
         self.b = lp._rhs[: self.m].copy()
         self.c = lp._c[: self.n].copy()
@@ -246,6 +245,7 @@ class _Simplex:
         self.xb = np.zeros(self.m)
         self.iters = 0
         self.pivots_since_refactor = 0
+        self.zero_pivots = 0  # sub-tolerance pivot elements in a row
         self.warm = warm
 
     # -- column helpers (artificial-aware) ----------------------------------
@@ -261,12 +261,6 @@ class _Simplex:
             np.where(model, self.ub[safe], self.art_ub),
         )
 
-    def _new_artificial(self, row: int, sign: float) -> int:
-        j = self.n + len(self.art_row)
-        self.art_row.append(row)
-        self.art_sign.append(sign)
-        return j
-
     # -- basis setup ---------------------------------------------------------
 
     def _cold_basis(self):
@@ -278,45 +272,29 @@ class _Simplex:
         self.art_sign.clear()
 
     def _load_warm(self, warm: Basis) -> bool:
-        m, n = self.m, self.n
-        if len(warm.basic) > m:
+        # a row added since the snapshot starts on its own logical
+        basic = list(warm.basic) + self.lp.logical[len(warm.basic) :]
+        if len(basic) > self.m or len(set(basic)) < len(basic):
             return False
-        basic = list(warm.basic) + [-1] * (m - len(warm.basic))
-        placed = [j for j in basic if j != -1]
-        if any(not 0 <= j < n for j in placed) or len(set(placed)) < len(placed):
+        if any(not 0 <= j < self.n for j in basic):
             return False
         # a column starts at its finite bound, except that one recorded at
         # a finite upper bound stays there
         self.status[:] = np.where(self.lb > -INF, AT_LB, AT_UB)
-        up = np.flatnonzero(np.array(warm.status[:n]) == AT_UB)
+        up = np.flatnonzero(np.array(warm.status[: self.n]) == AT_UB)
         self.status[up] = np.where(self.ub[up] < INF, AT_UB, AT_LB)
-        self.status[placed] = BASIC
+        self.status[basic] = BASIC
         self.basic = basic
-        pending = [p for p, j in enumerate(basic) if j == -1]
         factor, self.lp._factor = self.lp._factor, None
-        if not pending and factor and factor[0] == tuple(basic):
+        if factor and factor[0] == tuple(basic):
             self.Binv = factor[1]
         else:
             factor = None  # free a stale inverse before inv() allocates its own
-            # one gather, then unit columns for the rows without a column
-            B = self.A[:, [max(j, 0) for j in basic]]
-            B[:, pending] = 0.0
-            B[pending, pending] = 1.0
             try:
-                self.Binv = np.linalg.inv(B)
+                self.Binv = np.linalg.inv(self.A[:, basic])
             except np.linalg.LinAlgError:
                 return False
-        if not np.all(np.isfinite(self.Binv)):
-            return False
-        # materialize placeholder artificials, oriented by their residual
-        if pending:
-            xb = self._basic_values()
-            for p in pending:
-                sign = 1.0 if xb[p] >= 0 else -1.0
-                self.basic[p] = self._new_artificial(p, sign)
-                if sign < 0:
-                    self.Binv[p, :] *= -1.0
-        return True
+        return bool(np.all(np.isfinite(self.Binv)))
 
     def _basic_values(self) -> np.ndarray:
         """B^-1 (b - N x_N); nonbasic artificials always sit at 0."""
@@ -375,7 +353,9 @@ class _Simplex:
                 self.x[j] = hi
                 excess = v - hi
             sign = 1.0 if excess >= 0 else -1.0
-            self.basic[p] = self._new_artificial(p, sign)
+            self.basic[p] = self.n + len(self.art_row)
+            self.art_row.append(p)
+            self.art_sign.append(sign)
             if sign < 0:
                 self.Binv[p, :] *= -1.0
             self.xb[p] = abs(excess)
@@ -383,8 +363,7 @@ class _Simplex:
     # -- the simplex loop ------------------------------------------------------
 
     def _phase_costs(self, phase: int) -> np.ndarray:
-        nart = len(self.art_row)
-        full = np.zeros(self.n + nart)
+        full = np.zeros(self.n + len(self.art_row))
         if phase == 1:
             full[self.n :] = 1.0
         else:
@@ -399,10 +378,10 @@ class _Simplex:
         cb = costs[basic]
         lo, hi = self._bounds_of(basic)
         bland = False
-        degenerate_streak = 0
-        bad_pivot_retries = 0
+        streak = 0  # degenerate pivots in a row
+        self.zero_pivots = 0
         while True:
-            if self.iters >= self.iteration_limit:
+            if self.iters >= ITER_LIMIT:
                 return ITERATION_LIMIT
             self.iters += 1
             y = cb @ self.Binv
@@ -422,41 +401,46 @@ class _Simplex:
             )
             if leave_pos == -1 and t_best == INF:
                 return UNBOUNDED
-            if t_best <= PIVOT_TOL:
-                degenerate_streak += 1
-                if degenerate_streak >= _BLAND_AFTER:
-                    bland = True
-            else:
-                degenerate_streak = 0
-                bland = False
+            streak = streak + 1 if t_best <= PIVOT_TOL else 0
+            bland = streak >= _BLAND_AFTER
             if leave_pos == -1:
                 # bound flip: entering runs across to its other bound
                 self.xb -= t_best * dw
                 self.status[enter] = AT_UB if direction > 0 else AT_LB
                 self.x[enter] = self.ub[enter] if direction > 0 else self.lb[enter]
                 continue
-            if abs(w[leave_pos]) < PIVOT_TOL:
-                bad_pivot_retries += 1
-                if bad_pivot_retries > 3:
-                    raise SingularBasisError("persistent zero pivot")
-                self._refactor()
+            if self._zero_pivot(w[leave_pos]):
                 continue
-            bad_pivot_retries = 0
             out = self.basic[leave_pos]
             if out < n:
                 self.status[out] = leave_to
                 self.x[out] = self.lb[out] if leave_to == AT_LB else self.ub[out]
             self.xb -= t_best * dw
             start = self.lb[enter] if direction > 0 else self.ub[enter]
-            self.basic[leave_pos] = enter
             cb[leave_pos] = costs[enter]
             lo[leave_pos], hi[leave_pos] = self.lb[enter], self.ub[enter]
-            self.status[enter] = BASIC
             self.xb[leave_pos] = start + direction * t_best
-            self._update_inverse(leave_pos, w)
-            self.pivots_since_refactor += 1
-            if self.pivots_since_refactor >= _REFACTOR_EVERY:
-                self._refactor()
+            self._pivot(leave_pos, enter, w)
+
+    def _zero_pivot(self, pivot: float) -> bool:
+        """Refactor instead on a pivot element below PIVOT_TOL; the fourth in a row raises."""
+        if abs(pivot) < PIVOT_TOL:
+            self.zero_pivots += 1
+            if self.zero_pivots > 3:
+                raise SingularBasisError("persistent zero pivot")
+            self._refactor()
+            return True
+        self.zero_pivots = 0
+        return False
+
+    def _pivot(self, p: int, q: int, w: np.ndarray):
+        """Column q (B^-1 a_q = w) enters in row p; the caller has moved the basic values."""
+        self.basic[p] = q
+        self.status[q] = BASIC
+        self._update_inverse(p, w)
+        self.pivots_since_refactor += 1
+        if self.pivots_since_refactor >= _REFACTOR_EVERY:
+            self._refactor()
 
     def _ratio_test(
         self, dw: np.ndarray, t_flip: float, bland: bool, lo: np.ndarray, hi: np.ndarray
@@ -534,9 +518,7 @@ class _Simplex:
         )
 
     def _dual_feasible(self) -> bool:
-        """Whether the basis prices out under the phase-2 costs, with no artificial."""
-        if any(j >= self.n for j in self.basic):
-            return False
+        """Whether the basis prices out under the phase-2 costs."""
         return not self._mispriced(self._reduced_costs()).any()
 
     def _dual_phase(self) -> str:
@@ -551,8 +533,8 @@ class _Simplex:
         """
         free = self.free
         bland = False
-        degenerate_streak = 0
-        bad_pivot_retries = 0
+        streak = 0  # degenerate pivots in a row
+        self.zero_pivots = 0
         while True:
             basic = np.asarray(self.basic)
             lo, hi = self.lb[basic], self.ub[basic]
@@ -560,7 +542,7 @@ class _Simplex:
             violated = excess > FEAS_TOL
             if not violated.any():
                 return OPTIMAL
-            if self.iters >= self.iteration_limit:
+            if self.iters >= ITER_LIMIT:
                 return ITERATION_LIMIT
             self.iters += 1
             if bland:
@@ -590,33 +572,18 @@ class _Simplex:
             # Bland mode takes the lowest column id, otherwise the
             # numerically safest pivot element
             q = int(ties[0]) if bland else int(ties[np.argmax(np.abs(alpha[ties]))])
-            if step <= PIVOT_TOL:
-                degenerate_streak += 1
-                if degenerate_streak >= _BLAND_AFTER:
-                    bland = True
-            else:
-                degenerate_streak = 0
-                bland = False
+            streak = streak + 1 if step <= PIVOT_TOL else 0
+            bland = streak >= _BLAND_AFTER
             w = self.Binv @ self.A[:, q]
-            if abs(w[r]) < PIVOT_TOL:
-                bad_pivot_retries += 1
-                if bad_pivot_retries > 3:
-                    raise SingularBasisError("persistent zero pivot")
-                self._refactor()
+            if self._zero_pivot(w[r]):
                 continue
-            bad_pivot_retries = 0
             out = self.basic[r]
             self.status[out] = AT_LB if to_lb else AT_UB
             self.x[out] = target
             theta = (self.xb[r] - target) / w[r]  # signed move of x_q
             self.xb -= theta * w
             self.xb[r] = self.x[q] + theta
-            self.basic[r] = q
-            self.status[q] = BASIC
-            self._update_inverse(r, w)
-            self.pivots_since_refactor += 1
-            if self.pivots_since_refactor >= _REFACTOR_EVERY:
-                self._refactor()
+            self._pivot(r, q, w)
 
     def _certified(self) -> bool:
         """Primal and dual feasibility of the current (freshly factored) basis."""
@@ -642,7 +609,8 @@ class _Simplex:
 
         Rows where no model column has a nonzero pivot element are linearly
         dependent in the current column set; their artificial stays basic at
-        zero (pinned) and shows up as -1 in the basis snapshot.
+        zero (pinned), and the basis snapshot records the row's logical in
+        its place.
         """
         for p in range(self.m if self.art_row else 0):
             if self.basic[p] < self.n:
@@ -696,14 +664,13 @@ class _Simplex:
                 loaded = False
         if not loaded:
             self._install_artificials()
-        if self.art_row and self._phase1_value() > FEAS_TOL:
-            st = self._iterate(1)
-            if st != OPTIMAL:
-                return LpResult(st, iterations=self.iters)
-            scale = max(1.0, float(np.max(np.abs(self.b))) if self.m else 1.0)
-            infeas = self._phase1_value()
-            if infeas > FEAS_TOL * scale:
-                return LpResult(INFEASIBLE, iterations=self.iters, phase1_infeasibility=infeas)
+            if self.art_row and self._phase1_value() > FEAS_TOL:
+                st = self._iterate(1)
+                if st != OPTIMAL:
+                    return LpResult(st, iterations=self.iters)
+                scale = max(1.0, float(np.max(np.abs(self.b))))
+                if self._phase1_value() > FEAS_TOL * scale:
+                    return LpResult(INFEASIBLE, iterations=self.iters)
         self.art_ub = 0.0
         self._drive_out_artificials()
         for _ in range(2):  # one more round of phase 2 if the certificate fails
@@ -716,10 +683,12 @@ class _Simplex:
         else:
             return LpResult(UNCERTIFIED, iterations=self.iters)
         obj = float(self.c @ self.x[: self.n])
-        basic = [j if j < self.n else -1 for j in self.basic]
-        if -1 not in basic:
+        if max(self.basic) < self.n:
             # the next warm solve from this basis takes this inverse as is
-            self.lp._factor = (tuple(basic), self.Binv)
+            self.lp._factor = (tuple(self.basic), self.Binv)
+        # a pinned artificial is recorded as the logical of its row
+        logical = self.lp.logical
+        basic = [j if j < self.n else logical[self.art_row[j - self.n]] for j in self.basic]
         snapshot = Basis(basic, self.status.tolist())
         return LpResult(
             OPTIMAL, obj, self.x[: self.n].copy(), self._duals(), snapshot,

@@ -138,7 +138,7 @@ PINNED_EXTENDED_WORK = [
     # one cold LP with 1,011 rows: the inverse update runs over many blocks
     ("bcspwr01", "compact", 0.0, 229, None),
     # rows added between warm solves, so no solve can reuse the last inverse
-    ("gnp-40-0.08-3", "natural", 5.0, 642, 49),
+    ("gnp-40-0.08-3", "natural", 5.0, 197, 44),
 ]
 
 _EXTENDED_WORK_SCRIPT = """

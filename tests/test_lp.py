@@ -42,7 +42,8 @@ def test_infeasible():
     assert model.solve().status == lp.INFEASIBLE
 
 
-def test_iteration_limit_reports():
+def test_iteration_limit_reports(monkeypatch):
+    monkeypatch.setattr(lp, "ITER_LIMIT", 1)
     rng = random.Random(1)
     costs = [rng.uniform(-1, 1) for _ in range(12)]
     rows = [
@@ -50,7 +51,7 @@ def test_iteration_limit_reports():
         for _ in range(12)
     ]
     model, _ = build(costs, [(0.0, INF)] * 12, rows)
-    res = model.solve(iteration_limit=1)
+    res = model.solve()
     assert res.status == lp.ITERATION_LIMIT
     assert math.isnan(res.objective)
 
@@ -312,6 +313,39 @@ def test_bound_change_re_solves_warm_without_phase_one(spy):
     assert optimal >= 25
 
 
+def test_added_row_re_solves_through_the_dual_phase(spy):
+    # the added row's logical starts basic, which keeps every reduced cost,
+    # so a row the old optimum violates is a job for the dual phase
+    rng = random.Random(7)
+    checked = 0
+    for _ in range(40):
+        n = rng.randint(2, 5)
+        costs = [rng.uniform(0.1, 2) for _ in range(n)]
+        bounds = [(0.0, 10.0)] * n
+        rows = [(lp.GREATER, rng.uniform(1, 4), [1.0] * n)]
+        model, cols = build(costs, bounds, rows)
+        before = model.solve()
+        assert before.status == lp.OPTIMAL
+        row = (lp.GREATER, rng.uniform(1, 5), [rng.uniform(0.2, 1.0) for _ in cols])
+        if sum(a * before.x[c] for a, c in zip(row[2], cols)) >= row[1] - 1e-6:
+            continue  # the old optimum already satisfies the row
+        model.add_row(row[0], row[1], list(zip(cols, row[2])))
+        rows.append(row)
+        cold = build(costs, bounds, rows)[0].solve()
+        if cold.status != lp.OPTIMAL:
+            continue  # only phase 1 may call the grown LP infeasible
+        seen = dict(spy)
+        warm = model.solve(warm=before.basis)
+        assert spy["dual"] == seen["dual"] + 1
+        assert spy["phase1"] == seen["phase1"]
+        assert spy["cold"] == seen["cold"]
+        assert warm.status == lp.OPTIMAL
+        assert abs(warm.objective - cold.objective) <= 1e-9 * (1 + abs(cold.objective))
+        _check_certificate(costs, bounds, rows, warm)
+        checked += 1
+    assert checked >= 30
+
+
 def test_warm_basis_that_is_not_dual_feasible_solves_cold(spy):
     checked = 0
     for model, cols, costs, bounds, rows, basis in _tightened_lps(17, 20):
@@ -356,6 +390,26 @@ def test_bound_violating_basis_is_not_reported_optimal(monkeypatch):
     assert model.solve(warm=first.basis).status == lp.UNCERTIFIED
     monkeypatch.undo()
     assert model.solve(warm=first.basis).status == lp.INFEASIBLE
+
+
+def test_zero_pivot_guard():
+    model, _ = build([1.0], [(0.0, INF)], [(lp.GREATER, 3.0, [1.0])])
+    s = lp._Simplex(model, None)
+    s._cold_basis()
+    refactors = []
+    s._refactor = lambda: refactors.append(s.zero_pivots)
+    small = lp.PIVOT_TOL / 2
+    # three sub-tolerance pivot elements in a row each refactor; a usable
+    # one (PIVOT_TOL itself is) resets the count
+    for sign in (1.0, -1.0):
+        assert all(s._zero_pivot(sign * small) for _ in range(3))
+        assert not s._zero_pivot(sign * lp.PIVOT_TOL)
+        assert s.zero_pivots == 0
+    assert refactors == [1, 2, 3] * 2
+    assert all(s._zero_pivot(small) for _ in range(3))
+    with pytest.raises(lp.SingularBasisError, match="persistent zero pivot"):
+        s._zero_pivot(0.0)
+    assert len(refactors) == 9
 
 
 # ------------------------------------------------------------ ratio test
@@ -406,7 +460,7 @@ def _row_scan(basic, xb, lb, ub, n, art_ub, dw, t_flip, bland):
 def _ratio_case(basic, xb, lb, ub, art_ub, dw, t_flip, bland):
     """(kernel result, reference result), each with the step as a hex
     string so that -0.0 and 0.0 differ."""
-    s = lp._Simplex(lp.LinearProgram(), None, 1)
+    s = lp._Simplex(lp.LinearProgram(), None)
     s.n, s.lb, s.ub, s.art_ub = len(lb), lb, ub, art_ub
     s.basic, s.xb = list(basic), xb
     lo, hi = s._bounds_of(np.asarray(basic))
@@ -575,16 +629,17 @@ def test_row_addition_retires_the_kept_inverse(inversions):
         assert mine == theirs
 
 
-def test_basis_with_an_artificial_slot_loads(inversions):
-    # a repeated equality row is carried by a pinned artificial, which the
-    # snapshot records as -1; such a basis leaves no inverse behind
+def test_redundant_row_snapshot_holds_its_logical(inversions):
+    # a repeated equality row is carried by a pinned artificial; the
+    # snapshot records the row's logical in its place and keeps no inverse
     model, _ = build(
         [1.0, 2.0],
         [(0.0, 4.0)] * 2,
         [(lp.EQUAL, 2.0, [1.0, 1.0]), (lp.EQUAL, 2.0, [1.0, 1.0])],
     )
     first = model.solve()
-    assert first.status == lp.OPTIMAL and -1 in first.basis.basic
+    assert first.status == lp.OPTIMAL
+    assert first.basis.basic == [0, model.logical[1]]
     assert model._factor is None
     for basis in (first.basis, lp.Basis(first.basis.basic[:1], first.basis.status)):
         clone = copy.deepcopy(model)
@@ -593,28 +648,9 @@ def test_basis_with_an_artificial_slot_loads(inversions):
         _assert_same_solve(res, ref)
         assert res.status == lp.OPTIMAL and res.objective == pytest.approx(2.0)
         assert mine == theirs
-    # a kept inverse whose basis matches in every other slot serves no basis
-    # with a -1 slot
-    model, _ = build(
-        [1.0, 2.0, 3.0],
-        [(0.0, 4.0)] * 3,
-        [(lp.GREATER, 1.0, [1.0, 1.0, 0.0]), (lp.GREATER, 1.0, [0.0, 1.0, 1.0])],
-    )
-    first = model.solve()
-    assert first.status == lp.OPTIMAL and model._factor is not None
-    kept_basic, kept_inverse = model._factor
-    for p in range(2):
-        basic = list(first.basis.basic)
-        basic[p] = -1
-        warm = lp.Basis(basic, first.basis.status)
-        model._factor = (kept_basic, kept_inverse.copy())
-        clone = copy.deepcopy(model)
-        clone._factor = None
-        res, mine = _solve_counting(model, warm, inversions)
-        ref, theirs = _solve_counting(clone, warm, inversions)
-        _assert_same_solve(res, ref)
-        assert res.objective == pytest.approx(first.objective)
-        assert mine == theirs
+    # a -1 slot names no column: such a basis is refused, not read as the
+    # last column
+    assert not lp._Simplex(model, None)._load_warm(lp.Basis([0, -1], first.basis.status))
 
 
 def test_warm_load_matches_the_column_loops():
@@ -638,7 +674,7 @@ def test_warm_load_matches_the_column_loops():
         basic = rng.sample(range(model.ncols), m)
         kinds = [lp.AT_LB, lp.AT_UB, lp.BASIC]
         status = [rng.choice(kinds) for _ in range(rng.randint(0, model.ncols))]
-        s = lp._Simplex(model, None, 1)
+        s = lp._Simplex(model, None)
         if not s._load_warm(lp.Basis(basic, status)):
             continue  # a singular basis matrix
         loaded += 1
