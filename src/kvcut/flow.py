@@ -20,11 +20,16 @@ one split network per component.  A residual left by a finished flow stays
 a feasible flow when a capacity is raised by at most the headroom, so the
 flow of the raised network can resume from a copy of it (parametric
 max-flow, Gallo, Grigoriadis & Tarjan 1989), as stage-2 pricing does.
+
+Weighted connectivity cuts n - 1 - deg u pairs from a minimum-degree vertex
+u plus the non-adjacent pairs of u's neighbours (Esfahanian & Hakimi 1984);
+``component_connectivity`` lists them and proves them exact.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import combinations
 from typing import Iterable, Optional
 
 from .graph import Graph, connected_components, is_clique
@@ -207,10 +212,24 @@ ComponentResults = dict[tuple[int, ...], ConnectivityResult]
 def component_connectivity(g: Graph, component: list[int]) -> ConnectivityResult:
     """Cheapest vertex set disconnecting one connected component.
 
-    Cliques (including singletons) cannot be disconnected.  Otherwise run
-    min vertex cuts from the lowest-index vertex u to every non-neighbor,
-    plus a guard pass from each neighbor of u (needed when u itself sits in
-    every optimal separator).  All cuts share one split network of the
+    Cliques (including singletons) cannot be disconnected.  Otherwise let
+    u be a vertex of minimum degree in the component, ties to the lowest
+    index, and cut the pairs of Esfahanian & Hakimi (1984): (u, t) for
+    every t not adjacent to u, in ascending t, then (x, y) for every
+    non-adjacent pair x < y of u's neighbours, in lexicographic order.
+    Some pair is separated by an optimal separator S, since costs are
+    nonnegative:
+
+    - If u is not in S, some vertex t of another component of G - S is
+      not adjacent to u, and the (u, t) cut costs at most c(S).
+    - If u is in S and its kept neighbours lie in one component of G - S,
+      or u has none, then S - {u} still separates at no higher cost; an
+      optimal separator avoiding u exists and the first case applies.
+    - Otherwise u has kept neighbours x and y in two components of G - S;
+      they are not adjacent, and the (x, y) cut costs at most c(S).
+
+    When u's neighbours form a clique the second list is empty, as the
+    third case cannot arise.  All cuts share one split network of the
     component's induced subgraph, so the result depends on nothing outside
     the component.  Each pair's flow stops once it can no longer beat the
     best cut found so far, which leaves the chosen separator unchanged.
@@ -221,19 +240,18 @@ def component_connectivity(g: Graph, component: list[int]) -> ConnectivityResult
     sub, ids = g.induced(comp)
     net = split_network(sub)
     base = net.residual()
+    u = min(range(sub.n), key=sub.degree)  # the first minimum: lowest index
+    pairs = [(u, t) for t in range(sub.n) if t != u and not sub.has_edge(u, t)]
+    pairs += [(x, y) for x, y in combinations(sub.adj[u], 2) if not sub.has_edge(x, y)]
     best: Optional[VertexCut] = None
-    for src in [0] + sub.adj[0]:  # sub's vertex 0 is the component's lowest
-        for t in range(sub.n):
-            if t == src or sub.has_edge(src, t):
-                continue
-            # a pair whose flow reaches this limit cannot beat best; the
-            # test below still decides when best.cost is inf (no limit)
-            limit = INF if best is None else best.cost - CUT_TOL
-            cand = min_vertex_cut_between(sub, src, t, net, base, limit)
-            if cand is not None and (best is None or cand.cost < limit):
-                best = cand
-    # a non-clique component always has a non-adjacent pair in it, and the
-    # guard pass guarantees at least one source avoids the optimal separator
+    for s, t in pairs:
+        # a pair whose flow reaches this limit cannot beat best; the
+        # test below still decides when best.cost is inf (no limit)
+        limit = INF if best is None else best.cost - CUT_TOL
+        cand = min_vertex_cut_between(sub, s, t, net, base, limit)
+        if cand is not None and (best is None or cand.cost < limit):
+            best = cand
+    # a non-clique component has pairs, and by the cases above one is optimal
     assert best is not None
     return ConnectivityResult(False, best.cost, [ids[v] for v in best.vertices])
 

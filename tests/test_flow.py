@@ -5,6 +5,7 @@ from pathlib import Path
 
 import pytest
 
+from kvcut.engine import disconnection_heuristic
 from kvcut.flow import (
     CUT_TOL,
     INF,
@@ -14,7 +15,8 @@ from kvcut.flow import (
     split_network,
     weighted_vertex_connectivity,
 )
-from kvcut.graph import Graph, connected_components, is_clique, read_dimacs
+from kvcut.graph import Graph, connected_components, is_clique, is_k_vertex_cut, read_dimacs
+from kvcut.instance import Instance, gnp_graph, make_weighted
 
 DATA = Path(__file__).parent.parent / "src" / "kvcut" / "data"
 
@@ -365,7 +367,10 @@ def test_max_flow_limit_returns_a_side_exactly_below_the_limit():
 
 def _plain_connectivity(g):
     """weighted_vertex_connectivity without the cutoff: every pair of the
-    same sweep runs to the end and replaces the best when strictly cheaper."""
+    documented list runs to the end and replaces the best when strictly
+    cheaper.  The list: u, the first vertex of minimum degree, against each
+    non-neighbour in ascending order, then each non-adjacent pair of u's
+    neighbours in lexicographic order."""
     best = None
     for comp in connected_components(g):
         sub, ids = g.induced(comp)
@@ -373,13 +378,17 @@ def _plain_connectivity(g):
             continue
         net = split_network(sub)
         base = net.residual()
+        degrees = [len(sub.adj[v]) for v in range(sub.n)]
+        u = degrees.index(min(degrees))
+        pairs = [(u, t) for t in range(sub.n) if t != u and not sub.has_edge(u, t)]
+        nbrs = sorted(sub.adj[u])
+        for i, x in enumerate(nbrs):
+            pairs += [(x, y) for y in nbrs[i + 1:] if not sub.has_edge(x, y)]
         cut = None
-        for src in [0] + sub.adj[0]:
-            for t in range(sub.n):
-                if t != src and not sub.has_edge(src, t):
-                    cand = min_vertex_cut_between(sub, src, t, net, base)
-                    if cut is None or cand.cost < cut.cost - CUT_TOL:
-                        cut = cand
+        for s, t in pairs:
+            cand = min_vertex_cut_between(sub, s, t, net, base)
+            if cut is None or cand.cost < cut.cost - CUT_TOL:
+                cut = cand
         if best is None or cut.cost < best[0] - CUT_TOL:
             best = (cut.cost, [ids[v] for v in cut.vertices])
     return best
@@ -418,6 +427,121 @@ def test_connectivity_cutoff_keeps_the_plain_sweeps_separator():
             direct = component_connectivity(g, comps[0])
             assert (direct.cost, direct.vertices) == expected, trial
     assert kinds == {(k, d) for k in range(3) for d in (False, True)}
+
+
+def _every_pair_connectivity(g):
+    """Cheapest cut over every non-adjacent pair of every component: the
+    definition, with no rule for choosing sources."""
+    best = None
+    for comp in connected_components(g):
+        for s, t in itertools.combinations(comp, 2):
+            if not g.has_edge(s, t):
+                cost = min_vertex_cut_between(g, s, t).cost
+                best = cost if best is None else min(best, cost)
+    return best
+
+
+def _wheel_with_a_cheap_rim_vertex():
+    # hub 5 on the rim cycle 0-1-2-3-4; every separator holds the hub and
+    # two non-adjacent rim vertices, so rim vertex 0, the minimum-degree
+    # vertex, is in every optimal separator ({5, 0, 2} or {5, 0, 3}, 14)
+    rim = [(i, (i + 1) % 5) for i in range(5)]
+    return Graph(6, rim + [(i, 5) for i in range(5)], costs=[1, 3, 3, 3, 3, 10])
+
+
+def _cliques_joined_by_a_cheap_path_vertex():
+    # K4 {0,1,2,3} - 4 - K4 {5,6,7,8}: 4 has the minimum degree and
+    # {4} is the only optimal separator; its attachments 3 and 5 cost 5
+    edges = [(a, b) for q in ((0, 1, 2, 3), (5, 6, 7, 8))
+             for a, b in itertools.combinations(q, 2)]
+    return Graph(9, edges + [(3, 4), (4, 5)], costs=[1, 1, 1, 5, 1, 5, 1, 1, 1])
+
+
+def test_connectivity_equals_the_minimum_over_every_pair():
+    # (graph, minimum over every pair), then seeded draws checked alike
+    hand = [
+        (_wheel_with_a_cheap_rim_vertex(), 14.0),
+        (_cliques_joined_by_a_cheap_path_vertex(), 1.0),
+        # a star on 0 plus chords 1-2 and 3-4: leaf 5 has the minimum
+        # degree, and the centre is the only optimal separator
+        (Graph(6, [(0, v) for v in range(1, 6)] + [(1, 2), (3, 4)]), 1.0),
+        # the house: roof 0 on the square 1-2-4-3, so the minimum-degree
+        # vertex 0 is simplicial and has no neighbour pair to cut
+        (Graph(5, [(0, 1), (0, 2), (1, 2), (1, 3), (2, 4), (3, 4)], costs=[1, 2, 2, 1, 1]), 3.0),
+        # two triangles and a pendant path on zero-cost cut vertices 2 and 4
+        (Graph(7, [(0, 1), (1, 2), (0, 2), (2, 3), (3, 4), (2, 4), (4, 5), (5, 6)],
+               costs=[1, 1, 0, 1, 0, 1, 1]), 0.0),
+    ]
+    for trial, (g, value) in enumerate(hand):
+        assert _every_pair_connectivity(g) == value, trial
+    rng = random.Random(97)
+    graphs = [g for g, _ in hand]
+    for trial in range(150):
+        n = rng.randint(4, 12)
+        p = rng.choice([0.15, 0.3, 0.5, 0.7])
+        edges = [(a, b) for a in range(n) for b in range(a + 1, n) if rng.random() < p]
+        kind = trial % 3
+        if kind == 0:
+            costs = [1.0] * n
+        elif kind == 1:
+            costs = [float(rng.choice([0, 0, 0, 1, 3])) for _ in range(n)]
+        else:
+            costs = [float(rng.randint(1, 9)) for _ in range(n)]
+        graphs.append(Graph(n, edges, costs=costs))
+    disconnected = checked = 0
+    for trial, g in enumerate(graphs):
+        expected = _every_pair_connectivity(g)
+        res = weighted_vertex_connectivity(g)
+        if expected is None:
+            assert res.unbreakable, trial
+            continue
+        assert not res.unbreakable and res.cost == expected, trial
+        assert sum(g.costs[v] for v in res.vertices) == expected, trial
+        comps = connected_components(g)
+        rest = [v for v in range(g.n) if v not in res.vertices]
+        assert len(connected_components(g, within=rest)) > len(comps), trial
+        disconnected += len(comps) > 1
+        checked += 1
+    assert checked >= 120 and disconnected >= 30
+
+
+def _count_flows(monkeypatch):
+    calls = []
+    real = FlowNetwork.max_flow
+
+    def spy(self, *args, **kwargs):
+        calls.append(1)
+        return real(self, *args, **kwargs)
+
+    monkeypatch.setattr(FlowNetwork, "max_flow", spy)
+    return calls
+
+
+@pytest.mark.parametrize(
+    "name, flows, cost, vertices",
+    [
+        ("karate", 32, 1.0, [0]),
+        ("myciel4", 24, 4.0, [1, 3, 10, 22]),
+        ("bcspwr01", 36, 2.0, [18, 19]),
+    ],
+)
+def test_connectivity_flow_counts(monkeypatch, name, flows, cost, vertices):
+    # cutting from every neighbour of the lowest vertex took 476, 144 and
+    # 220 flows, and found bcspwr01's equal-cost separator [15, 18]
+    g = read_dimacs(DATA / f"{name}.col").graph
+    calls = _count_flows(monkeypatch)
+    res = weighted_vertex_connectivity(g)
+    assert (len(calls), res.cost, res.vertices) == (flows, cost, vertices)
+
+
+def test_heuristic_flow_count_on_a_weighted_gnp_100(monkeypatch):
+    # every round of the greedy heuristic runs this connectivity; cutting
+    # from every neighbour of the lowest vertex took 6,341 flows here
+    inst = Instance(make_weighted(gnp_graph(100, 0.1, 1), 1), 10)
+    calls = _count_flows(monkeypatch)
+    inc = disconnection_heuristic(inst)
+    assert (len(calls), inc.objective) == (697, 171.0)
+    assert is_k_vertex_cut(inst.graph, inc.cut, 10)
 
 
 @pytest.mark.parametrize("cost", [1e16, 1e20, 1e300])
