@@ -13,12 +13,12 @@ thread count.
 
 The kernel is lean without leaving that path:
 
-* A certified OPTIMAL whose basis holds no artificial leaves its fresh
-  inverse on the model, and the next solve takes it instead of inverting
-  when its warm basis lists the same column in every row -- the usual
-  case in column generation.  That is exact: a column never changes once
-  written, ``add_row`` adds a row, bounds do not enter the basis matrix,
-  and inverting the same matrix gives the same array.
+* A certified OPTIMAL leaves its fresh inverse on the model, and the
+  next solve takes it instead of inverting when its warm basis lists the
+  same column in every row -- the usual case in column generation.  That
+  is exact: a column never changes once written, ``add_row`` adds a row,
+  bounds do not enter the basis matrix, and inverting the same matrix
+  gives the same array.
 * The ratio test, basic values and status set-up are array expressions
   with the same float operations as a scan in row or column order; the
   ratio test scans in Python only when the smallest steps tie.
@@ -40,11 +40,18 @@ Conventions
   that is primal infeasible but dual feasible.  A dual phase re-optimises
   it: a bounded dual simplex that pivots until the basis is primal
   feasible, after which phase 2 finishes.
-* Phase 1 and its per-row artificial columns belong to cold starts
-  only: any other infeasible start is solved cold.  No dual rays are
-  ever produced (the callers build their own high-cost recourse columns
-  instead).  A dual phase that finds no entering column hands over to a
-  cold phase 1 too, so phase 1 is the one certificate of infeasibility.
+* Phase 1 belongs to cold starts only: any other infeasible start is
+  solved cold.  It adds no columns.  Each basic logical outside its
+  bounds is relaxed instead: the bound it lies beyond moves to infinity,
+  the other bound moves to the violated one, and it costs -1 below or +1
+  above, so phase 1 drives it back to the violated bound, where it
+  leaves the basis with its own bounds.  One that ends phase 1 still
+  basic, at that bound, belongs to a redundant row and keeps its slot
+  with its own bounds.  Every basis matrix is thus ``A[:, basic]`` over
+  model columns.  No dual rays are ever produced (the callers build their
+  own high-cost recourse columns instead).  A dual phase that finds no
+  entering column hands over to a cold phase 1 too, so phase 1 is the
+  one certificate of infeasibility.
 * Pricing is most-negative reduced cost, falling back to Bland's rule
   after a run of degenerate pivots, so the method always terminates.
 * Every OPTIMAL is certified on a fresh factorization: row residuals and
@@ -89,11 +96,10 @@ class SingularBasisError(ArithmeticError):
 class Basis:
     """Opaque warm-start token.
 
-    ``basic`` holds one model column id per row; a redundant row still
-    carried by a repair artificial is recorded by its own logical.  Rows
-    added later start on their own logicals.  ``status`` holds AT_LB /
-    AT_UB / BASIC per column id at snapshot time; columns created later
-    default to their finite bound.
+    ``basic`` holds one model column id per row; rows added later start
+    on their own logicals.  ``status`` holds AT_LB / AT_UB / BASIC per
+    column id at snapshot time; columns created later default to their
+    finite bound.
     """
 
     basic: list[int]
@@ -218,11 +224,11 @@ class LinearProgram:
 
 
 class _Simplex:
-    """One solve: a workspace over the model plus a cold start's repair artificials.
+    """One solve: a workspace over the model's columns.
 
-    Artificial columns live at virtual indices >= n (n = model columns);
-    they are +-unit vectors, never re-enter the basis once driven out, and
-    are forgotten when the solve finishes.
+    Phase 1 relaxes the bounds of some basic logicals in the workspace's
+    own copies of ``lb`` and ``ub``; ``relaxed`` maps each such column to
+    the bound it lay beyond, and empties as they leave the basis.
     """
 
     def __init__(self, lp: LinearProgram, warm: Optional[Basis]):
@@ -235,9 +241,7 @@ class _Simplex:
         self.lb = lp._lb[: self.n].copy()
         self.ub = lp._ub[: self.n].copy()
         self.free = self.lb < self.ub
-        self.art_row: list[int] = []
-        self.art_sign: list[float] = []
-        self.art_ub = INF  # pinned to 0 for phase 2
+        self.relaxed: dict[int, int] = {}
         self.status = np.zeros(self.n, dtype=np.int8)
         self.basic: list[int] = []
         self.Binv = np.eye(self.m)
@@ -248,19 +252,6 @@ class _Simplex:
         self.zero_pivots = 0  # sub-tolerance pivot elements in a row
         self.warm = warm
 
-    # -- column helpers (artificial-aware) ----------------------------------
-
-    def _bounds_of(self, cols: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """Lower and upper bounds of the given column ids; artificials are in [0, art_ub]."""
-        model = cols < self.n
-        if model.all():
-            return self.lb[cols], self.ub[cols]
-        safe = np.where(model, cols, 0)
-        return (
-            np.where(model, self.lb[safe], 0.0),
-            np.where(model, self.ub[safe], self.art_ub),
-        )
-
     # -- basis setup ---------------------------------------------------------
 
     def _cold_basis(self):
@@ -268,8 +259,6 @@ class _Simplex:
         self.basic = list(self.lp.logical)
         self.status[self.basic] = BASIC
         self.Binv = np.eye(self.m)
-        self.art_row.clear()
-        self.art_sign.clear()
 
     def _load_warm(self, warm: Basis) -> bool:
         # a row added since the snapshot starts on its own logical
@@ -297,7 +286,7 @@ class _Simplex:
         return bool(np.all(np.isfinite(self.Binv)))
 
     def _basic_values(self) -> np.ndarray:
-        """B^-1 (b - N x_N); nonbasic artificials always sit at 0."""
+        """B^-1 (b - N x_N)."""
         r = self.b.copy()
         at = np.where(self.status == AT_LB, self.lb, self.ub)
         nz = np.flatnonzero((self.status != BASIC) & (at != 0.0))
@@ -306,24 +295,17 @@ class _Simplex:
         return self.Binv @ r
 
     def _primal_feasible(self) -> bool:
-        lo, hi = self._bounds_of(np.asarray(self.basic))
+        lo, hi = self.lb[self.basic], self.ub[self.basic]
         return bool(np.all((lo - FEAS_TOL <= self.xb) & (self.xb <= hi + FEAS_TOL)))
 
     def _refresh(self):
         np.copyto(self.x, self.lb, where=self.status == AT_LB)
         np.copyto(self.x, self.ub, where=self.status == AT_UB)
         self.xb = self._basic_values()
-        basic = np.asarray(self.basic)
-        model = basic < self.n
-        self.x[basic[model]] = self.xb[model]
+        self.x[self.basic] = self.xb
 
     def _refactor(self):
-        basic = np.asarray(self.basic)
-        B = self.A[:, np.where(basic < self.n, basic, 0)]
-        for p in np.flatnonzero(basic >= self.n).tolist():
-            k = self.basic[p] - self.n
-            B[:, p] = 0.0
-            B[self.art_row[k], p] = self.art_sign[k]
+        B = self.A[:, self.basic]
         self.Binv = None  # free the old inverse before inv() allocates its own
         try:
             self.Binv = np.linalg.inv(B)
@@ -332,51 +314,39 @@ class _Simplex:
         self.pivots_since_refactor = 0
         self._refresh()
 
-    def _install_artificials(self):
-        """Swap out-of-bound basic logicals for artificials (cold start repair).
+    def _relax_logicals(self) -> np.ndarray:
+        """Relax each basic logical outside its bounds; returns the phase-1 costs.
 
-        Only called when the basis is the all-logical identity, so updating
-        the inverse is a matter of sign flips.
+        Called on the cold, all-logical basis.  A logical below its lower
+        bound gets the bounds (-inf, lower] and cost -1, one above its
+        upper bound [upper, inf) and cost +1: phase 1 moves it towards
+        the violated bound, and it leaves the basis on reaching it.
         """
-        for p in range(self.m):
-            j = self.basic[p]
-            v = self.xb[p]
-            lo, hi = self.lb[j], self.ub[j]
-            if lo - FEAS_TOL <= v <= hi + FEAS_TOL:
-                continue
-            if v < lo:
-                self.status[j] = AT_LB
-                self.x[j] = lo
-                excess = v - lo
-            else:
-                self.status[j] = AT_UB
-                self.x[j] = hi
-                excess = v - hi
-            sign = 1.0 if excess >= 0 else -1.0
-            self.basic[p] = self.n + len(self.art_row)
-            self.art_row.append(p)
-            self.art_sign.append(sign)
-            if sign < 0:
-                self.Binv[p, :] *= -1.0
-            self.xb[p] = abs(excess)
+        basic = np.asarray(self.basic)
+        lo, hi = self.lb[basic], self.ub[basic]
+        below = self.xb < lo - FEAS_TOL
+        above = self.xb > hi + FEAS_TOL
+        down, up = basic[below], basic[above]
+        self.lb[down], self.ub[down] = -INF, lo[below]
+        self.lb[up], self.ub[up] = hi[above], INF
+        costs = np.zeros(self.n)
+        costs[down], costs[up] = -1.0, 1.0
+        self.relaxed = dict.fromkeys(down.tolist(), AT_LB)
+        self.relaxed.update(dict.fromkeys(up.tolist(), AT_UB))
+        return costs
+
+    def _unrelax(self, j: int) -> int:
+        """Give relaxed column j its own bounds back; returns the bound it lay beyond."""
+        self.lb[j], self.ub[j] = self.lp._lb[j], self.lp._ub[j]
+        return self.relaxed.pop(j)
 
     # -- the simplex loop ------------------------------------------------------
 
-    def _phase_costs(self, phase: int) -> np.ndarray:
-        full = np.zeros(self.n + len(self.art_row))
-        if phase == 1:
-            full[self.n :] = 1.0
-        else:
-            full[: self.n] = self.c
-        return full
-
-    def _iterate(self, phase: int) -> str:
-        costs = self._phase_costs(phase)
-        n = self.n
+    def _iterate(self, costs: np.ndarray) -> str:
+        """Primal simplex under ``costs``, where a relaxed column that leaves is set to cost 0."""
         # cost and bounds of each row's basic column, kept in step with pivots
-        basic = np.asarray(self.basic)
-        cb = costs[basic]
-        lo, hi = self._bounds_of(basic)
+        cb = costs[self.basic]
+        lo, hi = self.lb[self.basic], self.ub[self.basic]
         bland = False
         streak = 0  # degenerate pivots in a row
         self.zero_pivots = 0
@@ -385,7 +355,7 @@ class _Simplex:
                 return ITERATION_LIMIT
             self.iters += 1
             y = cb @ self.Binv
-            d = costs[:n] - y @ self.A
+            d = costs - y @ self.A
             mispriced = self._mispriced(d)
             if not mispriced.any():
                 return OPTIMAL
@@ -412,9 +382,11 @@ class _Simplex:
             if self._zero_pivot(w[leave_pos]):
                 continue
             out = self.basic[leave_pos]
-            if out < n:
-                self.status[out] = leave_to
-                self.x[out] = self.lb[out] if leave_to == AT_LB else self.ub[out]
+            if out in self.relaxed:
+                leave_to = self._unrelax(out)
+                costs[out] = 0.0
+            self.status[out] = leave_to
+            self.x[out] = self.lb[out] if leave_to == AT_LB else self.ub[out]
             self.xb -= t_best * dw
             start = self.lb[enter] if direction > 0 else self.ub[enter]
             cb[leave_pos] = costs[enter]
@@ -504,8 +476,8 @@ class _Simplex:
             Binv[block, :] -= np.outer(w[block], pivot_row)
 
     def _duals(self) -> np.ndarray:
-        """Row prices of the phase-2 costs; artificials cost nothing there."""
-        return self._phase_costs(2)[self.basic] @ self.Binv
+        """Row prices of the phase-2 costs."""
+        return self.c[self.basic] @ self.Binv
 
     def _reduced_costs(self) -> np.ndarray:
         return self.c - self._duals() @ self.A
@@ -587,53 +559,13 @@ class _Simplex:
 
     def _certified(self) -> bool:
         """Primal and dual feasibility of the current (freshly factored) basis."""
-        x = self.x[: self.n]
+        x = self.x
         residual = self.A @ x - self.b
-        for p, j in enumerate(self.basic if self.art_row else ()):
-            if j >= self.n:  # a pinned artificial must sit at zero
-                k = j - self.n
-                residual[self.art_row[k]] += self.art_sign[k] * self.xb[p]
-                if abs(self.xb[p]) > FEAS_TOL:
-                    return False
         if np.any(np.abs(residual) > FEAS_TOL):
             return False
         if np.any(x < self.lb - FEAS_TOL) or np.any(x > self.ub + FEAS_TOL):
             return False
         return not self._mispriced(self._reduced_costs()).any()
-
-    def _phase1_value(self) -> float:
-        return sum(abs(self.xb[p]) for p, j in enumerate(self.basic) if j >= self.n)
-
-    def _drive_out_artificials(self):
-        """After phase 1: pivot basic artificials (all at ~0) onto model columns.
-
-        Rows where no model column has a nonzero pivot element are linearly
-        dependent in the current column set; their artificial stays basic at
-        zero (pinned), and the basis snapshot records the row's logical in
-        its place.
-        """
-        for p in range(self.m if self.art_row else 0):
-            if self.basic[p] < self.n:
-                continue
-            row = self.Binv[p, :] @ self.A
-            cand = -1
-            for q in range(self.n):
-                if self.status[q] != BASIC and self.lb[q] < self.ub[q] and abs(row[q]) > 1e-8:
-                    cand = q
-                    break
-            if cand == -1:
-                continue
-            w = self.Binv @ self.A[:, cand]
-            if abs(w[p]) < PIVOT_TOL:
-                continue
-            val = self.lb[cand] if self.status[cand] == AT_LB else self.ub[cand]
-            self.basic[p] = cand
-            self.status[cand] = BASIC
-            self._update_inverse(p, w)
-            # degenerate swap: the artificial sat at 0, the entering column
-            # keeps its current value
-            self.xb[p] = val
-            self.x[cand] = val
 
     # -- driver -----------------------------------------------------------------
 
@@ -663,18 +595,22 @@ class _Simplex:
                 self._refresh()
                 loaded = False
         if not loaded:
-            self._install_artificials()
-            if self.art_row and self._phase1_value() > FEAS_TOL:
-                st = self._iterate(1)
+            costs = self._relax_logicals()
+            if self.relaxed:
+                st = self._iterate(costs)
                 if st != OPTIMAL:
                     return LpResult(st, iterations=self.iters)
-                scale = max(1.0, float(np.max(np.abs(self.b))))
-                if self._phase1_value() > FEAS_TOL * scale:
+                left = sum(
+                    abs(self.xb[p]) for p, j in enumerate(self.basic) if j in self.relaxed
+                )
+                if left > FEAS_TOL * max(1.0, float(np.max(np.abs(self.b)))):
                     return LpResult(INFEASIBLE, iterations=self.iters)
-        self.art_ub = 0.0
-        self._drive_out_artificials()
+                # a redundant row's logical can end phase 1 basic at about
+                # its violated bound: it stays basic, with its own bounds
+                for j in list(self.relaxed):
+                    self._unrelax(j)
         for _ in range(2):  # one more round of phase 2 if the certificate fails
-            st = self._iterate(2)
+            st = self._iterate(self.c)
             if st != OPTIMAL:
                 return LpResult(st, iterations=self.iters)
             self._refactor()
@@ -682,15 +618,10 @@ class _Simplex:
                 break
         else:
             return LpResult(UNCERTIFIED, iterations=self.iters)
-        obj = float(self.c @ self.x[: self.n])
-        if max(self.basic) < self.n:
-            # the next warm solve from this basis takes this inverse as is
-            self.lp._factor = (tuple(self.basic), self.Binv)
-        # a pinned artificial is recorded as the logical of its row
-        logical = self.lp.logical
-        basic = [j if j < self.n else logical[self.art_row[j - self.n]] for j in self.basic]
-        snapshot = Basis(basic, self.status.tolist())
+        obj = float(self.c @ self.x)
+        # the next warm solve from this basis takes this inverse as is
+        self.lp._factor = (tuple(self.basic), self.Binv)
+        snapshot = Basis(list(self.basic), self.status.tolist())
         return LpResult(
-            OPTIMAL, obj, self.x[: self.n].copy(), self._duals(), snapshot,
-            self.iters,
+            OPTIMAL, obj, self.x.copy(), self._duals(), snapshot, self.iters
         )

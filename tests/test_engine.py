@@ -1,5 +1,6 @@
 import dataclasses
 import json
+import math
 import os
 import random
 import subprocess
@@ -7,6 +8,7 @@ import sys
 import time
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 import kvcut
@@ -15,6 +17,7 @@ from kvcut.engine import (
     INFEASIBLE_STATUS,
     OPTIMAL,
     TIME_LIMIT,
+    BnpNode,
     CgWork,
     EngineError,
     SolveOptions,
@@ -359,6 +362,77 @@ def test_branch_selection_solves_no_lp(monkeypatch):
     search.pseudo.record(11, 0, 3.0)
     search.pseudo.record(11, 1, 3.0)
     assert search._select_branch(candidates, xvals) == 7
+
+
+def _leaf(search, xvals, clusters=()):
+    """An LP result with the given x and unit weight on each pooled cluster."""
+    rmp = search.rmp
+    x = [0.0] * rmp.model.ncols
+    for v, value in enumerate(xvals):
+        x[rmp.x_vars[v]] = value
+    for subset in clusters:
+        x[rmp.columns[rmp._pool[subset]].var] = 1.0
+    return lp.LpResult(lp.OPTIMAL, 0.0, np.array(x), basis=lp.Basis([], []))
+
+
+def test_integral_leaf_that_fails_verification_is_branched_away():
+    # path 0-1-2-3-4-5 at k=4: cutting {1, 3, 4} leaves 3 components, so
+    # this integral x fails verification.  Vertex 1 sits at 2 but is
+    # fixed; vertex 3 sits at 2 and the count row counts cluster {4},
+    # which lies inside the cut, so 3 and 4 are the free candidates
+    g = Graph(6, [(i, i + 1) for i in range(5)])
+    search = _Search(Instance(g, 4), SolveOptions())
+    search.rmp = init_rmp(search.inst, build_clique_family(g))
+    state = BranchState(fixed_to_cut=frozenset({1}))
+    node = BnpNode(0, None, 0, state, -math.inf, None, ())
+    xvals = [0.0, 2.0, 0.0, 2.0, 1.0, 0.0]
+    res = _leaf(search, xvals, clusters=[(4,)])
+    search._integral_leaf(node, state, res, xvals, 1.5)
+    assert search.incumbent is None
+    children = sorted(
+        (child.branch_dir, child.branch_var, bound) for bound, _, _, child in search.heap
+    )
+    assert children == [(0, 3, 1.5), (1, 3, 1.5)]
+    # with no candidate left the point cannot be branched away
+    search.heap.clear()
+    xvals = [0.0] * 6
+    with pytest.raises(EngineError, match="failed component verification"):
+        search._integral_leaf(node, state, _leaf(search, xvals), xvals, 1.5)
+    assert search.incumbent is None and not search.heap
+
+
+@pytest.mark.parametrize("in_flight", [False, True])
+def test_time_limit_report_after_the_root(monkeypatch, in_flight):
+    # the clock jumps past the deadline once the root has branched: the
+    # tree is open, so the bound and the gap come from its open nodes,
+    # and from the node in flight when the deadline hits inside it
+    now = [0.0]
+    processed = []
+    process = _Search._process
+
+    def process_then_expire(self, node):
+        processed.append(node.id)
+        if in_flight and node.id != 0:
+            now[0] = 100.0  # expires inside this node's column generation
+        process(self, node)
+        if not in_flight:
+            now[0] = 100.0  # expires before the next node starts
+
+    monkeypatch.setattr("kvcut.engine.time.monotonic", lambda: now[0])
+    monkeypatch.setattr(_Search, "_process", process_then_expire)
+    search = _Search(Instance(karate(), 5), SolveOptions(time_limit=10.0))
+    rep = search.run()
+    assert rep.status == TIME_LIMIT
+    assert len(processed) == (2 if in_flight else 1)
+    assert (search.inflight_bound is not None) == in_flight
+    open_bounds = [entry[0] for entry in search.heap]
+    if in_flight:
+        open_bounds.append(search.inflight_bound)
+    assert search.heap and rep.best_bound == min(open_bounds)
+    assert rep.best_bound == pytest.approx(rep.root_lp_bound)
+    assert rep.best_bound <= rep.objective
+    assert rep.gap_percent == max(0.0, 100.0 * (rep.objective - rep.best_bound) / rep.objective)
+    assert rep.gap_percent > 0.0
 
 
 @pytest.mark.xfail(strict=True, raises=EngineError)

@@ -242,13 +242,13 @@ def test_set_bounds_deactivates_column():
 def spy(monkeypatch):
     """Counts, per solve path, how often the simplex entered it."""
     calls = {"phase1": 0, "dual": 0, "cold": 0}
-    iterate = lp._Simplex._iterate
+    relax_logicals = lp._Simplex._relax_logicals
     dual_phase = lp._Simplex._dual_phase
     cold_basis = lp._Simplex._cold_basis
 
-    def spy_iterate(self, phase):
-        calls["phase1"] += phase == 1
-        return iterate(self, phase)
+    def spy_relax(self):
+        calls["phase1"] += 1
+        return relax_logicals(self)
 
     def spy_dual(self):
         calls["dual"] += 1
@@ -258,7 +258,7 @@ def spy(monkeypatch):
         calls["cold"] += 1
         return cold_basis(self)
 
-    monkeypatch.setattr(lp._Simplex, "_iterate", spy_iterate)
+    monkeypatch.setattr(lp._Simplex, "_relax_logicals", spy_relax)
     monkeypatch.setattr(lp._Simplex, "_dual_phase", spy_dual)
     monkeypatch.setattr(lp._Simplex, "_cold_basis", spy_cold)
     return calls
@@ -415,32 +415,23 @@ def test_zero_pivot_guard():
 # ------------------------------------------------------------ ratio test
 
 
-def _row_scan(basic, xb, lb, ub, n, art_ub, dw, t_flip, bland):
+def _row_scan(basic, xb, lo, hi, dw, t_flip, bland):
     """The primal ratio test as a plain scan in row order, the reference
-    for ``_Simplex._ratio_test``; artificials (ids >= n) live in [0, art_ub]."""
-
-    def col_lb(j):
-        return lb[j] if j < n else 0.0
-
-    def col_ub(j):
-        return ub[j] if j < n else art_ub
-
+    for ``_Simplex._ratio_test``; row p's basic column lies in [lo[p], hi[p]]."""
     t_best = t_flip
     leave_pos = -1
     leave_to = lp.AT_LB
     for p in range(len(basic)):
         jb = basic[p]
         if dw[p] > lp.PIVOT_TOL:
-            lo = col_lb(jb)
-            if lo == -INF:
+            if lo[p] == -INF:
                 continue
-            t = (xb[p] - lo) / dw[p]
+            t = (xb[p] - lo[p]) / dw[p]
             to = lp.AT_LB
         elif dw[p] < -lp.PIVOT_TOL:
-            hi = col_ub(jb)
-            if hi == INF:
+            if hi[p] == INF:
                 continue
-            t = (xb[p] - hi) / dw[p]
+            t = (xb[p] - hi[p]) / dw[p]
             to = lp.AT_UB
         else:
             continue
@@ -457,35 +448,35 @@ def _row_scan(basic, xb, lb, ub, n, art_ub, dw, t_flip, bland):
     return t_best, leave_pos, leave_to
 
 
-def _ratio_case(basic, xb, lb, ub, art_ub, dw, t_flip, bland):
+def _ratio_case(basic, xb, lo, hi, dw, t_flip, bland):
     """(kernel result, reference result), each with the step as a hex
     string so that -0.0 and 0.0 differ."""
     s = lp._Simplex(lp.LinearProgram(), None)
-    s.n, s.lb, s.ub, s.art_ub = len(lb), lb, ub, art_ub
     s.basic, s.xb = list(basic), xb
-    lo, hi = s._bounds_of(np.asarray(basic))
     got = s._ratio_test(dw, t_flip, bland, lo, hi)
-    want = _row_scan(basic, xb, lb, ub, len(lb), art_ub, dw, t_flip, bland)
+    want = _row_scan(basic, xb, lo, hi, dw, t_flip, bland)
     return (float(got[0]).hex(), *got[1:]), (float(want[0]).hex(), *want[1:])
 
 
 def _random_ratio_case(rng):
     tol = lp.PIVOT_TOL
-    n = rng.randint(1, 12)
     m = rng.randint(1, 16)
+    n = m + rng.randint(0, 12)
     lb = np.array([rng.choice([0.0, -1.0, -INF, 0.5]) for _ in range(n)])
     ub = np.array([max(lo, 0.0) + rng.choice([0.0, 1.0, INF, 2.5]) for lo in lb])
-    # model columns and artificials (ids n, n+1, ...), each basic once
-    basic = rng.sample(range(n + m), m)
-    art_ub = rng.choice([0.0, INF])
+    # the shapes of a logical, relaxed in phase 1 or not, are common
+    for j in range(n):
+        if rng.random() < 0.4:
+            lb[j], ub[j] = rng.choice([(0.0, INF), (-INF, 0.0), (0.0, 0.0)])
+    basic = rng.sample(range(n), m)
+    lo, hi = lb[basic], ub[basic]
     choices = [0.0, tol / 2, -tol / 2, 1.0, -1.0, 0.5, -2.0, 3e-3, -7.0]
     dw = np.array([rng.choice(choices) for _ in range(m)])
     if rng.random() < 0.5:
         dw = np.sort(np.abs(dw)) * np.sign(dw)  # growing |dw| in row order makes chains
     xb = np.empty(m)
-    for p, j in enumerate(basic):
-        lo, hi = (lb[j], ub[j]) if j < n else (0.0, art_ub)
-        bound = lo if dw[p] > 0 else hi
+    for p in range(m):
+        bound = lo[p] if dw[p] > 0 else hi[p]
         if not np.isfinite(bound):
             bound = rng.choice([0.0, 1.0])
         # raw steps on a PIVOT_TOL/2 grid, including zero and negative ones
@@ -494,7 +485,7 @@ def _random_ratio_case(rng):
             step = rng.uniform(0.0, 2.0)
         xb[p] = bound + step * dw[p]
     t_flip = rng.choice([INF, 0.0, tol, 2 * tol, 1.0, rng.uniform(0.0, 3.0)])
-    return basic, xb, lb, ub, art_ub, dw, t_flip, rng.random() < 0.5
+    return basic, xb, lo, hi, dw, t_flip, rng.random() < 0.5
 
 
 def test_ratio_test_matches_the_row_scan():
@@ -518,14 +509,14 @@ def test_ratio_test_follows_a_tie_chain():
     dw = np.array([1.0, 2.0, 4.0])
     xb = np.array([0.0, 0.9 * tol, 1.8 * tol]) * dw
     for bland in (False, True):
-        got, want = _ratio_case([0, 1, 2], xb, lb, ub, INF, dw, INF, bland)
+        got, want = _ratio_case([0, 1, 2], xb, lb, ub, dw, INF, bland)
         assert got == want
         assert got[1] == (0 if bland else 2)
     # a larger step ahead of the minimum is replaced by it, then the chain
     # moves on from there
     xb2 = np.array([5.0, 0.0, 0.9 * tol])
     dw2 = np.array([1.0, 1.0, 3.0])
-    got, want = _ratio_case([0, 1, 2], xb2, lb, ub, INF, dw2, INF, False)
+    got, want = _ratio_case([0, 1, 2], xb2, lb, ub, dw2, INF, False)
     assert got == want and got[1] == 2
 
 
@@ -538,7 +529,7 @@ def test_ratio_test_with_infinite_basic_values():
             for dw in ([1.0, -1.0, 1.0], [-1.0, 1.0, -1.0], [2.0, 0.0, -1.0]):
                 for t_flip in (INF, 1.0):
                     got, want = _ratio_case(
-                        [0, 1, 2], np.array(xb), lb, ub, INF, np.array(dw), t_flip, False
+                        [0, 1, 2], np.array(xb), lb, ub, np.array(dw), t_flip, False
                     )
                     assert got == want, (xb, dw, t_flip)
 
@@ -630,8 +621,9 @@ def test_row_addition_retires_the_kept_inverse(inversions):
 
 
 def test_redundant_row_snapshot_holds_its_logical(inversions):
-    # a repeated equality row is carried by a pinned artificial; the
-    # snapshot records the row's logical in its place and keeps no inverse
+    # a repeated equality row ends phase 1 with its relaxed logical still
+    # basic; it keeps its slot with its own bounds, so the basis names
+    # model columns only and its inverse is kept
     model, _ = build(
         [1.0, 2.0],
         [(0.0, 4.0)] * 2,
@@ -640,17 +632,69 @@ def test_redundant_row_snapshot_holds_its_logical(inversions):
     first = model.solve()
     assert first.status == lp.OPTIMAL
     assert first.basis.basic == [0, model.logical[1]]
-    assert model._factor is None
+    assert model._factor[0] == tuple(first.basis.basic)
     for basis in (first.basis, lp.Basis(first.basis.basic[:1], first.basis.status)):
         clone = copy.deepcopy(model)
+        clone._factor = None
         res, mine = _solve_counting(model, basis, inversions)
         ref, theirs = _solve_counting(clone, basis, inversions)
         _assert_same_solve(res, ref)
         assert res.status == lp.OPTIMAL and res.objective == pytest.approx(2.0)
-        assert mine == theirs
+        assert mine == theirs - 1  # the warm re-solve takes the kept inverse
     # a -1 slot names no column: such a basis is refused, not read as the
     # last column
     assert not lp._Simplex(model, None)._load_warm(lp.Basis([0, -1], first.basis.status))
+
+
+def _lp_with_a_repeated_row(rng):
+    """A random LP over 0/+-1 data in which one row appears twice."""
+    n, m = rng.randint(2, 8), rng.randint(1, 6)
+    costs = [float(rng.randint(-2, 2)) for _ in range(n)]
+    bounds = [(0.0, float(rng.randint(1, 3))) for _ in range(n)]
+    rows = []
+    for _ in range(m):
+        sense = rng.choice([lp.EQUAL, lp.LESS, lp.GREATER])
+        coefs = [float(rng.choice([0, 0, 1, -1])) for _ in range(n)]
+        rows.append((sense, float(rng.randint(-2, 3)), coefs))
+    rows.insert(rng.randint(0, m), rows[rng.randrange(m)])
+    return costs, bounds, rows
+
+
+def test_redundant_row_keeps_its_relaxed_logical_basic(monkeypatch, inversions):
+    # phase 1 can end with the relaxed logical of a repeated row still
+    # basic at its violated bound; it keeps its slot with its own bounds,
+    # so the optimal basis names model columns and its inverse is kept
+    left_basic = [False]
+    iterate = lp._Simplex._iterate
+
+    def spy(self, costs):
+        st = iterate(self, costs)
+        left_basic[0] |= costs is not self.c and bool(self.relaxed)
+        return st
+
+    monkeypatch.setattr(lp._Simplex, "_iterate", spy)
+    rng = random.Random(3)
+    reached = optimal = 0
+    for _ in range(300):
+        costs, bounds, rows = _lp_with_a_repeated_row(rng)
+        model, _ = build(costs, bounds, rows)
+        left_basic[0] = False
+        res = model.solve()
+        if res.status != lp.OPTIMAL:
+            continue
+        optimal += 1
+        reached += left_basic[0]
+        _check_certificate(costs, bounds, rows, res)
+        assert all(0 <= j < model.ncols for j in res.basis.basic)
+        assert model._factor[0] == tuple(res.basis.basic)
+        again, inverted = _solve_counting(model, res.basis, inversions)
+        assert inverted == 1  # the certificate's refactor; the basis is the kept one
+        assert again.status == lp.OPTIMAL and again.objective == res.objective
+        assert again.x.tobytes() == res.x.tobytes()
+        assert again.duals.tobytes() == res.duals.tobytes()
+        assert (again.basis.basic, again.basis.status) == (res.basis.basic, res.basis.status)
+    assert optimal >= 100
+    assert reached >= 20
 
 
 def test_warm_load_matches_the_column_loops():
