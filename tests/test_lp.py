@@ -1,4 +1,5 @@
 import copy
+import ctypes
 import math
 import random
 
@@ -742,3 +743,30 @@ def test_warm_load_matches_the_column_loops():
             r -= s.A[:, nz] @ np.asarray([at[j] for j in nz])
         assert (s.Binv @ r).tobytes() == s._basic_values().tobytes()
     assert loaded >= 150
+
+
+class _Mallinfo2(ctypes.Structure):
+    _fields_ = [
+        (name, ctypes.c_size_t)
+        for name in ("arena", "ordblks", "smblks", "hblks", "hblkhd",
+                     "usmblks", "fsmblks", "uordblks", "fordblks", "keepcost")
+    ]
+
+
+def test_large_arrays_are_mapped_after_a_larger_one_is_freed():
+    """Importing kvcut pins glibc's mmap threshold at 1 MiB.
+
+    Left dynamic, freeing a mapped 8 MiB array would raise the threshold
+    to 8 MiB and put the next 2 MiB array on the heap, whose layout then
+    decides the peak RSS.
+    """
+    try:
+        mallinfo2 = ctypes.CDLL("libc.so.6").mallinfo2
+    except (OSError, AttributeError):
+        pytest.skip("needs glibc 2.33 or later")
+    mallinfo2.restype = _Mallinfo2
+    big = np.ones(1 << 20)  # 8 MiB
+    del big
+    mapped = mallinfo2().hblkhd
+    medium = np.ones(1 << 18)  # 2 MiB
+    assert mallinfo2().hblkhd >= mapped + medium.nbytes
