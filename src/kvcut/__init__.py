@@ -31,13 +31,13 @@ def _pin_malloc_thresholds():
     once glibc's mmap threshold rises to the largest one freed, and the
     peak RSS would depend on the heap's layout: the same lab run peaks at
     80 or at 87 MB.  A fixed threshold does not rise.  The trim threshold
-    is twice it, as glibc's own rule sets it, so a block freed at the top
-    of the heap and taken again by the next pivot stays mapped.
+    is four times it, so the two temporaries of up to 1 MiB that each row
+    block of the inverse update frees stay mapped for the next pivot.
     """
     try:
         libc = ctypes.CDLL("libc.so.6")
         libc.mallopt(_M_MMAP_THRESHOLD, 1 << 20)
-        libc.mallopt(_M_TRIM_THRESHOLD, 2 << 20)
+        libc.mallopt(_M_TRIM_THRESHOLD, 4 << 20)
     except (OSError, AttributeError):
         pass
 

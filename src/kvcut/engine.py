@@ -97,41 +97,31 @@ class SolveReport:
 
 @dataclass
 class BnpNode:
-    id: int
-    parent: Optional[int]
-    depth: int
     state: BranchState  # branching decisions only; symmetry re-derives the rest
-    bound: float
-    basis: Optional[lp.Basis]
-    seq: tuple[int, ...]
-    branch_var: Optional[int] = None
-    branch_dir: Optional[int] = None
-    branch_frac: float = 0.0
+    bound: float  # the parent's LP bound; -inf at the root
+    basis: Optional[lp.Basis]  # the parent's optimal basis, the warm start
+    seq: tuple[int, ...]  # branch vertices from the root; depth is len(seq)
+    frac: float = 0.0  # fractional part of seq[-1] in the parent's LP
 
 
 class _Pseudocosts:
-    """Per-vertex average LP gain per unit of bound movement."""
+    """Average LP gain per unit of bound movement, per vertex and direction."""
 
     def __init__(self):
-        self.stats: dict[int, list[float]] = {}
+        self.stats: dict[tuple[int, int], list[float]] = {}  # [sum, count]
 
     def record(self, vertex: int, direction: int, per_unit: float):
-        entry = self.stats.setdefault(vertex, [0.0, 0.0, 0.0, 0.0])
-        if direction == 0:
-            entry[0] += per_unit
-            entry[1] += 1.0
-        else:
-            entry[2] += per_unit
-            entry[3] += 1.0
+        entry = self.stats.setdefault((vertex, direction), [0.0, 0.0])
+        entry[0] += per_unit
+        entry[1] += 1.0
+
+    def _mean(self, vertex: int, direction: int) -> float:
+        total, count = self.stats.get((vertex, direction), (0.0, 0.0))
+        return total / count if count else 0.0
 
     def estimate(self, vertex: int, frac: float) -> tuple[float, float]:
-        """Expected (down, up) gains; (0, 0) for a vertex never observed."""
-        entry = self.stats.get(vertex)
-        if entry is None:
-            return 0.0, 0.0
-        down = entry[0] / entry[1] if entry[1] else 0.0
-        up = entry[2] / entry[3] if entry[3] else 0.0
-        return down * frac, up * (1.0 - frac)
+        """Expected (down, up) gains; 0 for a direction never observed."""
+        return self._mean(vertex, 0) * frac, self._mean(vertex, 1) * (1.0 - frac)
 
 
 def disconnection_heuristic(
@@ -233,10 +223,10 @@ class _Search:
         self.nodes_processed = 0
         self.max_depth = 0
         self.heap: list[tuple[float, int, int, BnpNode]] = []
+        self.pushed = 0  # nodes created, the heap's last tie-break
         self.inflight_bound: Optional[float] = None
         self.pseudo = _Pseudocosts()
         self.generators: list[list[int]] = []
-        self.next_id = 1
 
     # -- plumbing -------------------------------------------------------------
 
@@ -279,11 +269,10 @@ class _Search:
             bounds = [entry[0] for entry in self.heap]
             if self.inflight_bound is not None:
                 bounds.append(self.inflight_bound)
-            if bounds:
-                bb = min(bounds)
-                rep.best_bound = None if math.isinf(bb) else bb
-            elif self.incumbent is not None:
-                rep.best_bound = self.incumbent.objective
+            # never empty: the deadline is checked only with a node on the
+            # heap or in flight
+            bb = min(bounds)
+            rep.best_bound = None if math.isinf(bb) else bb
             if (
                 self.incumbent is not None
                 and rep.best_bound is not None
@@ -296,6 +285,11 @@ class _Search:
                     / self.incumbent.objective,
                 )
         return rep
+
+    def _push(self, node: BnpNode):
+        # best bound first, then deepest, then oldest
+        heapq.heappush(self.heap, (node.bound, -len(node.seq), self.pushed, node))
+        self.pushed += 1
 
     def _prunable(self, bound: float) -> bool:
         if self.incumbent is None:
@@ -324,8 +318,7 @@ class _Search:
         if self.opts.symmetry:
             self.generators = automorphism_generators(self.g)
 
-        root = BnpNode(0, None, 0, BranchState(), -math.inf, None, ())
-        heapq.heappush(self.heap, (root.bound, 0, root.id, root))
+        self._push(BnpNode(BranchState(), -math.inf, None, ()))
         try:
             while self.heap:
                 _check_deadline(self.deadline)
@@ -334,7 +327,7 @@ class _Search:
                     continue
                 self.inflight_bound = bound
                 self.nodes_processed += 1
-                self.max_depth = max(self.max_depth, node.depth)
+                self.max_depth = max(self.max_depth, len(node.seq))
                 self._process(node)
                 self.inflight_bound = None
         except _Timeout:
@@ -385,20 +378,15 @@ class _Search:
         if res is None:
             return
         bound = res.objective
-        if node.id == 0:
+        if not node.seq:
             self.root_bound = bound
             self.cols_root = len(self.rmp.columns)
         if self.rmp.infeasible(res):
             return  # no admissible solution under these fixings
-        if node.branch_var is not None and math.isfinite(node.bound):
+        if node.seq and math.isfinite(node.bound):
             self._record_branch_gain(node, bound)
         if bound < node.bound - BOUND_EPS:
-            log.debug(
-                "node %d bound %.9g below parent bound %.9g",
-                node.id,
-                bound,
-                node.bound,
-            )
+            log.debug("node %s bound %.9g below parent bound %.9g", node.seq, bound, node.bound)
         if self._prunable(bound):
             return
         xvals = [float(res.x[self.rmp.x_vars[v]]) for v in range(self.g.n)]
@@ -415,11 +403,11 @@ class _Search:
 
     def _record_branch_gain(self, node: BnpNode, bound: float):
         gain = max(0.0, bound - node.bound)
-        frac = node.branch_frac
-        if node.branch_dir == 0 and frac > INT_TOL:
-            self.pseudo.record(node.branch_var, 0, gain / frac)
-        elif node.branch_dir == 1 and (1.0 - frac) > INT_TOL:
-            self.pseudo.record(node.branch_var, 1, gain / (1.0 - frac))
+        var = node.seq[-1]
+        direction = int(var in node.state.fixed_to_cut)  # 1: the deletion child
+        share = 1.0 - node.frac if direction else node.frac
+        if share > INT_TOL:
+            self.pseudo.record(var, direction, gain / share)
 
     def _integral_leaf(
         self,
@@ -498,19 +486,5 @@ class _Search:
         frac = value - math.floor(value)
         seq = node.seq + (var,)
         for direction in (1, 0):  # explore the deletion side first on ties
-            child = BnpNode(
-                self.next_id,
-                node.id,
-                node.depth + 1,
-                node.state.with_fixing(var, direction),
-                bound,
-                basis,
-                seq,
-                branch_var=var,
-                branch_dir=direction,
-                branch_frac=frac,
-            )
-            self.next_id += 1
-            heapq.heappush(
-                self.heap, (bound, -child.depth, child.id, child)
-            )
+            state = node.state.with_fixing(var, direction)
+            self._push(BnpNode(state, bound, basis, seq, frac))

@@ -54,6 +54,8 @@ Conventions
   one certificate of infeasibility.
 * Pricing is most-negative reduced cost, falling back to Bland's rule
   after a run of degenerate pivots, so the method always terminates.
+* Both phases change the basis through one pivot step.  ``iterations``
+  counts pivots and bound flips, not pricing passes or zero-pivot refactors.
 * Every OPTIMAL is certified on a fresh factorization: row residuals and
   variable bounds within FEAS_TOL, reduced-cost signs within RC_TOL.  A
   basis that fails gets one more round of phase 2; failing again, the
@@ -113,7 +115,7 @@ class LpResult:
     x: Optional[np.ndarray] = None  # value per column id
     duals: Optional[np.ndarray] = None  # value per row id
     basis: Optional[Basis] = None
-    iterations: int = 0
+    iterations: int = 0  # pivots and bound flips
 
 
 class LinearProgram:
@@ -322,7 +324,7 @@ class _Simplex:
         upper bound [upper, inf) and cost +1: phase 1 moves it towards
         the violated bound, and it leaves the basis on reaching it.
         """
-        basic = np.asarray(self.basic)
+        basic = np.asarray(self.basic, dtype=np.intp)
         lo, hi = self.lb[basic], self.ub[basic]
         below = self.xb < lo - FEAS_TOL
         above = self.xb > hi + FEAS_TOL
@@ -353,7 +355,6 @@ class _Simplex:
         while True:
             if self.iters >= ITER_LIMIT:
                 return ITERATION_LIMIT
-            self.iters += 1
             y = cb @ self.Binv
             d = costs - y @ self.A
             mispriced = self._mispriced(d)
@@ -375,6 +376,7 @@ class _Simplex:
             bland = streak >= _BLAND_AFTER
             if leave_pos == -1:
                 # bound flip: entering runs across to its other bound
+                self.iters += 1
                 self.xb -= t_best * dw
                 self.status[enter] = AT_UB if direction > 0 else AT_LB
                 self.x[enter] = self.ub[enter] if direction > 0 else self.lb[enter]
@@ -385,14 +387,9 @@ class _Simplex:
             if out in self.relaxed:
                 leave_to = self._unrelax(out)
                 costs[out] = 0.0
-            self.status[out] = leave_to
-            self.x[out] = self.lb[out] if leave_to == AT_LB else self.ub[out]
-            self.xb -= t_best * dw
-            start = self.lb[enter] if direction > 0 else self.ub[enter]
             cb[leave_pos] = costs[enter]
             lo[leave_pos], hi[leave_pos] = self.lb[enter], self.ub[enter]
-            self.xb[leave_pos] = start + direction * t_best
-            self._pivot(leave_pos, enter, w)
+            self._pivot(leave_pos, enter, w, direction * t_best, leave_to)
 
     def _zero_pivot(self, pivot: float) -> bool:
         """Refactor instead on a pivot element below PIVOT_TOL; the fourth in a row raises."""
@@ -405,8 +402,15 @@ class _Simplex:
         self.zero_pivots = 0
         return False
 
-    def _pivot(self, p: int, q: int, w: np.ndarray):
-        """Column q (B^-1 a_q = w) enters in row p; the caller has moved the basic values."""
+    def _pivot(self, p: int, q: int, w: np.ndarray, theta: float, leave_to: int):
+        """The one basis change: column q (B^-1 a_q = w) enters row p, moving by
+        theta from its bound, and row p's column leaves at ``leave_to``."""
+        out = self.basic[p]
+        self.status[out] = leave_to
+        self.x[out] = self.lb[out] if leave_to == AT_LB else self.ub[out]
+        self.xb -= theta * w
+        self.xb[p] = self.x[q] + theta
+        self.iters += 1
         self.basic[p] = q
         self.status[q] = BASIC
         self._update_inverse(p, w)
@@ -508,7 +512,7 @@ class _Simplex:
         streak = 0  # degenerate pivots in a row
         self.zero_pivots = 0
         while True:
-            basic = np.asarray(self.basic)
+            basic = np.asarray(self.basic, dtype=np.intp)
             lo, hi = self.lb[basic], self.ub[basic]
             excess = np.maximum(lo - self.xb, self.xb - hi)
             violated = excess > FEAS_TOL
@@ -516,14 +520,12 @@ class _Simplex:
                 return OPTIMAL
             if self.iters >= ITER_LIMIT:
                 return ITERATION_LIMIT
-            self.iters += 1
             if bland:
                 rows = np.flatnonzero(violated)
                 r = int(rows[np.argmin(basic[rows])])
             else:
                 r = int(np.argmax(excess))
             to_lb = self.xb[r] < lo[r]
-            target = lo[r] if to_lb else hi[r]
             d = self._reduced_costs()
             alpha = self.Binv[r] @ self.A
             # x_r rises to its lower bound (or falls to its upper bound)
@@ -549,13 +551,9 @@ class _Simplex:
             w = self.Binv @ self.A[:, q]
             if self._zero_pivot(w[r]):
                 continue
-            out = self.basic[r]
-            self.status[out] = AT_LB if to_lb else AT_UB
-            self.x[out] = target
+            target = lo[r] if to_lb else hi[r]
             theta = (self.xb[r] - target) / w[r]  # signed move of x_q
-            self.xb -= theta * w
-            self.xb[r] = self.x[q] + theta
-            self._pivot(r, q, w)
+            self._pivot(r, q, w, theta, AT_LB if to_lb else AT_UB)
 
     def _certified(self) -> bool:
         """Primal and dual feasibility of the current (freshly factored) basis."""
@@ -570,16 +568,6 @@ class _Simplex:
     # -- driver -----------------------------------------------------------------
 
     def run(self) -> LpResult:
-        if self.m == 0:
-            # optimal by construction: each column sits at the bound its
-            # cost favours, so there is nothing to certify
-            finite_lb = self.lb > -INF
-            x = np.where((self.c > 0) | ((self.c == 0) & finite_lb), self.lb, self.ub)
-            if not np.all(np.isfinite(x)):
-                return LpResult(UNBOUNDED)
-            status = np.where(finite_lb, AT_LB, AT_UB).tolist()
-            obj = float(self.c @ x)
-            return LpResult(OPTIMAL, obj, x, np.zeros(0), Basis([], status))
         loaded = self.warm is not None and self._load_warm(self.warm)
         if not loaded:
             self._cold_basis()

@@ -364,6 +364,20 @@ def test_branch_selection_solves_no_lp(monkeypatch):
     assert search._select_branch(candidates, xvals) == 7
 
 
+def test_branch_gain_is_recorded_per_direction():
+    # a child reads its branch vertex off seq and its direction off state:
+    # the deletion child learns the up gain, the keep child the down gain
+    search = _Search(Instance(karate(), 5), SolveOptions())
+    search._branch(BnpNode(BranchState(), -math.inf, None, ()), 7, 0.25, None, 2.0)
+    cut, keep = (entry[3] for entry in sorted(search.heap, key=lambda e: e[:3]))
+    assert cut.seq == keep.seq == (7,) and cut.frac == keep.frac == 0.25
+    assert 7 in cut.state.fixed_to_cut and 7 in keep.state.fixed_to_keep
+    search._record_branch_gain(cut, 3.0)  # gain 1 over 0.75 units up
+    search._record_branch_gain(keep, 2.5)  # gain 0.5 over 0.25 units down
+    assert search.pseudo.stats == {(7, 1): [1.0 / 0.75, 1.0], (7, 0): [0.5 / 0.25, 1.0]}
+    assert search.pseudo.estimate(7, 0.25) == pytest.approx((0.5, 1.0))
+
+
 def _leaf(search, xvals, clusters=()):
     """An LP result with the given x and unit weight on each pooled cluster."""
     rmp = search.rmp
@@ -384,15 +398,16 @@ def test_integral_leaf_that_fails_verification_is_branched_away():
     search = _Search(Instance(g, 4), SolveOptions())
     search.rmp = init_rmp(search.inst, build_clique_family(g))
     state = BranchState(fixed_to_cut=frozenset({1}))
-    node = BnpNode(0, None, 0, state, -math.inf, None, ())
+    node = BnpNode(state, -math.inf, None, ())
     xvals = [0.0, 2.0, 0.0, 2.0, 1.0, 0.0]
     res = _leaf(search, xvals, clusters=[(4,)])
     search._integral_leaf(node, state, res, xvals, 1.5)
     assert search.incumbent is None
     children = sorted(
-        (child.branch_dir, child.branch_var, bound) for bound, _, _, child in search.heap
+        (child.seq[-1] in child.state.fixed_to_cut, child.seq, bound)
+        for bound, _, _, child in search.heap
     )
-    assert children == [(0, 3, 1.5), (1, 3, 1.5)]
+    assert children == [(False, (3,), 1.5), (True, (3,), 1.5)]
     # with no candidate left the point cannot be branched away
     search.heap.clear()
     xvals = [0.0] * 6
@@ -411,8 +426,8 @@ def test_time_limit_report_after_the_root(monkeypatch, in_flight):
     process = _Search._process
 
     def process_then_expire(self, node):
-        processed.append(node.id)
-        if in_flight and node.id != 0:
+        processed.append(node.seq)
+        if in_flight and node.seq:
             now[0] = 100.0  # expires inside this node's column generation
         process(self, node)
         if not in_flight:

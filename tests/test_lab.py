@@ -129,16 +129,17 @@ def test_extended_cover_bound_on_p3_is_one():
 
 # The extended bound at k=4: (instance, family, value, pivots, columns).
 # These are the counts under one BLAS thread, as the benchmark runs; with
-# two threads bcspwr01/edges takes 157 pivots and ends with 76 columns.
+# two threads bcspwr01/edges takes 150 pivots and ends with 76 columns.
+# Pivots count pivots and bound flips, not pricing passes.
 PINNED_EXTENDED_WORK = [
     # (graph, clique family or bound, value, pivots, columns or cuts)
-    ("karate", "cover", 15 / 13, 278, 102),
-    ("bcspwr01", "partition", 81 / 17, 179, 90),
-    ("bcspwr01", "edges", 117 / 37, 158, 88),
+    ("karate", "cover", 15 / 13, 237, 102),
+    ("bcspwr01", "partition", 81 / 17, 164, 90),
+    ("bcspwr01", "edges", 117 / 37, 149, 88),
     # one cold LP with 1,011 rows: the inverse update runs over many blocks
-    ("bcspwr01", "compact", 0.0, 229, None),
+    ("bcspwr01", "compact", 0.0, 227, None),
     # rows added between warm solves, so no solve can reuse the last inverse
-    ("gnp-40-0.08-3", "natural", 5.0, 197, 44),
+    ("gnp-40-0.08-3", "natural", 5.0, 153, 44),
 ]
 
 _EXTENDED_WORK_SCRIPT = """

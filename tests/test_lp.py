@@ -29,6 +29,11 @@ def test_single_bound_row():
     assert abs(res.objective - 3.0) < 1e-9
     assert abs(res.x[cols[0]] - 3.0) < 1e-9
     assert abs(res.duals[0] - 1.0) < 1e-9
+    # phase 1 takes one pivot, and the pricing passes that end each phase
+    # count for nothing
+    assert res.iterations == 1
+    again = model.solve(warm=res.basis)
+    assert (again.status, again.iterations) == (lp.OPTIMAL, 0)
 
 
 def test_unbounded():
@@ -152,7 +157,14 @@ def _check_certificate(costs, bounds, rows, res):
             assert rc >= -tol
         elif x[j] >= hi - tol and x[j] > lo + tol:
             assert rc <= tol
-        dual_obj += max(rc, 0.0) * lo + min(rc, 0.0) * hi
+        # a bound's term only for a reduced cost of that bound's sign, as
+        # 0 * inf is nan; one within tol prices the column at its value
+        if rc > tol:
+            dual_obj += rc * lo
+        elif rc < -tol:
+            dual_obj += rc * hi
+        else:
+            dual_obj += rc * x[j]
     assert abs(dual_obj - res.objective) <= 1e-5 * (1 + abs(res.objective))
 
 
@@ -169,6 +181,24 @@ def test_optimality_certificates_on_random_lps():
             _check_certificate(costs, bounds, rows, res)
             solved += 1
     assert solved >= 30  # the generator must not degenerate
+
+
+def test_optimality_certificates_with_infinite_bounds():
+    # columns in [0, inf) or (-inf, 0], each with the cost sign that keeps
+    # the objective bounded below by 0
+    rng = random.Random(41)
+    solved = 0
+    for _ in range(60):
+        n, m = rng.randint(2, 8), rng.randint(1, 6)
+        _, _, rows = _random_lp(rng, n, m)
+        bounds = [rng.choice([(0.0, INF), (-INF, 0.0)]) for _ in range(n)]
+        costs = [rng.uniform(0.0, 2.0) * (1.0 if lo == 0.0 else -1.0) for lo, _ in bounds]
+        model, _ = build(costs, bounds, rows)
+        res = model.solve()
+        if res.status == lp.OPTIMAL:
+            _check_certificate(costs, bounds, rows, res)
+            solved += 1
+    assert solved >= 20
 
 
 def test_against_scipy_on_dense_lps():
@@ -222,6 +252,34 @@ def test_warm_start_survives_growth():
     assert res.status == lp.OPTIMAL
     # y fills to its row cap 0.8, x covers the remainder of the >= row
     assert abs(res.objective - (0.5 * 0.8 + 0.2)) < 1e-9
+
+
+def test_empty_model_solves_through_the_simplex():
+    # no rows: each column goes to the bound its cost favours through
+    # bound flips, and the snapshot records the bound it went to
+    costs = [1.0, -1.0, -1.0, 2.0, -0.5 * lp.RC_TOL, 0.0]
+    bounds = [(0.0, 2.0), (0.0, 4.0), (-INF, 3.0), (-1.0, INF), (0.0, INF), (-INF, 0.0)]
+    model, cols = build(costs, bounds, [])
+    res = model.solve()
+    assert res.status == lp.OPTIMAL
+    # a cost within RC_TOL stays at its bound (column 4), as in every LP
+    assert res.x.tolist() == [0.0, 4.0, 3.0, -1.0, 0.0, 0.0]
+    assert res.basis.basic == [] and res.duals.size == 0
+    assert res.basis.status == [lp.AT_LB, lp.AT_UB, lp.AT_UB, lp.AT_LB, lp.AT_LB, lp.AT_UB]
+    assert res.objective == -9.0
+    assert res.iterations == 1  # the flip of column 1
+    again = model.solve(warm=res.basis)
+    assert (again.x.tolist(), again.iterations) == (res.x.tolist(), 0)
+    # a row added later starts on its own logical and re-solves warm
+    model.add_row(lp.GREATER, 1.0, [(cols[0], 1.0), (cols[3], 1.0)])
+    grown = model.solve(warm=res.basis)
+    ref = build(costs, bounds, [(lp.GREATER, 1.0, [1.0, 0.0, 0.0, 1.0, 0.0, 0.0])])[0].solve()
+    assert grown.status == ref.status == lp.OPTIMAL
+    assert grown.objective == pytest.approx(ref.objective) == -7.0
+    # a cost that favours an infinite bound is unbounded
+    for cost, lo, hi in ((-1.0, 0.0, INF), (1.0, -INF, 0.0)):
+        model, _ = build(costs + [cost], bounds + [(lo, hi)], [])
+        assert model.solve().status == lp.UNBOUNDED
 
 
 def test_set_bounds_deactivates_column():
@@ -770,3 +828,25 @@ def test_large_arrays_are_mapped_after_a_larger_one_is_freed():
     mapped = mallinfo2().hblkhd
     medium = np.ones(1 << 18)  # 2 MiB
     assert mallinfo2().hblkhd >= mapped + medium.nbytes
+
+
+def test_freed_update_blocks_stay_on_the_heap():
+    """The heap keeps the inverse update's freed row blocks for the next pivot.
+
+    At m = 1,011 each block temporary is just below the mmap threshold,
+    so it lives on the heap.  Three freed together at the top -- the two
+    of one row block and a third for the free space next to them -- must
+    not be trimmed, or every pivot faults them in again.
+    """
+    try:
+        libc = ctypes.CDLL("libc.so.6")
+        mallinfo2 = libc.mallinfo2
+    except (OSError, AttributeError):
+        pytest.skip("needs glibc 2.33 or later")
+    mallinfo2.restype = _Mallinfo2
+    libc.malloc_trim(0)  # start from a heap top with no free space to spare
+    for _ in range(3):
+        blocks = [np.ones((lp._UPDATE_BLOCK, 1011)) for _ in range(3)]
+        arena = mallinfo2().arena
+        del blocks
+        assert mallinfo2().arena == arena
