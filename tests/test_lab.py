@@ -131,15 +131,32 @@ def test_extended_cover_bound_on_p3_is_one():
 # These are the counts under one BLAS thread, as the benchmark runs; with
 # two threads bcspwr01/edges takes 150 pivots and ends with 76 columns.
 # Pivots count pivots and bound flips, not pricing passes.
+# Each case has a fixed id, so that re-pinning a count keeps its name. The
+# ids hold the values first pinned, when pricing passes still counted.
 PINNED_EXTENDED_WORK = [
     # (graph, clique family or bound, value, pivots, columns or cuts)
-    ("karate", "cover", 15 / 13, 237, 102),
-    ("bcspwr01", "partition", 81 / 17, 164, 90),
-    ("bcspwr01", "edges", 117 / 37, 149, 88),
+    pytest.param(
+        "karate", "cover", 15 / 13, 237, 102,
+        id="karate-cover-1.1538461538461537-278-102",
+    ),
+    pytest.param(
+        "bcspwr01", "partition", 81 / 17, 164, 90,
+        id="bcspwr01-partition-4.764705882352941-179-90",
+    ),
+    pytest.param(
+        "bcspwr01", "edges", 117 / 37, 149, 88,
+        id="bcspwr01-edges-3.1621621621621623-158-88",
+    ),
     # one cold LP with 1,011 rows: the inverse update runs over many blocks
-    ("bcspwr01", "compact", 0.0, 227, None),
+    pytest.param(
+        "bcspwr01", "compact", 0.0, 227, None,
+        id="bcspwr01-compact-0.0-229-None",
+    ),
     # rows added between warm solves, so no solve can reuse the last inverse
-    ("gnp-40-0.08-3", "natural", 5.0, 153, 44),
+    pytest.param(
+        "gnp-40-0.08-3", "natural", 5.0, 153, 44,
+        id="gnp-40-0.08-3-natural-5.0-197-44",
+    ),
 ]
 
 _EXTENDED_WORK_SCRIPT = """
