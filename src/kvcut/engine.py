@@ -193,8 +193,8 @@ def column_generation(
         work.pricing_seconds += time.monotonic() - t0
         if not sum(rmp.add_column(col.subset) for col in outcome.columns):
             if outcome.columns:
-                # the violated cluster is pooled and active, so its margin
-                # is below the simplex tolerance; treat CG as converged
+                # every violated cluster is pooled and active, so its
+                # margin is below the simplex tolerance; treat CG as converged
                 log.debug("pricing returned only pooled columns")
             return res
 

@@ -10,7 +10,10 @@ it and cut membership is unambiguous.
 Each phase's BFS stops once it labels the sink: nodes at the sink's level
 or deeper lie on no shortest augmenting path.  The BFS that cannot reach
 the sink labels exactly the nodes reachable from the source, so the
-minimal min-cut source side is read from its labels.  A ``limit`` stops
+minimal min-cut source side is read from its labels, and
+``maximal_source_side`` reads the largest one off the same residual: the
+nodes that cannot reach the sink, by one reverse BFS and no flow.  Every
+min-cut source side lies between the two.  A ``limit`` stops
 the flow as soon as its value reaches it; connectivity uses this to drop
 a pair once it can no longer beat the best separator found so far.
 
@@ -142,6 +145,27 @@ class FlowNetwork:
                 u = to[a ^ 1]
                 it[u] += 1  # skip the arc that led into the dead end
         return total, None
+
+    def maximal_source_side(self, t: int, res: list[float]) -> list[int]:
+        """The largest min-cut source side, read off a maximum flow's residual.
+
+        ``res`` must hold a maximum flow into t, as ``max_flow`` leaves
+        it.  The side is every node that cannot reach t in the residual
+        network, found by a BFS from t over reversed arcs.  Like the
+        minimal side it is unique, whatever maximum flow left ``res``
+        (Picard & Queyranne 1980), and its cut has the same capacity.
+        """
+        to = self.to
+        reaches = [False] * self.n
+        reaches[t] = True
+        queue = [t]
+        for v in queue:  # grows while it is scanned
+            for a in self.head[v]:
+                u = to[a]
+                if not reaches[u] and res[a ^ 1] > CUT_TOL:
+                    reaches[u] = True
+                    queue.append(u)
+        return [u for u in range(self.n) if not reaches[u]]
 
 
 @dataclass

@@ -21,9 +21,15 @@ the count price added to that vertex's source arc, which forces the
 vertex into the cluster whenever any violated cluster contains it.
 Raising one source arc keeps the stage-1 flow feasible, so each boosted
 cut resumes from a copy of the stage-1 residual instead of starting
-from zero flow; the network itself is never changed.  The minimal
-min-cut source side does not depend on the flow a run starts from, so a
-resumed cut finds the same cluster a cold one would.
+from zero flow; the network itself is never changed.
+
+Every maximum flow proves two clusters: the minimal and the maximal
+min-cut source side, which carry the same violation (Picard & Queyranne
+1980), and each side's connected pieces are columns too.  Both sides are
+read off the final residual, by the flow's last BFS and by one reverse
+BFS, so every extra column costs a search, not a flow (several columns
+per round: Lübbecke & Desrosiers 2005).  Neither side depends on the flow
+a run starts from, so a resumed cut finds the clusters a cold one would.
 """
 
 from __future__ import annotations
@@ -32,13 +38,11 @@ from dataclasses import dataclass, field
 from typing import Optional
 
 from .flow import INF, FlowNetwork
-from .graph import Graph
+from .graph import Graph, connected_components
 from .master import CliqueFamily, DualPrices
 
 #: a cluster is worth adding when its violation exceeds this
 VIOLATION_TOL = 1e-6
-#: stage 2 returns at most this many clusters
-MAX_COLUMNS = 10
 
 
 @dataclass(frozen=True)
@@ -140,45 +144,70 @@ def price(
 ) -> PricingOutcome:
     """Two-stage search for violated cluster columns.
 
-    Stage 1 returns the single best cluster when the plain minimum cut
-    already carries one.  An empty stage-1 cluster is conclusive unless
-    the count price is positive, in which case stage 2 sweeps one boosted
-    cut per eligible vertex, each resumed from the stage-1 residual, and
-    returns up to ``MAX_COLUMNS`` of its finds, most violated first.  An
-    empty outcome certifies that no cluster column prices out.
+    Stage 1 takes one minimum cut.  When its minimal source side is a
+    violated cluster, stage 1 returns it first, then the side's pieces
+    (its connected components in g) when it is disconnected, then the
+    maximal source side of the same cut and its pieces, each column once
+    and only if it prices out.  Both sides reach the maximum violation.
+    A clique meets at most one piece, so a piece keeps its own cover and
+    clique prices and is admissible whenever its side is.
+
+    An empty stage-1 minimal side is conclusive unless the count price is
+    positive, in which case stage 2 sweeps one boosted cut per eligible
+    vertex, each resumed from the stage-1 residual, and returns the
+    minimal and maximal side of every boosted cut that prices out, most
+    violated first, ties by subset.
+
+    An empty outcome certifies that no cluster column prices out.  The
+    minimal side maximizes the violation over every admissible subset,
+    the empty one included, whose margin is the count price.  So a
+    minimal side that does not price out, or an empty one with a count
+    price within the tolerance, leaves no column to find.  Otherwise the
+    empty set is a maximizer: in the boosted cut of v every subset
+    without v scores at most the count price and a violated cluster with
+    v scores its violation plus the count price, so that cut finds a
+    cluster with v at least as violated, and stage 2 misses none.
     """
     n = g.n
+    found: dict[tuple[int, ...], float] = {}
+
+    def collect(subset: tuple[int, ...]) -> None:
+        if subset and subset not in found:
+            violation = cluster_violation(fam, prices, subset)
+            if violation > VIOLATION_TOL:
+                assert state.allows_cluster(g, subset)
+                found[subset] = violation
+
     net, source_arcs = build_network(g, fam, prices, state)
     # the sentinel must stay above the boosted cuts of stage 2
     base = net.residual(headroom=prices.count_price)
     _, side = net.max_flow(0, 1, base)
     subset = _source_vertices(side, n)
     if subset:
-        violation = cluster_violation(fam, prices, subset)
-        if violation > VIOLATION_TOL:
-            assert state.allows_cluster(g, subset)
-            return PricingOutcome([PricedColumn(subset, violation)], 1)
-        return PricingOutcome()
+        collect(subset)
+        if not found:
+            return PricingOutcome()
+        largest = _source_vertices(net.maximal_source_side(1, base), n)
+        for cut_side in (subset, largest):
+            collect(cut_side)
+            # a connected side is its own single piece, and found already
+            for piece in connected_components(g, cut_side):
+                collect(tuple(piece))
+        columns = [PricedColumn(s, viol) for s, viol in found.items()]
+        return PricingOutcome(columns, 1)
     if prices.count_price <= VIOLATION_TOL:
         return PricingOutcome()
 
     boost = prices.count_price
-    found: dict[tuple[int, ...], float] = {}
     for v in range(n):
         if v in state.fixed_to_cut:
             continue
         res = base.copy()
         res[source_arcs[v]] += boost
         _, side = net.max_flow(0, 1, res)
-        subset = _source_vertices(side, n)
-        if not subset or subset in found:
-            continue
-        violation = cluster_violation(fam, prices, subset)
-        if violation > VIOLATION_TOL:
-            assert state.allows_cluster(g, subset)
-            found[subset] = violation
+        collect(_source_vertices(side, n))
+        collect(_source_vertices(net.maximal_source_side(1, res), n))
     if not found:
         return PricingOutcome()
     ranked = sorted(found.items(), key=lambda item: (-item[1], item[0]))
-    columns = [PricedColumn(s, viol) for s, viol in ranked[:MAX_COLUMNS]]
-    return PricingOutcome(columns, 2)
+    return PricingOutcome([PricedColumn(s, viol) for s, viol in ranked], 2)

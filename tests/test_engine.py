@@ -127,8 +127,8 @@ def test_karate_k5_optimum():
     assert tuple(rep["cut"]) == (0, 1)
     assert rep["nodes"] == 6
     assert rep["max_depth"] == 2
-    assert rep["cols_total"] == 149
-    assert rep["cols_root"] == 53
+    assert rep["cols_total"] == 150
+    assert rep["cols_root"] == 83
 
 
 # ------------------------------------------------------------ column generation
@@ -149,7 +149,7 @@ def test_column_generation_converges_at_the_karate_root():
     assert res.status == lp.OPTIMAL
     assert not rmp.infeasible(res)
     assert res.objective == pytest.approx(20 / 13, abs=1e-9)
-    assert len(rmp.columns) == 53  # the root's cols_root in the pinned solve
+    assert len(rmp.columns) == 83  # the root's cols_root in the pinned solve
     assert work.pivots > 0
     # converged: nothing prices out that is not already pooled
     outcome = price(g, rmp.fam, rmp.extract_duals(res), BranchState())

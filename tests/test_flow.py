@@ -300,32 +300,53 @@ def _random_network(rng, n, density=0.4, inf_share=0.15):
     return net
 
 
-def _smallest_min_cut_side(net, s, t):
-    """(capacity, side) of the fewest-node minimum-capacity source set, by
-    enumerating every node set with s and without t."""
+def _min_cut_source_sets(net, s, t):
+    """(capacity, side) of every node set with s and without t, fewest
+    nodes first."""
     arcs = [(net.to[a + 1], net.to[a], net.cap[a]) for a in range(0, len(net.cap), 2)]
     others = [v for v in range(net.n) if v != s and v != t]
-    best = None
     for r in range(len(others) + 1):
         for combo in itertools.combinations(others, r):
             side = {s, *combo}
-            cap = sum(c for a, b, c in arcs if a in side and b not in side)
-            if best is None or cap < best[0]:
-                best = (cap, sorted(side))
+            yield sum(c for a, b, c in arcs if a in side and b not in side), sorted(side)
+
+
+def _smallest_min_cut_side(net, s, t):
+    """(capacity, side) of the fewest-node minimum-capacity source set, by
+    enumerating every node set with s and without t."""
+    best = None
+    for cap, side in _min_cut_source_sets(net, s, t):
+        if best is None or cap < best[0]:
+            best = (cap, side)
     return best
+
+
+def _largest_min_cut_side(net, s, t):
+    """(capacity, side) of the most-node minimum-capacity source set, by
+    enumerating every node set with s and without t."""
+    best = None
+    for cap, side in _min_cut_source_sets(net, s, t):
+        if best is None or cap <= best[0]:
+            best = (cap, side)
+    return best
+
+
+def _cut_side_networks(rng):
+    """The first network puts t one BFS level from s, next to other nodes
+    of that level, so the BFS stops early there; 120 random ones follow."""
+    first = FlowNetwork(5)
+    for a, b, cap in [(0, 4, 1.0), (0, 1, 2.0), (0, 2, INF), (1, 4, 1.5),
+                      (2, 3, 1.0), (2, 1, 0.5), (3, 4, 2.0)]:
+        first.add_arc(a, b, cap)
+    return [first] + [_random_network(rng, rng.randint(3, 7)) for _ in range(120)]
 
 
 def test_max_flow_side_is_the_smallest_minimum_cut():
     # the side comes from the last BFS's labels; it must be the minimal
     # min-cut source side for cold flows and for flows resumed after one
-    # arc is raised.  The first network puts t one BFS level from s, next
-    # to other nodes of that level, so the BFS stops early there.
-    first = FlowNetwork(5)
-    for a, b, cap in [(0, 4, 1.0), (0, 1, 2.0), (0, 2, INF), (1, 4, 1.5),
-                      (2, 3, 1.0), (2, 1, 0.5), (3, 4, 2.0)]:
-        first.add_arc(a, b, cap)
+    # arc is raised
     rng = random.Random(53)
-    nets = [first] + [_random_network(rng, rng.randint(3, 7)) for _ in range(120)]
+    nets = _cut_side_networks(rng)
     checked = 0
     for trial, net in enumerate(nets):
         t = net.n - 1
@@ -348,6 +369,40 @@ def test_max_flow_side_is_the_smallest_minimum_cut():
             assert side == expected[1], trial
         checked += 1
     assert checked >= 80
+
+
+def test_maximal_source_side_is_the_largest_minimum_cut():
+    # the reverse BFS from t must give the maximal min-cut source side,
+    # both after a cold flow and after a flow resumed with one arc raised,
+    # where it must equal the cold side of the raised network
+    rng = random.Random(53)
+    checked = larger = 0
+    for trial, net in enumerate(_cut_side_networks(rng)):
+        t = net.n - 1
+        expected = _largest_min_cut_side(net, 0, t)
+        if expected[0] == INF:
+            continue
+        res = net.residual()
+        value, smallest = net.max_flow(0, t, res)
+        assert value == expected[0], trial
+        assert net.maximal_source_side(t, res) == expected[1], trial
+        larger += len(expected[1]) > len(smallest)
+        finite = [a for a in range(0, len(net.cap), 2) if net.cap[a] != INF]
+        if finite:
+            arc, extra = rng.choice(finite), rng.choice([0.25, 2.0, 64.0])
+            base = net.residual(headroom=extra)
+            net.max_flow(0, t, base)
+            base[arc] += extra
+            net.max_flow(0, t, base)
+            net.cap[arc] += extra
+            cold = net.residual()
+            net.max_flow(0, t, cold)
+            side = net.maximal_source_side(t, base)
+            assert side == net.maximal_source_side(t, cold), trial
+            assert side == _largest_min_cut_side(net, 0, t)[1], trial
+        checked += 1
+    # the two sides differ often enough that swapping them would fail
+    assert checked >= 80 and larger >= 20
 
 
 def test_max_flow_limit_returns_a_side_exactly_below_the_limit():

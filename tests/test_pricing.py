@@ -8,7 +8,6 @@ from kvcut.graph import Graph
 from kvcut.instance import gnp_graph
 from kvcut.master import DualPrices, build_clique_family
 from kvcut.pricing import (
-    MAX_COLUMNS,
     VIOLATION_TOL,
     BranchState,
     PricedColumn,
@@ -127,6 +126,27 @@ def test_stage_one_fires_when_plain_cut_is_nonempty():
     assert outcome.columns[0].violation == pytest.approx(4.0)
 
 
+def test_stage_one_returns_both_sides_and_their_pieces():
+    # two violated edges' ends make a disconnected minimal side; the free
+    # partners 1 and 3 and the unpriced isolated vertex 4 join the
+    # maximal side at no cost, and each side splits into its pieces
+    g = Graph(5, [(0, 1), (2, 3)])
+    fam = edge_family(g)
+    assert fam.cliques == [(0, 1), (2, 3), (4,)]
+    duals = DualPrices(0.5, [2.0, 0.0, 2.0, 0.0, 0.0], [1.0, 1.0, 0.0])
+    outcome = price(g, fam, duals, BranchState())
+    assert outcome.stage == 1
+    assert [(c.subset, c.violation) for c in outcome.columns] == [
+        ((0, 2), 2.5), ((0,), 1.5), ((2,), 1.5),
+        ((0, 1, 2, 3, 4), 2.5), ((0, 1), 1.5), ((2, 3), 1.5), ((4,), 0.5),
+    ]
+    # a keep fixing on 1 holds it in every side with 0, and a cut fixing
+    # on 2 leaves the other edge out
+    bs = BranchState(frozenset({2}), frozenset({1}))
+    outcome = price(g, fam, duals, bs)
+    assert [c.subset for c in outcome.columns] == [(0, 1), (0, 1, 4), (4,)]
+
+
 def test_all_zero_duals_price_nothing():
     g = path3()
     duals = DualPrices(0.0, [0.0, 0.0, 0.0], [0.0, 0.0])
@@ -135,22 +155,34 @@ def test_all_zero_duals_price_nothing():
     assert outcome.columns == []
 
 
-def test_max_columns_keeps_best_by_violation_then_lex():
+def test_stage_two_returns_every_find_by_violation_then_lex():
     star = Graph(4, [(0, 1), (0, 2), (0, 3)])
     duals = DualPrices(1.0, [0.0] * 4, [0.1, 0.1, 0.1])
     outcome = price(star, edge_family(star), duals, BranchState())
-    assert [c.subset for c in outcome.columns] == [(1,), (2,), (3,), (0,)]
-    # fourteen violated leaves, with ties at the cap
+    # the centre's cut: the leaves join it free, as their edges are paid
+    assert [c.subset for c in outcome.columns] == [
+        (1,), (2,), (3,), (0,), (0, 1, 2, 3)
+    ]
+    # fourteen violated leaves, with ties.  Leaves 6 and 10 sit on unpriced
+    # edges and reach no priced clique, so every maximal side holds both:
+    # each leaf v is found as (v,) and as v with 6 and 10, at one violation
     star = Graph(15, [(0, leaf) for leaf in range(1, 15)])
     prices = [0.3, 0.1, 0.2, 0.1, 0.3, 0.0, 0.2, 0.1, 0.4, 0.0, 0.2, 0.3, 0.1, 0.5]
     duals = DualPrices(1.0, [0.0] * 15, prices)
-    ranked = [6, 10, 2, 4, 8, 13, 3, 7, 11, 1, 5, 12, 9, 14]
-    assert MAX_COLUMNS < len(ranked)
-    capped = price(star, edge_family(star), duals, BranchState())
-    assert capped.stage == 2
-    assert [c.subset for c in capped.columns] == [
-        (leaf,) for leaf in ranked[:MAX_COLUMNS]
+    ranked = [
+        (6,), (6, 10), (10,),  # violation 1.0
+        (2,), (2, 6, 10), (4,), (4, 6, 10),  # 0.9
+        (6, 8, 10), (6, 10, 13), (8,), (13,),
+        (3,), (3, 6, 10), (6, 7, 10), (6, 10, 11), (7,), (11,),  # 0.8
+        (1,), (1, 6, 10), (5,), (5, 6, 10), (6, 10, 12), (12,),  # 0.7
+        (6, 9, 10), (9,),  # 0.6
+        (6, 10, 14), (14,),  # 0.5
     ]
+    outcome = price(star, edge_family(star), duals, BranchState())
+    assert outcome.stage == 2
+    assert [c.subset for c in outcome.columns] == ranked
+    violations = [c.violation for c in outcome.columns]
+    assert violations == sorted(violations, reverse=True)
 
 
 def test_stage_two_skips_vertices_fixed_to_cut():
@@ -237,16 +269,47 @@ def test_two_stage_matches_exhaustive_search():
     assert found >= 15  # the sweep saw real violations, not just silence
 
 
+def test_every_column_is_distinct_admissible_and_violated():
+    # both sides of each cut and their pieces: every column once, each
+    # admissible and priced out.  Zero cover prices in every other draw
+    # leave vertices that only a maximal side holds.  An empty outcome
+    # must leave no admissible cluster that prices out.
+    rng = random.Random(29)
+    several = empty = 0
+    for trial in range(200):
+        g, fam, duals, bs = _random_config(rng)
+        if trial % 2:
+            covers = [0.0 if rng.random() < 0.4 else c for c in duals.cover_price]
+            duals = DualPrices(duals.count_price, covers, duals.clique_price)
+        outcome = price(g, fam, duals, bs)
+        subsets = [col.subset for col in outcome.columns]
+        assert len(set(subsets)) == len(subsets), trial
+        for col in outcome.columns:
+            assert col.subset and bs.allows_cluster(g, col.subset), trial
+            assert cluster_violation(fam, duals, col.subset) == col.violation, trial
+            assert col.violation > VIOLATION_TOL, trial
+        if not outcome.columns:
+            assert outcome.stage is None
+            for s in _admissible_subsets(g, bs):
+                assert cluster_violation(fam, duals, s) <= VIOLATION_TOL + 1e-9, trial
+            empty += 1
+        several += len(subsets) > 1
+    assert several >= 40 and empty >= 30
+
+
 # ------------------------------------------------------------ warm stage 2
 
 
-def _cold_cluster(g, fam, duals, bs, boosted=None):
-    """One minimum cut from zero flow on a fresh network, boosted by hand."""
+def _cold_sides(g, fam, duals, bs, boosted=None):
+    """The minimal and the maximal side of one minimum cut from zero flow on
+    a fresh network, boosted by hand."""
     net, source_arcs = build_network(g, fam, duals, bs)
     if boosted is not None:
         net.cap[source_arcs[boosted]] += duals.count_price
-    _, side = net.max_flow(0, 1)
-    return tuple(u - 2 for u in side if 2 <= u < 2 + g.n)
+    res = net.residual()
+    _, side = net.max_flow(0, 1, res)
+    largest = net.maximal_source_side(1, res)
+    return [tuple(u - 2 for u in s if 2 <= u < 2 + g.n) for s in (side, largest)]
 
 
 def _cold_sweep(g, fam, duals, bs):
@@ -254,13 +317,13 @@ def _cold_sweep(g, fam, duals, bs):
     for v in range(g.n):
         if v in bs.fixed_to_cut:
             continue
-        subset = _cold_cluster(g, fam, duals, bs, boosted=v)
-        if subset and subset not in found:
-            violation = cluster_violation(fam, duals, subset)
-            if violation > VIOLATION_TOL:
-                found[subset] = violation
+        for subset in _cold_sides(g, fam, duals, bs, boosted=v):
+            if subset and subset not in found:
+                violation = cluster_violation(fam, duals, subset)
+                if violation > VIOLATION_TOL:
+                    found[subset] = violation
     ranked = sorted(found.items(), key=lambda item: (-item[1], item[0]))
-    return [PricedColumn(s, viol) for s, viol in ranked[:MAX_COLUMNS]]
+    return [PricedColumn(s, viol) for s, viol in ranked]
 
 
 def test_warm_stage_two_matches_a_cold_sweep():
@@ -275,7 +338,7 @@ def test_warm_stage_two_matches_a_cold_sweep():
             duals = DualPrices(
                 1e6, [1.0] * g.n, [float(len(c)) for c in fam.cliques]
             )
-        if _cold_cluster(g, fam, duals, bs) or duals.count_price <= VIOLATION_TOL:
+        if _cold_sides(g, fam, duals, bs)[0] or duals.count_price <= VIOLATION_TOL:
             continue  # stage 2 does not run
         outcome = price(g, fam, duals, bs)
         assert outcome.columns == _cold_sweep(g, fam, duals, bs), trial
