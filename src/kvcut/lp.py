@@ -3,15 +3,45 @@
 Why not an off-the-shelf LP wrapper?  Column generation needs three things
 most of them do not expose reliably: exact duals with fixed sign
 conventions, cheap incremental column/row addition with stable ids, and
-warm starts from a saved basis.  The models in this package are small (a
-few hundred rows), so a dense revised simplex with an explicitly
-maintained basis inverse is entirely adequate.  Its pivot path is fixed
-by the model and the BLAS build: the inverse and the products with it
-round differently under different BLAS thread counts, so the work
-counters (and on degenerate models the basis reached) can depend on the
-thread count.
+warm starts from a saved basis.  The simplex keeps an explicit basis
+inverse B^-1, on one of two kernels chosen per solve by the row count m:
 
-The kernel is lean without leaving that path:
+* Below STRUCTURED_ROWS rows -- the masters of column generation, up to
+  about 230 rows here -- a dense kernel: B is inverted whole, FTRAN, BTRAN and
+  pricing are dense products, and the rank-one update runs over blocks
+  of rows, so its temporaries stay small.
+* From STRUCTURED_ROWS rows on -- the lab's compact LPs, 348-1,011 rows
+  -- a structured kernel.  A basic logical is the unit column of its
+  row.  With R_L the rows whose logicals are basic, R_S the other rows
+  (the bump) and S the basic structural columns, only A[R_S, S] is
+  inverted: with Y = A[R_S, S]^-1, B^-1 is the identity on the
+  logicals, Y on (S, R_S), -A[R_L, S] Y on (logicals, R_S) and 0 on
+  (S, R_L).  From the all-logical cold start at most one structural
+  column enters per pivot, so the bump stays small: about 160 of the
+  1,011 rows of bcspwr01 at k=4, after 258 pivots.  FTRAN runs over the
+  nonzeros of a_q, BTRAN over the bump's columns of B^-1 (the others
+  hold unit vectors), pricing y A over A's nonzeros, and the update of
+  the column-major B^-1 in place over the columns where the pivot row
+  is nonzero.  Forrest & Tomlin (1972) and Suhl & Suhl (1990) factor the
+  bump; here it is inverted explicitly.
+
+STRUCTURED_ROWS is a measured crossover.  Per pivot, over whole solves on
+one BLAS thread of a shared 2-vCPU host (two runs each; the spread is
+the noise), the structured kernel cost against the dense one: on
+compact LPs, +7% to +44% at 112-126 rows, 0% to -18% at 176, -25% to
+-43% at 218-262, -46% to -75% at 371-453, and -70% to -87% on the
+benchmark's 348-1,011; on masters, whose columns are denser and whose
+many short warm solves each gather A's nonzeros again, +105% at 105
+rows, +24% to +71% at 189-235 and -1% at 333.  The switch sits above
+every master of the benchmark (at most 161 rows) and below every compact
+LP (at least 348).
+
+The pivot path is fixed by the model and the BLAS build: the inverse and
+the products with it round differently under different BLAS thread
+counts, so the work counters (and on degenerate models the basis
+reached) can depend on the thread count.
+
+Both kernels are lean without leaving that path:
 
 * A certified OPTIMAL leaves its fresh inverse on the model, and the
   next solve takes it instead of inverting when its warm basis lists the
@@ -22,8 +52,7 @@ The kernel is lean without leaving that path:
 * The ratio test, basic values and status set-up are array expressions
   with the same float operations as a scan in row or column order; the
   ratio test scans in Python only when the smallest steps tie.
-* The rank-one inverse update runs over blocks of rows, so its
-  temporaries stay small; each element still gets one multiply and one
+* Each element of B^-1 the update touches gets one multiply and one
   subtract.
 
 Conventions
@@ -32,6 +61,9 @@ Conventions
 * Every row gets an internal "logical" variable with coefficient +1 whose
   bounds encode the sense: slack in [0, inf) for <=, in (-inf, 0] for >=,
   fixed at 0 for ==.  The system is then  A z = b  over all columns.
+  ``add_row`` refuses an entry in a logical's column, so each logical
+  stays the unit column of its row, as the cold basis and the bump
+  inverse assume.
 * Duals: for a minimization problem, >=-rows get duals >= 0, <=-rows get
   duals <= 0, equality rows are free.
 * A warm basis names model columns only.  A row added since the
@@ -64,6 +96,7 @@ Conventions
 
 from __future__ import annotations
 
+from bisect import bisect_left
 from dataclasses import dataclass
 from typing import Optional, Sequence
 
@@ -77,7 +110,8 @@ PIVOT_TOL = 1e-10
 ITER_LIMIT = 200_000  # iterations per solve before it gives up
 _REFACTOR_EVERY = 100
 _BLAND_AFTER = 40  # consecutive degenerate pivots before switching to Bland
-_UPDATE_BLOCK = 128  # rows per block of the rank-one inverse update
+_UPDATE_BLOCK = 128  # rows per block of the dense kernel's inverse update
+STRUCTURED_ROWS = 256  # m0: a model with this many rows takes the structured kernel
 
 OPTIMAL = "optimal"
 INFEASIBLE = "infeasible"
@@ -195,6 +229,15 @@ class LinearProgram:
         """New constraint over existing columns.  Returns the row id."""
         if sense not in (LESS, GREATER, EQUAL):
             raise ValueError(f"bad sense {sense!r}")
+        logical = self.logical  # ascending: each row's logical is the newest column
+        for j, _ in entries:
+            if not (0 <= j < self.ncols):
+                raise IndexError(f"column {j} does not exist")
+            r = bisect_left(logical, j)
+            if r < len(logical) and logical[r] == j:
+                # the bump inverse and the cold basis take every logical
+                # to be +1 in its own row and 0 elsewhere
+                raise ValueError(f"column {j} is the logical of row {r}")
         if self.nrows == self._rcap:
             self._grow_rows(self.nrows + 1)
         i = self.nrows
@@ -202,8 +245,6 @@ class LinearProgram:
         self._rhs[i] = rhs
         self.row_sense.append(sense)
         for j, a in entries:
-            if not (0 <= j < self.ncols):
-                raise IndexError(f"column {j} does not exist")
             self._A[i, j] = a
         if sense == LESS:
             lo, hi = 0.0, INF
@@ -231,6 +272,12 @@ class _Simplex:
     Phase 1 relaxes the bounds of some basic logicals in the workspace's
     own copies of ``lb`` and ``ub``; ``relaxed`` maps each such column to
     the bound it lay beyond, and empties as they leave the basis.
+
+    A model with at least STRUCTURED_ROWS rows takes the structured
+    kernel: ``Binv`` is column-major, and A's nonzeros by column are
+    held in ``nz_row``, ``nz_val`` and ``nz_col``, column j's at
+    ``nz_start[j]:nz_start[j + 1]``; ``row_of`` maps each logical to
+    its row and every other column to -1.
     """
 
     def __init__(self, lp: LinearProgram, warm: Optional[Basis]):
@@ -246,7 +293,14 @@ class _Simplex:
         self.relaxed: dict[int, int] = {}
         self.status = np.zeros(self.n, dtype=np.int8)
         self.basic: list[int] = []
-        self.Binv = np.eye(self.m)
+        self.Binv: Optional[np.ndarray] = None  # set with the basis
+        self.structured = self.m >= STRUCTURED_ROWS
+        if self.structured:
+            self.nz_col, self.nz_row = np.nonzero(self.A.T)
+            self.nz_val = self.A[self.nz_row, self.nz_col]
+            self.nz_start = np.searchsorted(self.nz_col, np.arange(self.n + 1))
+            self.row_of = np.full(self.n, -1, dtype=np.intp)
+            self.row_of[lp.logical] = np.arange(self.m)
         self.x = np.zeros(self.n)
         self.xb = np.zeros(self.m)
         self.iters = 0
@@ -260,7 +314,7 @@ class _Simplex:
         self.status[:] = np.where(self.lb > -INF, AT_LB, AT_UB)
         self.basic = list(self.lp.logical)
         self.status[self.basic] = BASIC
-        self.Binv = np.eye(self.m)
+        self.Binv = np.eye(self.m, order="F" if self.structured else "C")
 
     def _load_warm(self, warm: Basis) -> bool:
         # a row added since the snapshot starts on its own logical
@@ -282,8 +336,8 @@ class _Simplex:
         else:
             factor = None  # free a stale inverse before inv() allocates its own
             try:
-                self.Binv = np.linalg.inv(self.A[:, basic])
-            except np.linalg.LinAlgError:
+                self.Binv = self._inverse()
+            except SingularBasisError:
                 return False
         return bool(np.all(np.isfinite(self.Binv)))
 
@@ -307,14 +361,67 @@ class _Simplex:
         self.x[self.basic] = self.xb
 
     def _refactor(self):
-        B = self.A[:, self.basic]
         self.Binv = None  # free the old inverse before inv() allocates its own
-        try:
-            self.Binv = np.linalg.inv(B)
-        except np.linalg.LinAlgError:
-            raise SingularBasisError("basis matrix became singular") from None
+        self.Binv = self._inverse()
         self.pivots_since_refactor = 0
         self._refresh()
+
+    def _inverse(self) -> np.ndarray:
+        """B^-1 of ``A[:, basic]``; raises SingularBasisError if B is singular.
+
+        The structured kernel inverts only the bump A[R_S, S] and fills
+        in the rest by the closed form in the module docstring.
+        """
+        try:
+            if not self.structured:
+                return np.linalg.inv(self.A[:, self.basic])
+            logical, covered, struct, bump = self._split()
+            Binv = np.zeros((self.m, self.m), order="F")
+            Binv[logical, covered] = 1.0
+            if struct.size:
+                cols = np.asarray(self.basic)[struct]
+                Y = np.linalg.inv(self.A[np.ix_(bump, cols)])
+                Binv[np.ix_(struct, bump)] = Y
+                Binv[np.ix_(logical, bump)] = -(self.A[np.ix_(covered, cols)] @ Y)
+            return Binv
+        except np.linalg.LinAlgError:
+            raise SingularBasisError("basis matrix became singular") from None
+
+    def _split(self) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+        """(basic logicals' positions, their rows, structurals' positions, bump rows)."""
+        rows = self.row_of[self.basic]
+        logical = np.flatnonzero(rows >= 0)
+        covered = rows[logical]
+        bump = np.ones(self.m, dtype=bool)
+        bump[covered] = False
+        return logical, covered, np.flatnonzero(rows < 0), np.flatnonzero(bump)
+
+    def _ftran(self, q: int) -> np.ndarray:
+        """B^-1 a_q, over the nonzeros of a_q on the structured kernel."""
+        if not self.structured:
+            return self.Binv @ self.A[:, q]
+        nz = slice(self.nz_start[q], self.nz_start[q + 1])
+        return self.Binv[:, self.nz_row[nz]] @ self.nz_val[nz]
+
+    def _btran(self, cb: np.ndarray) -> np.ndarray:
+        """cb B^-1, over the bump's columns of B^-1 on the structured kernel."""
+        if not self.structured:
+            return cb @ self.Binv
+        logical, covered, _, bump = self._split()
+        # the column of B^-1 for a basic logical's row is the unit vector
+        # of its position, so y there is that logical's cost
+        y = np.zeros(self.m)
+        y[covered] = cb[logical]
+        y[bump] = cb @ self.Binv[:, bump]
+        return y
+
+    def _times_A(self, y: np.ndarray) -> np.ndarray:
+        """y A, over the nonzeros of A on the structured kernel."""
+        if not self.structured:
+            return y @ self.A
+        return np.bincount(
+            self.nz_col, weights=y[self.nz_row] * self.nz_val, minlength=self.n
+        )
 
     def _relax_logicals(self) -> np.ndarray:
         """Relax each basic logical outside its bounds; returns the phase-1 costs.
@@ -355,8 +462,7 @@ class _Simplex:
         while True:
             if self.iters >= ITER_LIMIT:
                 return ITERATION_LIMIT
-            y = cb @ self.Binv
-            d = costs - y @ self.A
+            d = costs - self._times_A(self._btran(cb))
             mispriced = self._mispriced(d)
             if not mispriced.any():
                 return OPTIMAL
@@ -365,7 +471,7 @@ class _Simplex:
             else:
                 enter = int(np.where(mispriced, np.abs(d), 0.0).argmax())
             direction = 1.0 if self.status[enter] == AT_LB else -1.0
-            w = self.Binv @ self.A[:, enter]
+            w = self._ftran(enter)
             dw = direction * w
             t_best, leave_pos, leave_to = self._ratio_test(
                 dw, self.ub[enter] - self.lb[enter], bland, lo, hi
@@ -466,10 +572,20 @@ class _Simplex:
     def _update_inverse(self, p: int, w: np.ndarray):
         """Rank-one update of B^-1 after the column with B^-1 a = w enters row p.
 
-        The rows with w != 0 are updated in blocks, which keeps each
-        block's temporaries small and in cache.
+        The dense kernel updates the rows with w != 0 in blocks, which
+        keeps each block's temporaries small and in cache.  The structured
+        one updates in place, column by column, only the columns where
+        row p is nonzero: the bump's rows and at most one more.
         """
         Binv = self.Binv
+        if self.structured:
+            cols = np.flatnonzero(Binv[p])
+            pivot_row = Binv[p, cols] / w[p]
+            for j, v in zip(cols.tolist(), pivot_row.tolist()):
+                col = Binv[:, j]
+                col -= v * w
+            Binv[p, cols] = pivot_row
+            return
         Binv[p, :] /= w[p]
         mask = np.abs(w) > 0.0
         mask[p] = False
@@ -481,10 +597,10 @@ class _Simplex:
 
     def _duals(self) -> np.ndarray:
         """Row prices of the phase-2 costs."""
-        return self.c[self.basic] @ self.Binv
+        return self._btran(self.c[self.basic])
 
     def _reduced_costs(self) -> np.ndarray:
-        return self.c - self._duals() @ self.A
+        return self.c - self._times_A(self._duals())
 
     def _mispriced(self, d: np.ndarray) -> np.ndarray:
         """Nonfixed nonbasic model columns whose reduced cost has the wrong sign."""
@@ -527,7 +643,7 @@ class _Simplex:
                 r = int(np.argmax(excess))
             to_lb = self.xb[r] < lo[r]
             d = self._reduced_costs()
-            alpha = self.Binv[r] @ self.A
+            alpha = self._times_A(self.Binv[r])
             # x_r rises to its lower bound (or falls to its upper bound)
             # when a column at its lower bound with alpha < 0 (> 0) rises,
             # or one at its upper bound with alpha > 0 (< 0) falls
@@ -548,7 +664,7 @@ class _Simplex:
             q = int(ties[0]) if bland else int(ties[np.argmax(np.abs(alpha[ties]))])
             streak = streak + 1 if step <= PIVOT_TOL else 0
             bland = streak >= _BLAND_AFTER
-            w = self.Binv @ self.A[:, q]
+            w = self._ftran(q)
             if self._zero_pivot(w[r]):
                 continue
             target = lo[r] if to_lb else hi[r]

@@ -147,9 +147,10 @@ PINNED_EXTENDED_WORK = [
         "bcspwr01", "edges", 117 / 37, 133, 87,
         id="bcspwr01-edges-3.1621621621621623-158-88",
     ),
-    # one cold LP with 1,011 rows: the inverse update runs over many blocks
+    # one cold LP with 1,011 rows, on the structured kernel; the others
+    # stay below lp.STRUCTURED_ROWS
     pytest.param(
-        "bcspwr01", "compact", 0.0, 227, None,
+        "bcspwr01", "compact", 0.0, 258, None,
         id="bcspwr01-compact-0.0-229-None",
     ),
     # rows added between warm solves, so no solve can reuse the last inverse

@@ -831,12 +831,12 @@ def test_large_arrays_are_mapped_after_a_larger_one_is_freed():
 
 
 def test_freed_update_blocks_stay_on_the_heap():
-    """The heap keeps the inverse update's freed row blocks for the next pivot.
+    """The heap keeps a pivot's freed temporaries for the next pivot.
 
-    At m = 1,011 each block temporary is just below the mmap threshold,
-    so it lives on the heap.  Three freed together at the top -- the two
-    of one row block and a third for the free space next to them -- must
-    not be trimmed, or every pivot faults them in again.
+    The structured kernel's BTRAN gathers the bump's columns of B^-1: at
+    m = 1,011 with 128 bump columns the copy is just below the mmap
+    threshold, so it lives on the heap.  Three such blocks freed together
+    at the top must not be trimmed, or every pivot faults them in again.
     """
     try:
         libc = ctypes.CDLL("libc.so.6")
@@ -846,7 +846,188 @@ def test_freed_update_blocks_stay_on_the_heap():
     mallinfo2.restype = _Mallinfo2
     libc.malloc_trim(0)  # start from a heap top with no free space to spare
     for _ in range(3):
-        blocks = [np.ones((lp._UPDATE_BLOCK, 1011)) for _ in range(3)]
+        blocks = [np.ones((1011, 128)) for _ in range(3)]
         arena = mallinfo2().arena
         del blocks
         assert mallinfo2().arena == arena
+
+
+# ------------------------------------------------------------ structured kernel
+
+
+def _sparse_model(rng, m, n):
+    """A random model with m rows and m + n structural columns, 2-6 nonzeros
+    per column: structural column i < m has a dominant entry in row i, so
+    any set of them with the logicals of the other rows is a basis."""
+    model = lp.LinearProgram()
+    for i in range(m):
+        model.add_row(rng.choice([lp.LESS, lp.GREATER, lp.EQUAL]), 0.0, [])
+    for j in range(m + n):
+        rows = rng.sample(range(m), rng.randint(2, 6))
+        entries = [(i, rng.uniform(-1, 1)) for i in rows if i != j]
+        if j < m:
+            entries.append((j, rng.choice([-1.0, 1.0]) * rng.uniform(8, 10)))
+        model.add_variable(rng.uniform(-1, 1), 0.0, 1.0, entries)
+    return model
+
+
+def test_structured_inverse_matches_numpy():
+    rng = random.Random(23)
+    for trial in range(6):
+        m = lp.STRUCTURED_ROWS + rng.randint(0, 60)
+        model = _sparse_model(rng, m, 20)
+        logicals = set(model.logical)
+        structural = [j for j in range(model.ncols) if j not in logicals]
+        s = lp._Simplex(model, None)
+        assert s.structured
+        swapped = set(rng.sample(range(m), rng.randint(1, m - 1)))
+        bases = {
+            "all-logical": list(model.logical),
+            "no-logical": structural[:m],
+            "mixed": [structural[i] if i in swapped else model.logical[i] for i in range(m)],
+        }
+        for name, basic in bases.items():
+            rng.shuffle(basic)  # any row order
+            s.basic = basic
+            want = np.linalg.inv(s.A[:, basic])
+            got = s._inverse()
+            assert got.flags.f_contiguous
+            err = np.linalg.norm(got - want) / np.linalg.norm(want)
+            assert err <= 1e-9, (trial, name, err)
+    # below the switch the dense kernel keeps a row-major inverse
+    small = lp._Simplex(_sparse_model(rng, lp.STRUCTURED_ROWS - 1, 5), None)
+    assert not small.structured
+
+
+def test_singular_bump_raises():
+    rng = random.Random(29)
+    m = lp.STRUCTURED_ROWS
+    model = _sparse_model(rng, m, 0)
+    # a structural column inside the span of row 0's logical
+    twin = model.add_variable(1.0, 0.0, 1.0, [(0, 2.0)])
+    s = lp._Simplex(model, None)
+    s.basic = [model.logical[0], twin] + list(model.logical[2:])
+    with pytest.raises(lp.SingularBasisError):
+        s._inverse()
+    s.basic = list(model.logical)
+    assert s._inverse().tobytes() == np.eye(m, order="F").tobytes()
+
+
+def test_add_row_rejects_an_entry_on_a_logical():
+    model = lp.LinearProgram()
+    x = model.add_variable(1.0, 0.0, 1.0)
+    model.add_row(lp.GREATER, 1.0, [(x, 1.0)])
+    with pytest.raises(ValueError, match="logical of row 0"):
+        model.add_row(lp.LESS, 2.0, [(x, 1.0), (model.logical[0], 1.0)])
+    with pytest.raises(IndexError):
+        model.add_row(lp.LESS, 2.0, [(x, 1.0), (model.ncols, 1.0)])
+    # a rejected row leaves the model as it was
+    assert (model.nrows, model.ncols, model.row_sense) == (1, 2, [lp.GREATER])
+    assert model.solve().objective == pytest.approx(1.0)
+
+
+def _random_sparse_lp(rng, n, m):
+    """Like _random_lp, with 2-5 nonzeros per row."""
+    costs = [rng.uniform(-2, 2) for _ in range(n)]
+    bounds = [(0.0, rng.uniform(1, 5)) for _ in range(n)]
+    point = [rng.uniform(0, ub) for _, ub in bounds]
+    return costs, bounds, [_random_sparse_row(rng, n, point) for _ in range(m)]
+
+
+def _random_sparse_row(rng, n, point):
+    roll = rng.random()
+    sense = lp.EQUAL if roll < 0.1 else (lp.LESS if roll < 0.55 else lp.GREATER)
+    coefs = [0.0] * n
+    for j in rng.sample(range(n), rng.randint(2, 5)):
+        coefs[j] = rng.uniform(-1, 1)
+    activity = sum(a * p for a, p in zip(coefs, point))
+    # mostly slack at the point, so that about a third of the models are
+    # infeasible
+    slack = rng.uniform(-0.15, 0.5)
+    rhs = activity + {lp.LESS: slack, lp.GREATER: -slack, lp.EQUAL: 0.0}[sense]
+    return sense, rhs, coefs
+
+
+def _linprog(sp, costs, bounds, rows):
+    a_ub, b_ub, a_eq, b_eq = [], [], [], []
+    for sense, rhs, coefs in rows:
+        if sense == lp.EQUAL:
+            a_eq.append(coefs)
+            b_eq.append(rhs)
+        else:
+            sign = 1.0 if sense == lp.LESS else -1.0
+            a_ub.append([sign * a for a in coefs])
+            b_ub.append(sign * rhs)
+    return sp.linprog(
+        c=costs, A_ub=a_ub or None, b_ub=b_ub or None, A_eq=a_eq or None,
+        b_eq=b_eq or None, bounds=bounds, method="highs",
+    )
+
+
+def _agrees(sp, costs, bounds, rows, res, cols):
+    """Whether res has scipy's status and objective; certifies an OPTIMAL,
+    whose x at ``cols`` is in the order of ``costs``."""
+    ref = _linprog(sp, costs, bounds, rows)
+    assert ref.status in (0, 2)
+    if ref.status == 2:
+        return res.status == lp.INFEASIBLE
+    assert res.status == lp.OPTIMAL
+    ordered = lp.LpResult(res.status, res.objective, res.x[cols], res.duals)
+    _check_certificate(costs, bounds, rows, ordered)
+    return abs(res.objective - ref.fun) < 1e-6 * (1 + abs(ref.fun))
+
+
+def test_structured_kernel_against_scipy_cold_and_warm(spy):
+    # sparse LPs above the switch, solved cold and then warm after an
+    # added column, a tightened bound and an added row
+    sp = pytest.importorskip("scipy.optimize")
+    rng = random.Random(13)
+    cold_optimal = infeasible = warm = 0
+    for _ in range(12):
+        m = rng.randint(260, 360)
+        n = m + rng.randint(-20, 40)
+        costs, bounds, rows = _random_sparse_lp(rng, n, m)
+        model, cols = build(costs, bounds, rows)
+        assert lp._Simplex(model, None).structured
+        res = model.solve()
+        assert _agrees(sp, costs, bounds, rows, res, cols)
+        if res.status != lp.OPTIMAL:
+            infeasible += 1
+            continue
+        cold_optimal += 1
+        # a column priced below zero
+        entries = [(i, rng.uniform(-1, 1)) for i in rng.sample(range(m), 4)]
+        costs.append(-3.0)
+        bounds.append((0.0, 2.0))
+        for i, (_, _, coefs) in enumerate(rows):
+            coefs.append(dict(entries).get(i, 0.0))
+        cols.append(model.add_variable(-3.0, 0.0, 2.0, entries))
+        res = model.solve(warm=res.basis)
+        assert _agrees(sp, costs, bounds, rows, res, cols)
+        if res.status != lp.OPTIMAL:
+            continue
+        # a bound moved past an interior value: the dual phase re-solves it
+        inner = [j for j in range(n) if bounds[j][0] + 1e-3 < res.x[cols[j]] < bounds[j][1] - 1e-3]
+        if not inner:
+            continue
+        j = rng.choice(inner)
+        bounds[j] = (bounds[j][0], 0.5 * (bounds[j][0] + res.x[cols[j]]))
+        model.set_bounds(cols[j], *bounds[j])
+        dual_before = spy["dual"]
+        res = model.solve(warm=res.basis)
+        assert spy["dual"] == dual_before + 1
+        assert _agrees(sp, costs, bounds, rows, res, cols)
+        if res.status != lp.OPTIMAL:
+            continue
+        # a row the optimum violates by 0.2: its logical starts basic
+        _, _, coefs = _random_sparse_row(rng, n + 1, list(res.x[cols]))
+        row = (lp.GREATER, float(np.dot(coefs, res.x[cols])) + 0.2, coefs)
+        model.add_row(row[0], row[1], [(cols[j], a) for j, a in enumerate(coefs) if a])
+        rows.append(row)
+        dual_before = spy["dual"]
+        res = model.solve(warm=res.basis)
+        assert spy["dual"] == dual_before + 1
+        assert _agrees(sp, costs, bounds, rows, res, cols)
+        warm += res.status == lp.OPTIMAL
+    assert cold_optimal >= 6 and infeasible >= 1
+    assert warm >= 4
