@@ -110,7 +110,6 @@ PIVOT_TOL = 1e-10
 ITER_LIMIT = 200_000  # iterations per solve before it gives up
 _REFACTOR_EVERY = 100
 _BLAND_AFTER = 40  # consecutive degenerate pivots before switching to Bland
-_UPDATE_BLOCK = 128  # rows per block of the dense kernel's inverse update
 STRUCTURED_ROWS = 256  # m0: a model with this many rows takes the structured kernel
 
 OPTIMAL = "optimal"
@@ -292,6 +291,10 @@ class _Simplex:
         self.free = self.lb < self.ub
         self.relaxed: dict[int, int] = {}
         self.status = np.zeros(self.n, dtype=np.int8)
+        # +1 for a nonbasic column free to rise from its lower bound, -1
+        # for one free to fall from its upper bound, 0 otherwise; a
+        # column is mispriced where sign * d < -RC_TOL
+        self.sign = np.zeros(self.n)
         self.basic: list[int] = []
         self.Binv: Optional[np.ndarray] = None  # set with the basis
         self.structured = self.m >= STRUCTURED_ROWS
@@ -355,8 +358,12 @@ class _Simplex:
         return bool(np.all((lo - FEAS_TOL <= self.xb) & (self.xb <= hi + FEAS_TOL)))
 
     def _refresh(self):
-        np.copyto(self.x, self.lb, where=self.status == AT_LB)
-        np.copyto(self.x, self.ub, where=self.status == AT_UB)
+        at_lb, at_ub = self.status == AT_LB, self.status == AT_UB
+        np.copyto(self.x, self.lb, where=at_lb)
+        np.copyto(self.x, self.ub, where=at_ub)
+        self.sign[:] = 0.0
+        self.sign[self.free & at_lb] = 1.0
+        self.sign[self.free & at_ub] = -1.0
         self.xb = self._basic_values()
         self.x[self.basic] = self.xb
 
@@ -459,18 +466,19 @@ class _Simplex:
         bland = False
         streak = 0  # degenerate pivots in a row
         self.zero_pivots = 0
+        if not self.n:
+            return OPTIMAL
         while True:
             if self.iters >= ITER_LIMIT:
                 return ITERATION_LIMIT
             d = costs - self._times_A(self._btran(cb))
-            mispriced = self._mispriced(d)
-            if not mispriced.any():
+            sd = self.sign * d
+            enter = int(sd.argmin())
+            if not sd[enter] < -RC_TOL:
                 return OPTIMAL
             if bland:
-                enter = int(np.flatnonzero(mispriced)[0])
-            else:
-                enter = int(np.where(mispriced, np.abs(d), 0.0).argmax())
-            direction = 1.0 if self.status[enter] == AT_LB else -1.0
+                enter = int((sd < -RC_TOL).argmax())
+            direction = float(self.sign[enter])
             w = self._ftran(enter)
             dw = direction * w
             t_best, leave_pos, leave_to = self._ratio_test(
@@ -486,6 +494,7 @@ class _Simplex:
                 self.xb -= t_best * dw
                 self.status[enter] = AT_UB if direction > 0 else AT_LB
                 self.x[enter] = self.ub[enter] if direction > 0 else self.lb[enter]
+                self.sign[enter] = -direction
                 continue
             if self._zero_pivot(w[leave_pos]):
                 continue
@@ -519,6 +528,9 @@ class _Simplex:
         self.iters += 1
         self.basic[p] = q
         self.status[q] = BASIC
+        self.sign[q] = 0.0
+        if self.free[out]:
+            self.sign[out] = 1.0 if leave_to == AT_LB else -1.0
         self._update_inverse(p, w)
         self.pivots_since_refactor += 1
         if self.pivots_since_refactor >= _REFACTOR_EVERY:
@@ -540,24 +552,28 @@ class _Simplex:
         infinite bound gets the step inf or nan, which never replaces
         anything.  A smallest step more than PIVOT_TOL below every other
         one decides the scan alone, so the scan runs only on near ties.
+        A row with |dw| <= PIVOT_TOL gets the step inf too, so no row is
+        gathered before the scan.
         """
-        rows = (np.abs(dw) > PIVOT_TOL).nonzero()[0]
-        if not rows.size:
+        t = np.full(dw.size, INF)
+        np.divide(self.xb - np.where(dw > 0.0, lo, hi), dw, out=t, where=np.abs(dw) > PIVOT_TOL)
+        np.copyto(t, 0.0, where=t < 0.0)  # max(t, 0.0): keeps -0.0 and nan
+        if not t.size:
             return t_flip, -1, AT_LB
-        d = dw[rows]
-        t = (self.xb[rows] - np.where(d > 0.0, lo[rows], hi[rows])) / d
-        t = np.where(t < 0.0, 0.0, t)  # max(t, 0.0): keeps -0.0 and nan
         i = int(t.argmin())  # the first nan, if there is one
         t_min = t[i].item()
         # both tests only get easier as the other step grows, so the
         # smallest other step stands for all of them
-        t_2 = min(t[:i].min(initial=INF), t[i + 1 :].min(initial=INF)).item()
+        t[i] = INF
+        t_2 = t.min().item()
+        t[i] = t_min
         if abs(t_2 - t_min) > PIVOT_TOL and t_min < t_2 - PIVOT_TOL:
             if t_min < t_flip - PIVOT_TOL:
-                return t_min, int(rows[i]), AT_LB if d[i] > 0.0 else AT_UB
+                return t_min, i, AT_LB if dw[i] > 0.0 else AT_UB
             return t_flip, -1, AT_LB
+        rows = np.flatnonzero(t < INF)  # an inf or nan step replaces nothing
         t_best, leave_pos, best_d = t_flip, -1, 0.0
-        for p, tp, dp in zip(rows.tolist(), t.tolist(), d.tolist()):
+        for p, tp, dp in zip(rows.tolist(), t[rows].tolist(), dw[rows].tolist()):
             if leave_pos >= 0 and abs(tp - t_best) <= PIVOT_TOL:
                 if bland:
                     if not self.basic[p] < self.basic[leave_pos]:
@@ -572,10 +588,10 @@ class _Simplex:
     def _update_inverse(self, p: int, w: np.ndarray):
         """Rank-one update of B^-1 after the column with B^-1 a = w enters row p.
 
-        The dense kernel updates the rows with w != 0 in blocks, which
-        keeps each block's temporaries small and in cache.  The structured
-        one updates in place, column by column, only the columns where
-        row p is nonzero: the bump's rows and at most one more.
+        The dense kernel updates all of B^-1 in one expression: below
+        STRUCTURED_ROWS rows its temporary is at most 520 KB.  The
+        structured one updates in place, column by column, only the
+        columns where row p is nonzero: the bump's rows and at most one more.
         """
         Binv = self.Binv
         if self.structured:
@@ -586,14 +602,9 @@ class _Simplex:
                 col -= v * w
             Binv[p, cols] = pivot_row
             return
-        Binv[p, :] /= w[p]
-        mask = np.abs(w) > 0.0
-        mask[p] = False
-        rows = mask.nonzero()[0]
-        pivot_row = Binv[p, :]  # row p is in no block, so the view stays fixed
-        for start in range(0, rows.size, _UPDATE_BLOCK):
-            block = rows[start : start + _UPDATE_BLOCK]
-            Binv[block, :] -= np.outer(w[block], pivot_row)
+        pivot_row = Binv[p] / w[p]
+        Binv -= np.outer(w, pivot_row)
+        Binv[p] = pivot_row
 
     def _duals(self) -> np.ndarray:
         """Row prices of the phase-2 costs."""
@@ -602,16 +613,9 @@ class _Simplex:
     def _reduced_costs(self) -> np.ndarray:
         return self.c - self._times_A(self._duals())
 
-    def _mispriced(self, d: np.ndarray) -> np.ndarray:
-        """Nonfixed nonbasic model columns whose reduced cost has the wrong sign."""
-        return self.free & (
-            ((self.status == AT_LB) & (d < -RC_TOL))
-            | ((self.status == AT_UB) & (d > RC_TOL))
-        )
-
     def _dual_feasible(self) -> bool:
         """Whether the basis prices out under the phase-2 costs."""
-        return not self._mispriced(self._reduced_costs()).any()
+        return not (self.sign * self._reduced_costs() < -RC_TOL).any()
 
     def _dual_phase(self) -> str:
         """Bounded dual simplex from a dual feasible, primal infeasible basis.
@@ -623,7 +627,6 @@ class _Simplex:
         INFEASIBLE when a violated row has no entering column (for
         phase 1 to confirm).
         """
-        free = self.free
         bland = False
         streak = 0  # degenerate pivots in a row
         self.zero_pivots = 0
@@ -648,14 +651,10 @@ class _Simplex:
             # when a column at its lower bound with alpha < 0 (> 0) rises,
             # or one at its upper bound with alpha > 0 (< 0) falls
             rise = -alpha if to_lb else alpha
-            at_lb = self.status == AT_LB
-            at_ub = self.status == AT_UB
-            cand = np.flatnonzero(
-                free & ((at_lb & (rise > PIVOT_TOL)) | (at_ub & (rise < -PIVOT_TOL)))
-            )
+            cand = np.flatnonzero(self.sign * rise > PIVOT_TOL)
             if cand.size == 0:
                 return INFEASIBLE
-            slack = np.maximum(np.where(at_lb[cand], d[cand], -d[cand]), 0.0)
+            slack = np.maximum(self.sign[cand] * d[cand], 0.0)
             ratio = slack / np.abs(alpha[cand])
             step = float(ratio.min())
             ties = cand[ratio <= step + PIVOT_TOL]
@@ -679,7 +678,7 @@ class _Simplex:
             return False
         if np.any(x < self.lb - FEAS_TOL) or np.any(x > self.ub + FEAS_TOL):
             return False
-        return not self._mispriced(self._reduced_costs()).any()
+        return self._dual_feasible()
 
     # -- driver -----------------------------------------------------------------
 
