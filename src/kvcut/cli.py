@@ -2,8 +2,8 @@
 
 Exit codes: 0 when the instance is solved (Optimal or Trivial), 2 when
 it is proven Infeasible, 3 on TimeLimit, 1 for usage or IO problems, 4
-on an internal solver failure (an ``EngineError`` or a singular simplex
-basis), reported as one line on stderr.
+on an internal solver failure (an ``EngineError``, which a singular
+simplex basis raises too), reported as one line on stderr.
 Timing lives in its own JSON sub-object so reports can be compared
 byte-for-byte with timing stripped.
 """
@@ -23,7 +23,6 @@ from typing import Optional
 from .graph import DimacsError, Graph, read_dimacs
 from .instance import Instance, format_weights, parse_weights, random_costs
 from .lab import bound_report
-from .lp import SingularBasisError
 from .oracle import (
     BudgetExceeded,
     CostBounded,
@@ -383,7 +382,7 @@ def main(argv: Optional[list[str]] = None) -> int:
     except CliError as exc:
         print(f"kvcut: error: {exc}", file=sys.stderr)
         return EXIT_USAGE
-    except (EngineError, SingularBasisError) as exc:
+    except EngineError as exc:
         # bench reports these per instance; solve, lp-bounds and oracle end here
         print(f"kvcut: error: internal solver failure: {exc}", file=sys.stderr)
         return EXIT_INTERNAL

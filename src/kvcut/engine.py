@@ -56,6 +56,16 @@ class _Timeout(Exception):
     pass
 
 
+def solve_lp(
+    model: lp.LinearProgram, warm: Optional[lp.Basis] = None, what: str = "master LP"
+) -> lp.LpResult:
+    """``model.solve(warm=warm)``, raising ``EngineError`` for a singular basis."""
+    try:
+        return model.solve(warm=warm)
+    except lp.SingularBasisError as exc:
+        raise EngineError(f"{what} failed: {exc}") from exc
+
+
 def _check_deadline(deadline: Optional[float]):
     if deadline is not None and time.monotonic() > deadline:
         raise _Timeout
@@ -180,7 +190,7 @@ def column_generation(
     """
     while True:
         _check_deadline(deadline)
-        res = rmp.model.solve(warm=basis)
+        res = solve_lp(rmp.model, basis)
         work.pivots += res.iterations
         if res.status == lp.INFEASIBLE:
             log.debug("master LP infeasible")

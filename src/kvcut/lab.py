@@ -17,7 +17,7 @@ from dataclasses import dataclass, field
 from typing import Optional
 
 from . import lp
-from .engine import CgWork, EngineError, column_generation
+from .engine import CgWork, EngineError, column_generation, solve_lp
 from .graph import Graph
 from .instance import Instance
 from .master import COVER, FAMILY_MODES, build_clique_family, init_rmp
@@ -133,7 +133,7 @@ def lp_bound_natural(
     cuts = 0
     basis = None
     for _ in range(MAX_SEPARATION_ROUNDS):
-        res = model.solve(warm=basis)
+        res = solve_lp(model, basis, "bound LP")
         if res.status == lp.INFEASIBLE:
             # accumulated rows can contradict the box bounds outright
             # (small graphs with k close to n); the instance is infeasible
@@ -205,7 +205,7 @@ def lp_bound_compact(
                 model.add_row(lp.LESS, 1.0, entries)
     for i in range(k):
         model.add_row(lp.GREATER, 1.0, [(y[i][v], 1.0) for v in range(g.n)])
-    res = model.solve()
+    res = solve_lp(model, what="assignment LP")
     if res.status == lp.INFEASIBLE:
         value = math.inf
         iterations = res.iterations

@@ -7,9 +7,9 @@ warm starts from a saved basis.  The simplex keeps an explicit basis
 inverse B^-1, on one of two kernels chosen per solve by the row count m:
 
 * Below STRUCTURED_ROWS rows -- the masters of column generation, up to
-  about 230 rows here -- a dense kernel: B is inverted whole, FTRAN, BTRAN and
-  pricing are dense products, and the rank-one update runs over blocks
-  of rows, so its temporaries stay small.
+  about 230 rows here -- a dense kernel: B is inverted whole, and FTRAN,
+  BTRAN, pricing and the rank-one update are dense expressions over all
+  rows, with no gather.
 * From STRUCTURED_ROWS rows on -- the lab's compact LPs, 348-1,011 rows
   -- a structured kernel.  A basic logical is the unit column of its
   row.  With R_L the rows whose logicals are basic, R_S the other rows
@@ -36,19 +36,25 @@ rows, +24% to +71% at 189-235 and -1% at 333.  The switch sits above
 every master of the benchmark (at most 161 rows) and below every compact
 LP (at least 348).
 
-The pivot path is fixed by the model and the BLAS build: the inverse and
-the products with it round differently under different BLAS thread
-counts, so the work counters (and on degenerate models the basis
-reached) can depend on the thread count.
+The pivot path is fixed by the model, the solves before it on the same
+model and the BLAS build: the inverse and the products with it round
+differently under different BLAS thread counts, so the work counters
+(and on degenerate models the basis reached) can depend on the thread
+count.
 
-Both kernels are lean without leaving that path:
+Both kernels keep their per-solve and per-pivot work small:
 
-* A certified OPTIMAL leaves its fresh inverse on the model, and the
-  next solve takes it instead of inverting when its warm basis lists the
-  same column in every row -- the usual case in column generation.  That
-  is exact: a column never changes once written, ``add_row`` adds a row,
-  bounds do not enter the basis matrix, and inverting the same matrix
-  gives the same array.
+* The inverse is maintained, not recomputed.  It is inverted afresh
+  every _REFACTOR_EVERY pivots, counted across solves, and when a
+  certificate fails (Forrest & Tomlin 1972; Maros 2003).  A certified
+  OPTIMAL leaves it on the model with that count, and the next solve
+  takes both instead of inverting when its warm basis lists the same
+  column in every row -- the usual case in column generation.  A column
+  never changes once written, ``add_row`` adds a row, and bounds do not
+  enter the basis matrix, so it is still an inverse of that basis, up
+  to the rounding of its updates, which the certificate bounds.
+* A sign vector marks each nonbasic column free to rise (+1) or to fall
+  (-1), so pricing is one product and one argmin.
 * The ratio test, basic values and status set-up are array expressions
   with the same float operations as a scan in row or column order; the
   ratio test scans in Python only when the smallest steps tie.
@@ -88,10 +94,14 @@ Conventions
   after a run of degenerate pivots, so the method always terminates.
 * Both phases change the basis through one pivot step.  ``iterations``
   counts pivots and bound flips, not pricing passes or zero-pivot refactors.
-* Every OPTIMAL is certified on a fresh factorization: row residuals and
-  variable bounds within FEAS_TOL, reduced-cost signs within RC_TOL.  A
-  basis that fails gets one more round of phase 2; failing again, the
-  solve reports UNCERTIFIED.
+* Every OPTIMAL is certified by residuals computed from A, whatever the
+  inverse: row residuals A x - b and variable bounds within FEAS_TOL,
+  the reduced-cost signs of the nonbasic columns within RC_TOL, and the
+  reduced costs of the basic columns within RC_TOL of zero.  An inverse
+  that has drifted from B^-1 fails the first (through x) or the last
+  (through the duals).  A basis that fails is inverted afresh and gets
+  one more round of phase 2; failing again, the solve reports
+  UNCERTIFIED.
 """
 
 from __future__ import annotations
@@ -166,8 +176,9 @@ class LinearProgram:
         self._rhs = np.zeros(self._rcap)
         self.row_sense: list[str] = []
         self.logical: list[int] = []  # column id of each row's logical
-        # (basic column id per row, B^-1) of the last certified solve
-        self._factor: Optional[tuple[tuple[int, ...], np.ndarray]] = None
+        # (basic column id per row, B^-1, pivots since B^-1 was last
+        # inverted afresh) of the last certified solve
+        self._factor: Optional[tuple[tuple[int, ...], np.ndarray, int]] = None
 
     def _grow_cols(self, need: int):
         # by a quarter, not double: the lab's 1,011 x 1,167 compact LP
@@ -318,6 +329,7 @@ class _Simplex:
         self.basic = list(self.lp.logical)
         self.status[self.basic] = BASIC
         self.Binv = np.eye(self.m, order="F" if self.structured else "C")
+        self.pivots_since_refactor = 0
 
     def _load_warm(self, warm: Basis) -> bool:
         # a row added since the snapshot starts on its own logical
@@ -335,7 +347,7 @@ class _Simplex:
         self.basic = basic
         factor, self.lp._factor = self.lp._factor, None
         if factor and factor[0] == tuple(basic):
-            self.Binv = factor[1]
+            _, self.Binv, self.pivots_since_refactor = factor
         else:
             factor = None  # free a stale inverse before inv() allocates its own
             try:
@@ -670,15 +682,17 @@ class _Simplex:
             theta = (self.xb[r] - target) / w[r]  # signed move of x_q
             self._pivot(r, q, w, theta, AT_LB if to_lb else AT_UB)
 
-    def _certified(self) -> bool:
-        """Primal and dual feasibility of the current (freshly factored) basis."""
+    def _certified(self, y: np.ndarray) -> bool:
+        """Whether x and the row prices y are optimal, checked against A."""
         x = self.x
-        residual = self.A @ x - self.b
-        if np.any(np.abs(residual) > FEAS_TOL):
+        if np.any(np.abs(self.A @ x - self.b) > FEAS_TOL):
             return False
         if np.any(x < self.lb - FEAS_TOL) or np.any(x > self.ub + FEAS_TOL):
             return False
-        return self._dual_feasible()
+        d = self.c - self._times_A(y)
+        if (self.sign * d < -RC_TOL).any():
+            return False
+        return bool(np.all(np.abs(d[self.basic]) <= RC_TOL))
 
     # -- driver -----------------------------------------------------------------
 
@@ -712,19 +726,20 @@ class _Simplex:
                 # its violated bound: it stays basic, with its own bounds
                 for j in list(self.relaxed):
                     self._unrelax(j)
-        for _ in range(2):  # one more round of phase 2 if the certificate fails
+        for fresh in (False, True):  # once more from a fresh inverse if the certificate fails
+            if fresh:
+                self._refactor()
             st = self._iterate(self.c)
             if st != OPTIMAL:
                 return LpResult(st, iterations=self.iters)
-            self._refactor()
-            if self._certified():
+            self.x[self.basic] = self.xb
+            y = self._duals()
+            if self._certified(y):
                 break
         else:
             return LpResult(UNCERTIFIED, iterations=self.iters)
         obj = float(self.c @ self.x)
         # the next warm solve from this basis takes this inverse as is
-        self.lp._factor = (tuple(self.basic), self.Binv)
+        self.lp._factor = (tuple(self.basic), self.Binv, self.pivots_since_refactor)
         snapshot = Basis(list(self.basic), self.status.tolist())
-        return LpResult(
-            OPTIMAL, obj, self.x.copy(), self._duals(), snapshot, self.iters
-        )
+        return LpResult(OPTIMAL, obj, self.x.copy(), y, snapshot, self.iters)

@@ -11,7 +11,7 @@ from kvcut import cli
 from kvcut.cli import BENCH_COLUMNS, main
 from kvcut.engine import EngineError
 from kvcut.graph import Graph, write_dimacs
-from kvcut.lp import SingularBasisError
+from kvcut import lp
 
 DATA = Path(__file__).parent.parent / "src" / "kvcut" / "data"
 KARATE = str(DATA / "karate.col")
@@ -129,7 +129,7 @@ def test_bad_flags_exit_one(tmp_path, capsys):
     "command, entry, error",
     [
         ("solve", "solve", EngineError("node LP ended with uncertified")),
-        ("lp-bounds", "bound_report", SingularBasisError("basis became singular")),
+        ("lp-bounds", "bound_report", EngineError("bound LP failed: basis matrix became singular")),
         ("oracle", "brute_force", EngineError("broken")),
     ],
 )
@@ -142,6 +142,23 @@ def test_internal_failure_exits_four(tmp_path, capsys, monkeypatch, command, ent
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err == f"kvcut: error: internal solver failure: {error}\n"
+
+
+@pytest.mark.parametrize("command", ["solve", "lp-bounds"])
+def test_singular_basis_exits_four(tmp_path, capsys, monkeypatch, command):
+    # the simplex itself fails: every inversion finds B singular, and the
+    # first pivot asks for one
+    def singular(self):
+        raise lp.SingularBasisError("basis matrix became singular")
+
+    monkeypatch.setattr(lp._Simplex, "_inverse", singular)
+    monkeypatch.setattr(lp, "_REFACTOR_EVERY", 1)
+    assert main([command, cycle6_file(tmp_path), "--k", "2"]) == 4
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("kvcut: error: internal solver failure: ")
+    assert captured.err.endswith("LP failed: basis matrix became singular\n")
+    assert captured.err.count("\n") == 1
 
 
 def test_reports_are_deterministic_apart_from_timing(tmp_path):

@@ -127,8 +127,11 @@ def test_karate_k5_optimum():
     assert tuple(rep["cut"]) == (0, 1)
     assert rep["nodes"] == 6
     assert rep["max_depth"] == 2
-    assert rep["cols_total"] == 150
-    assert rep["cols_root"] == 83
+    # 150 and 83 columns when every solve ended on a fresh inverse: the
+    # degenerate masters now reach other optimal bases, priced into other
+    # columns
+    assert rep["cols_total"] == 201
+    assert rep["cols_root"] == 60
 
 
 # ------------------------------------------------------------ column generation
@@ -149,11 +152,23 @@ def test_column_generation_converges_at_the_karate_root():
     assert res.status == lp.OPTIMAL
     assert not rmp.infeasible(res)
     assert res.objective == pytest.approx(20 / 13, abs=1e-9)
-    assert len(rmp.columns) == 83  # the root's cols_root in the pinned solve
+    assert len(rmp.columns) == 60  # the root's cols_root in the pinned solve
     assert work.pivots > 0
     # converged: nothing prices out that is not already pooled
     outcome = price(g, rmp.fam, rmp.extract_duals(res), BranchState())
     assert not any(rmp.add_column(col.subset) for col in outcome.columns)
+
+
+def test_column_generation_raises_engine_error_on_a_singular_basis(monkeypatch):
+    def singular(self):
+        raise lp.SingularBasisError("basis matrix became singular")
+
+    monkeypatch.setattr(lp._Simplex, "_inverse", singular)
+    monkeypatch.setattr(lp, "_REFACTOR_EVERY", 1)  # the first pivot inverts
+    g = karate()
+    with pytest.raises(EngineError, match="^master LP failed: basis matrix") as info:
+        column_generation(_root_rmp(g, 5), g, BranchState(), work=CgWork())
+    assert isinstance(info.value.__cause__, lp.SingularBasisError)
 
 
 def test_column_generation_reports_an_infeasible_master():
@@ -450,11 +465,22 @@ def test_time_limit_report_after_the_root(monkeypatch, in_flight):
     assert rep.gap_percent > 0.0
 
 
-@pytest.mark.xfail(strict=True, raises=EngineError)
 def test_large_costs_solve_to_optimality():
-    # known defect: the connectivity row carries the vertex costs, and at
-    # this scale its certificate residual reads 2.4e-7 against FEAS_TOL
-    # 1e-7, so the master LP ends uncertified; the optimum deletes vertex 1
+    # the connectivity row carries the vertex costs; on the inverse its
+    # pivots kept, its certificate residual here is 0, where a fresh
+    # inverse read 2.4e-7 against FEAS_TOL 1e-7 and the solve ended
+    # uncertified.  The optimum deletes vertex 1.
     rep = solve(Instance(Graph(3, [(0, 1), (1, 2)], [1e9, 1.9e9, 1.8e9]), 2))
     assert rep.status == OPTIMAL
     assert rep.cut == (1,)
+
+
+@pytest.mark.xfail(strict=True, raises=EngineError)
+def test_large_costs_on_a_path_solve_to_optimality():
+    # known defect: the LP's tolerances are absolute, and at this cost
+    # scale the master's certificate fails twice, so it ends uncertified;
+    # the optimum deletes vertex 2, at cost 1.2e9
+    costs = [1.8e9, 2.0e9, 1.2e9, 1.2e9, 1.3e9]
+    rep = solve(Instance(Graph(5, [(i, i + 1) for i in range(4)], costs), 2))
+    assert rep.status == OPTIMAL
+    assert rep.cut == (2,)
