@@ -567,11 +567,11 @@ class _Simplex:
         A row with |dw| <= PIVOT_TOL gets the step inf too, so no row is
         gathered before the scan.
         """
+        if not dw.size:
+            return t_flip, -1, AT_LB
         t = np.full(dw.size, INF)
         np.divide(self.xb - np.where(dw > 0.0, lo, hi), dw, out=t, where=np.abs(dw) > PIVOT_TOL)
         np.copyto(t, 0.0, where=t < 0.0)  # max(t, 0.0): keeps -0.0 and nan
-        if not t.size:
-            return t_flip, -1, AT_LB
         i = int(t.argmin())  # the first nan, if there is one
         t_min = t[i].item()
         # both tests only get easier as the other step grows, so the

@@ -7,11 +7,10 @@ from pathlib import Path
 
 import pytest
 
-from kvcut import cli
+from kvcut import cli, lp
 from kvcut.cli import BENCH_COLUMNS, main
 from kvcut.engine import EngineError
 from kvcut.graph import Graph, write_dimacs
-from kvcut import lp
 
 DATA = Path(__file__).parent.parent / "src" / "kvcut" / "data"
 KARATE = str(DATA / "karate.col")

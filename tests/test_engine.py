@@ -127,9 +127,6 @@ def test_karate_k5_optimum():
     assert tuple(rep["cut"]) == (0, 1)
     assert rep["nodes"] == 6
     assert rep["max_depth"] == 2
-    # 150 and 83 columns when every solve ended on a fresh inverse: the
-    # degenerate masters now reach other optimal bases, priced into other
-    # columns
     assert rep["cols_total"] == 201
     assert rep["cols_root"] == 60
 
@@ -466,10 +463,10 @@ def test_time_limit_report_after_the_root(monkeypatch, in_flight):
 
 
 def test_large_costs_solve_to_optimality():
-    # the connectivity row carries the vertex costs; on the inverse its
-    # pivots kept, its certificate residual here is 0, where a fresh
-    # inverse read 2.4e-7 against FEAS_TOL 1e-7 and the solve ended
-    # uncertified.  The optimum deletes vertex 1.
+    # the connectivity row carries the vertex costs: at this scale a basis
+    # inverted afresh leaves a certificate residual of 2.4e-7 against
+    # FEAS_TOL 1e-7, the inverse the pivots kept leaves none.  The optimum
+    # deletes vertex 1.
     rep = solve(Instance(Graph(3, [(0, 1), (1, 2)], [1e9, 1.9e9, 1.8e9]), 2))
     assert rep.status == OPTIMAL
     assert rep.cut == (1,)

@@ -276,6 +276,8 @@ def test_empty_model_solves_through_the_simplex():
     ref = build(costs, bounds, [(lp.GREATER, 1.0, [1.0, 0.0, 0.0, 1.0, 0.0, 0.0])])[0].solve()
     assert grown.status == ref.status == lp.OPTIMAL
     assert grown.objective == pytest.approx(ref.objective) == -7.0
+    # no columns at all
+    assert lp.LinearProgram().solve().status == lp.OPTIMAL
     # a cost that favours an infinite bound is unbounded
     for cost, lo, hi in ((-1.0, 0.0, INF), (1.0, -INF, 0.0)):
         model, _ = build(costs + [cost], bounds + [(lo, hi)], [])
