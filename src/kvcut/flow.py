@@ -22,7 +22,11 @@ s-t pair instead of being rebuilt, as the connectivity routines do with
 one split network per component.  A residual left by a finished flow stays
 a feasible flow when a capacity is raised by at most the headroom, so the
 flow of the raised network can resume from a copy of it (parametric
-max-flow, Gallo, Grigoriadis & Tarjan 1989), as stage-2 pricing does.
+max-flow, Gallo, Grigoriadis & Tarjan 1989), as stage-2 pricing's
+boosted cuts do.  A flow between any two nodes of such a residual is a
+flow of the network that residual describes, with no rebuild: pricing's
+enclosure test runs one from a vertex to the boosted vertex of an
+earlier cut, on a copy of that cut's residual.
 
 Weighted connectivity cuts n - 1 - deg u pairs from a minimum-degree vertex
 u plus the non-adjacent pairs of u's neighbours (Esfahanian & Hakimi 1984);

@@ -21,7 +21,12 @@ the count price added to that vertex's source arc, which forces the
 vertex into the cluster whenever any violated cluster contains it.
 Raising one source arc keeps the stage-1 flow feasible, so each boosted
 cut resumes from a copy of the stage-1 residual instead of starting
-from zero flow; the network itself is never changed.
+from zero flow; the network itself is never changed.  Two exact rules
+spare most of the sweep's flows without changing its output (proofs in
+``price``): a vertex inside an earlier boosted cut's minimal side is
+skipped when a small flow on that cut's residual proves that both cuts
+are the same (rule A), and a boosted flow stops as soon as it saturates
+the boosted arc, which leaves nothing new to collect (rule B).
 
 Every maximum flow proves two clusters: the minimal and the maximal
 min-cut source side, which carry the same violation (Picard & Queyranne
@@ -37,7 +42,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Optional
 
-from .flow import INF, FlowNetwork
+from .flow import CUT_TOL, INF, FlowNetwork
 from .graph import Graph, connected_components
 from .master import CliqueFamily, DualPrices
 
@@ -158,6 +163,38 @@ def price(
     minimal and maximal side of every boosted cut that prices out, most
     violated first, ties by subset.
 
+    Two rules drop sweep flows whose sides are collected anyway.  Write b
+    for the count price, R0 for the stage-1 residual and F0 for its flow
+    value; every source arc is saturated in R0, as its minimal side is
+    empty.  The boosted cut of u adds the flow delta_u to R0, for the
+    value val_u = F0 + delta_u, and leaves the residual R_u with minimal
+    side S_u.
+
+    Rule B: a boosted flow of w stops at b - CUT_TOL and then collects
+    nothing.  Reaching it saturates the boosted arc, so the minimal side
+    is empty.  The maximal side X either holds w, and then its cut costs
+    F0 + b without the boost, so it prices at exactly 0, or it does not,
+    and then its cut costs F0: X is the stage-1 maximal side M0, which
+    cannot hold w, as its cut would cost only F0.  Every vertex of M0 has
+    M0 as its own maximal side, so M0 is collected anyway.
+
+    Rule A: every other boosted cut is kept with its S_u.  Before w is
+    swept, take the smallest kept S_u that holds w, close s->u in a copy
+    of R_u and run a flow from w to u with the limit delta_u + CUT_TOL.
+    When its value mu reaches it, w's cuts are u's and w is skipped.  Let
+    X be a source side with w in w's boosted network:
+    - with u, X costs what it costs in u's network, at least val_u, with
+      equality exactly on u's minimum cuts;
+    - without u, X costs F0 + delta_u - b plus R_u's residual capacity
+      out of X, which holds b - delta_u on s->u and at least mu elsewhere,
+      so at least F0 + mu > val_u;
+    and a side without w costs at least F0 + b > val_u, since a nonempty
+    S_u forces delta_u < b.  So w's minimum cuts are exactly u's, with
+    the same minimal and maximal side.  S_u is closed in R_u, so the test
+    flow stays inside it.  The inequality must be strict: degenerate
+    master duals make ties mu = delta_u common, and at a tie a side
+    without u can be a minimum cut of w's network, with other sides.
+
     An empty outcome certifies that no cluster column prices out.  The
     minimal side maximizes the violation over every admissible subset,
     the empty one included, whose margin is the count price.  So a
@@ -199,14 +236,28 @@ def price(
         return PricingOutcome()
 
     boost = prices.count_price
-    for v in range(n):
-        if v in state.fixed_to_cut:
+    # rule A's cuts: (S_u as a node set, u, R_u with s->u closed, delta_u)
+    kept: list[tuple[set[int], int, list[float], float]] = []
+    for w in range(n):
+        if w in state.fixed_to_cut:
             continue
+        holders = [cut for cut in kept if 2 + w in cut[0]]
+        if holders:
+            _, u, res_u, delta_u = min(holders, key=lambda cut: len(cut[0]))
+            # rule A: more than delta_u from w to u means w's cuts are u's
+            _, side = net.max_flow(2 + w, 2 + u, res_u.copy(), delta_u + CUT_TOL)
+            if side is None:
+                continue
         res = base.copy()
-        res[source_arcs[v]] += boost
-        _, side = net.max_flow(0, 1, res)
+        res[source_arcs[w]] += boost
+        # rule B: a saturated boosted arc leaves nothing new to collect
+        delta, side = net.max_flow(0, 1, res, boost - CUT_TOL)
+        if side is None:
+            continue
         collect(_source_vertices(side, n))
         collect(_source_vertices(net.maximal_source_side(1, res), n))
+        res[source_arcs[w]] = 0.0
+        kept.append((set(side), w, res, delta))
     if not found:
         return PricingOutcome()
     ranked = sorted(found.items(), key=lambda item: (-item[1], item[0]))

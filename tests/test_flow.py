@@ -420,6 +420,36 @@ def test_max_flow_limit_returns_a_side_exactly_below_the_limit():
                 assert got_side is None and got >= limit, (trial, limit)
 
 
+def test_interior_flow_on_a_left_residual_matches_a_fresh_network():
+    # a flow between two interior nodes of the residual an s-t flow left,
+    # as stage-2 pricing's enclosure test runs it: its value and side must
+    # equal a cold flow on a fresh network whose capacities are that
+    # residual, and the side must be None exactly when the value reaches
+    # the limit.  Quarter capacities keep every sum exact.
+    rng = random.Random(67)
+    moved = stopped = 0
+    for trial in range(120):
+        net = _random_network(rng, rng.randint(4, 8))
+        t = net.n - 1
+        left = net.residual()
+        first, _ = net.max_flow(0, t, left)
+        x, y = rng.sample(range(1, t), 2)
+        fresh = FlowNetwork(net.n)
+        for a in range(len(net.cap)):
+            fresh.add_arc(net.to[a ^ 1], net.to[a], left[a])
+        value, side = fresh.max_flow(x, y)
+        for limit in (value, value + 0.25, value / 2, 0.0, INF):
+            got, got_side = net.max_flow(x, y, left.copy(), limit)
+            assert (got_side is None) == (got >= limit), (trial, limit)
+            if got_side is None:
+                assert limit <= got <= value, (trial, limit)
+                stopped += limit > 0.0
+            else:
+                assert (got, got_side) == (value, side), (trial, limit)
+        moved += first > 0 and value > 0
+    assert moved >= 40 and stopped >= 100
+
+
 def _plain_connectivity(g):
     """weighted_vertex_connectivity without the cutoff: every pair of the
     documented list runs to the end and replaces the best when strictly

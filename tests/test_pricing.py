@@ -1,12 +1,16 @@
 import itertools
 import random
+from collections import Counter
+from pathlib import Path
 
 import pytest
 
-from kvcut.flow import INF
-from kvcut.graph import Graph
-from kvcut.instance import gnp_graph
-from kvcut.master import DualPrices, build_clique_family
+from kvcut import engine
+from kvcut.engine import CgWork, column_generation, solve
+from kvcut.flow import CUT_TOL, INF, FlowNetwork
+from kvcut.graph import Graph, read_dimacs
+from kvcut.instance import Instance, gnp_graph, make_weighted
+from kvcut.master import DualPrices, build_clique_family, init_rmp
 from kvcut.pricing import (
     VIOLATION_TOL,
     BranchState,
@@ -15,6 +19,8 @@ from kvcut.pricing import (
     cluster_violation,
     price,
 )
+
+DATA = Path(__file__).parent.parent / "src" / "kvcut" / "data"
 
 
 def path3():
@@ -326,12 +332,52 @@ def _cold_sweep(g, fam, duals, bs):
     return [PricedColumn(s, viol) for s, viol in ranked]
 
 
-def test_warm_stage_two_matches_a_cold_sweep():
-    # every third configuration prices the count row at 1e6 against unit
-    # covers and cliques priced at their size: stage 1 comes back empty
-    # and each boost dwarfs every finite capacity of the network
+def _sweeps(monkeypatch, run):
+    """Every pricing input of ``run()`` on which stage 2 sweeps: an empty
+    stage-1 minimal side and a positive count price."""
+    inputs = []
+
+    def record(g, fam, duals, bs):
+        if duals.count_price > VIOLATION_TOL and not _cold_sides(g, fam, duals, bs)[0]:
+            inputs.append((g, fam, duals, bs))
+        return price(g, fam, duals, bs)
+
+    monkeypatch.setattr(engine, "price", record)
+    run()
+    return inputs
+
+
+def _logged_flows(monkeypatch):
+    """(source, limit, value, stopped at the limit) of every max-flow call
+    from now on."""
+    flows = []
+    max_flow = FlowNetwork.max_flow
+
+    def logged(net, s, t, res=None, limit=INF):
+        value, side = max_flow(net, s, t, res, limit)
+        flows.append((s, limit, value, side is None))
+        return value, side
+
+    monkeypatch.setattr(FlowNetwork, "max_flow", logged)
+    return flows
+
+
+def _solve_small_weighted_graphs():
+    for seed in range(6):
+        for n, p, k in ((12, 0.25, 3), (14, 0.2, 4)):
+            solve(Instance(make_weighted(gnp_graph(n, p, seed), seed), k))
+
+
+def test_warm_stage_two_matches_a_cold_sweep(monkeypatch):
+    # random configurations, where every third one prices the count row at
+    # 1e6 against unit covers and cliques priced at their size (stage 1
+    # comes back empty and each boost dwarfs every finite capacity), and
+    # the sweeps of column generation on small weighted graphs, branching
+    # fixings included.  Master duals are degenerate, so their enclosure
+    # tests often tie exactly: a test that skipped on a tie would drop
+    # columns there.  Each path of the sweep must run a few times.
     rng = random.Random(7)
-    swept = found = 0
+    configs = []
     for trial in range(90):
         g, fam, duals, bs = _random_config(rng)
         if trial % 3 == 0:
@@ -340,8 +386,55 @@ def test_warm_stage_two_matches_a_cold_sweep():
             )
         if _cold_sides(g, fam, duals, bs)[0] or duals.count_price <= VIOLATION_TOL:
             continue  # stage 2 does not run
+        configs.append((g, fam, duals, bs))
+    swept = len(configs)
+    configs += _sweeps(monkeypatch, _solve_small_weighted_graphs)
+    flows = _logged_flows(monkeypatch)
+    paths = Counter()
+    found = 0
+    for trial, (g, fam, duals, bs) in enumerate(configs):
+        flows.clear()
         outcome = price(g, fam, duals, bs)
+        for i, (s, limit, value, stopped) in enumerate(flows):
+            if s != 0:  # an enclosure test, its limit delta_u + CUT_TOL
+                if stopped:
+                    paths["skipped"] += 1
+                    continue
+                paths["tied" if value >= limit - 2 * CUT_TOL else "failed"] += 1
+                # a failed test is followed by w's boosted cut
+                assert flows[i + 1][0] == 0 and flows[i + 1][1] < INF, trial
+            elif limit < INF and stopped:
+                paths["saturated"] += 1
         assert outcome.columns == _cold_sweep(g, fam, duals, bs), trial
-        swept += 1
         found += bool(outcome.columns)
-    assert swept >= 40 and found >= 30
+    assert swept >= 40 and len(configs) - swept >= 25 and found >= 50
+    assert min(paths[p] for p in ("skipped", "tied", "failed", "saturated")) >= 5
+
+
+def test_stage_two_work_at_the_karate_k4_root_is_pinned(monkeypatch):
+    # the karate k=4 root's column generation sweeps four times.  Per
+    # sweep: stage, columns, boosted flows, those that saturate (rule B),
+    # enclosure tests, those that skip (rule A).  A rule that silently
+    # stops firing leaves the columns as they are and fails only here.
+    # The counts read the same under one, two and four BLAS threads.
+    g = read_dimacs(DATA / "karate.col").graph
+    rmp = init_rmp(Instance(g, 4), build_clique_family(g))
+    sweeps = _sweeps(
+        monkeypatch,
+        lambda: column_generation(rmp, g, BranchState(), work=CgWork()),
+    )
+    flows = _logged_flows(monkeypatch)
+    work = []
+    for g, fam, duals, bs in sweeps:
+        flows.clear()
+        outcome = price(g, fam, duals, bs)
+        boosted = [stop for s, limit, _, stop in flows if s == 0 and limit < INF]
+        tests = [stop for s, _, _, stop in flows if s != 0]
+        work.append((outcome.stage, len(outcome.columns),
+                     len(boosted), sum(boosted), len(tests), sum(tests)))
+    assert work == [
+        (2, 10, 18, 9, 17, 16),
+        (2, 2, 22, 20, 12, 12),
+        (2, 5, 30, 26, 5, 4),
+        (None, 0, 34, 34, 0, 0),
+    ]
