@@ -26,16 +26,17 @@ _M_TRIM_THRESHOLD, _M_MMAP_THRESHOLD = -1, -3
 def _pin_malloc_thresholds():
     """Map and unmap every allocation of 1 MiB or more on its own (glibc only).
 
-    The LP kernel's large arrays -- the matrix, the basis inverse, the
-    basis copy and LAPACK's buffers -- would otherwise move onto the heap
-    once glibc's mmap threshold rises to the largest one freed, and the
-    peak RSS would depend on the heap's layout: the same lab run peaks at
-    80 or at 87 MB.  A fixed threshold does not rise.  The trim threshold
-    is four times it, so the heap keeps what a pivot frees for the next
-    one: the structured simplex kernel's BTRAN copies the bump's columns
-    of the inverse, up to 720 KB on the heap at m = 662.  Trimmed at 2 MiB, a
-    pass of the benchmark's root-bounds workload takes 45,000 minor page
-    faults in place of 21,000, at the same peak RSS.
+    The LP kernel's large arrays -- the matrix, the basis copy and LAPACK's
+    buffers -- would otherwise move onto the heap once glibc's mmap
+    threshold rises to the largest one freed, and the peak RSS would
+    depend on the heap's layout (the same lab run once peaked at 80 or at
+    87 MB).  A fixed threshold does not rise; without it, two passes of
+    the benchmark's root-bounds workload take 2,739 minor page faults in
+    place of 788, at the same peak RSS.  The trim threshold is four times
+    it, so the heap keeps what one pivot frees for the next.  Whether
+    that still pays is unverified: the largest inverse update of the
+    benchmark allocates 207 KB, and a 2 MiB trim threshold reads the
+    same faults and peak there.
     """
     try:
         libc = ctypes.CDLL("libc.so.6")

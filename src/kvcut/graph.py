@@ -256,6 +256,9 @@ YES = "yes"
 NO = "no"
 UNKNOWN = "unknown"
 
+#: backtrack nodes before the stable-set search answers UNKNOWN
+STABLE_SET_NODE_BUDGET = 2_000_000
+
 
 @dataclass
 class StableSetResult:
@@ -280,13 +283,13 @@ def _greedy_stable_set(g: Graph, alive: set[int]) -> list[int]:
     return sorted(picked)
 
 
-def has_stable_set_of_size(g: Graph, k: int, node_budget: int = 2_000_000) -> StableSetResult:
+def has_stable_set_of_size(g: Graph, k: int) -> StableSetResult:
     """Exact branch and bound for "does alpha(G) >= k?".
 
     Grows the largest stable set found, starting from a greedy one, and
     stops as soon as it reaches ``k``.  Returns YES with a witness, NO
-    when the search space was exhausted, or UNKNOWN when the node budget
-    ran out first.
+    when the search space was exhausted, or UNKNOWN when
+    STABLE_SET_NODE_BUDGET nodes ran out first.
     """
     if k <= 0:
         return StableSetResult(YES, [])
@@ -300,7 +303,7 @@ def has_stable_set_of_size(g: Graph, k: int, node_budget: int = 2_000_000) -> St
         # returns True once a stable set reaching k is found
         nonlocal nodes, best, budget_hit
         nodes += 1
-        if nodes > node_budget:
+        if nodes > STABLE_SET_NODE_BUDGET:
             budget_hit = True
             return False
         if len(current) > len(best):
@@ -338,6 +341,11 @@ def has_stable_set_of_size(g: Graph, k: int, node_budget: int = 2_000_000) -> St
 
 Permutation = tuple  # tuple[int, ...], image[v] = gamma(v)
 
+#: the automorphism search stops after this many backtrack nodes ...
+AUTOMORPHISM_NODE_BUDGET = 1_000_000
+#: ... or this many collected permutations
+MAX_GENERATORS = 64
+
 
 def _refine_colors(g: Graph) -> list[int]:
     """Iterated neighbor-signature refinement seeded by (cost, degree)."""
@@ -373,15 +381,13 @@ def is_automorphism(g: Graph, perm: Sequence[int]) -> bool:
     return True
 
 
-def automorphism_generators(
-    g: Graph, node_budget: int = 1_000_000, max_generators: int = 64
-) -> list[Permutation]:
+def automorphism_generators(g: Graph) -> list[Permutation]:
     """Cost- and adjacency-preserving automorphisms found by backtracking.
 
-    Sound but not necessarily complete: the search stops at ``node_budget``
-    backtrack nodes or ``max_generators`` collected permutations, so highly
-    symmetric graphs may yield only part of the group.  Every returned
-    permutation is verified.
+    Sound but not necessarily complete: the search stops at
+    AUTOMORPHISM_NODE_BUDGET backtrack nodes or MAX_GENERATORS collected
+    permutations, so highly symmetric graphs may yield only part of the
+    group.  Every returned permutation is verified.
     """
     n = g.n
     if n == 0:
@@ -401,13 +407,13 @@ def automorphism_generators(
         # returns True to abort the whole search
         nonlocal nodes
         nodes += 1
-        if nodes > node_budget:
+        if nodes > AUTOMORPHISM_NODE_BUDGET:
             return True
         if i == n:
             perm = tuple(image)
             if any(perm[v] != v for v in range(n)):
                 found.append(perm)
-            return len(found) >= max_generators
+            return len(found) >= MAX_GENERATORS
         u = order[i]
         for w in range(n):
             if used[w] or colors[w] != colors[u]:

@@ -83,7 +83,7 @@ class ScreenResult:
     stable_set: Optional[list[int]] = None  # witness when FEASIBLE
 
 
-def screen(inst: Instance, node_budget: int = 2_000_000) -> ScreenResult:
+def screen(inst: Instance) -> ScreenResult:
     """Cheap dispatch before the solver proper.
 
     TRIVIAL: the graph already has >= k components, the empty cut is optimal.
@@ -96,7 +96,7 @@ def screen(inst: Instance, node_budget: int = 2_000_000) -> ScreenResult:
     comps = connected_components(inst.graph)
     if len(comps) >= inst.k:
         return ScreenResult(TRIVIAL, len(comps))
-    res: StableSetResult = has_stable_set_of_size(inst.graph, inst.k, node_budget)
+    res: StableSetResult = has_stable_set_of_size(inst.graph, inst.k)
     if res.status == YES:
         return ScreenResult(FEASIBLE, len(comps), res.stable_set)
     if res.status == UNKNOWN:

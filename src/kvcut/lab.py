@@ -4,9 +4,10 @@ Computes, per instance, the root relaxation value of (a) the column
 formulation the solver branches on (any clique family, solved by the
 engine's own column-generation loop), (b) the natural vertex-variable
 model with its exponential family of forest rows, solved by separation,
-and (c) the compact cluster-assignment model.  The known strength
-relations between the three are what the test suite checks; this module
-only produces the numbers.
+and (c) the compact cluster-assignment model, whose value is known in
+closed form (0, or ``inf`` when k > n).  The known strength relations
+between the three are what the test suite checks; this module only
+produces the numbers.
 """
 
 from __future__ import annotations
@@ -179,43 +180,24 @@ def lp_bound_natural(
 def lp_bound_compact(
     inst: Instance, optimum: Optional[float] = None
 ) -> FormulationBound:
-    """Root value of the compact cluster-assignment model.
+    """Root value of the compact cluster-assignment model, in closed form.
 
-    Variables y[i][v] assign vertex v to one of k clusters; the model
-    maximizes the assigned weight, so the deletion bound is the total
+    Variables y[i][v] in [0, 1] assign vertex v to one of k clusters; the
+    model maximizes the assigned weight, so the deletion bound is the total
     cost minus the LP value.  Adjacent vertices may not sit in distinct
-    clusters, each vertex takes at most one cluster, and no cluster may
-    be empty.
+    clusters (y[i][u] + sum_{j != i} y[j][v] <= 1 per cluster i and edge
+    uv, read both ways), each vertex takes at most one cluster
+    (sum_i y[i][v] <= 1), and no cluster may be empty (sum_v y[i][v] >= 1).
+
+    The LP needs no solve.  If n >= k, y = 1/k meets every row and assigns
+    all of the cost, which the vertex rows cap, so the bound is exactly 0.
+    If n < k, the cluster rows need sum y >= k while the vertex rows cap
+    it at n, so the LP is infeasible and the bound is ``inf``.
     """
     start = time.monotonic()
-    g, k = inst.graph, inst.k
-    model = lp.LinearProgram()
-    # minimize -(assigned weight); bound = total cost + min value
-    y = [
-        [model.add_variable(-g.costs[v], 0.0, 1.0) for v in range(g.n)]
-        for _ in range(k)
-    ]
-    for v in range(g.n):
-        model.add_row(lp.LESS, 1.0, [(y[i][v], 1.0) for i in range(k)])
-    for u, v in g.edges:
-        for i in range(k):
-            for a, b in ((u, v), (v, u)):
-                entries = [(y[i][a], 1.0)]
-                entries += [(y[j][b], 1.0) for j in range(k) if j != i]
-                model.add_row(lp.LESS, 1.0, entries)
-    for i in range(k):
-        model.add_row(lp.GREATER, 1.0, [(y[i][v], 1.0) for v in range(g.n)])
-    res = solve_lp(model, what="assignment LP")
-    if res.status == lp.INFEASIBLE:
-        value = math.inf
-        iterations = res.iterations
-    elif res.status == lp.OPTIMAL:
-        value = g.total_cost() + res.objective
-        iterations = res.iterations
-    else:
-        raise EngineError(f"assignment LP ended with {res.status}")
+    value = 0.0 if inst.graph.n >= inst.k else math.inf
     return _with_gap(
-        FormulationBound(value, time.monotonic() - start, iterations), optimum
+        FormulationBound(value, time.monotonic() - start, 0), optimum
     )
 
 

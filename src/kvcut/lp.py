@@ -3,38 +3,9 @@
 Why not an off-the-shelf LP wrapper?  Column generation needs three things
 most of them do not expose reliably: exact duals with fixed sign
 conventions, cheap incremental column/row addition with stable ids, and
-warm starts from a saved basis.  The simplex keeps an explicit basis
-inverse B^-1, on one of two kernels chosen per solve by the row count m:
-
-* Below STRUCTURED_ROWS rows -- the masters of column generation, up to
-  about 230 rows here -- a dense kernel: B is inverted whole, and FTRAN,
-  BTRAN, pricing and the rank-one update are dense expressions over all
-  rows, with no gather.
-* From STRUCTURED_ROWS rows on -- the lab's compact LPs, 348-1,011 rows
-  -- a structured kernel.  A basic logical is the unit column of its
-  row.  With R_L the rows whose logicals are basic, R_S the other rows
-  (the bump) and S the basic structural columns, only A[R_S, S] is
-  inverted: with Y = A[R_S, S]^-1, B^-1 is the identity on the
-  logicals, Y on (S, R_S), -A[R_L, S] Y on (logicals, R_S) and 0 on
-  (S, R_L).  From the all-logical cold start at most one structural
-  column enters per pivot, so the bump stays small: about 160 of the
-  1,011 rows of bcspwr01 at k=4, after 258 pivots.  FTRAN runs over the
-  nonzeros of a_q, BTRAN over the bump's columns of B^-1 (the others
-  hold unit vectors), pricing y A over A's nonzeros, and the update of
-  the column-major B^-1 in place over the columns where the pivot row
-  is nonzero.  Forrest & Tomlin (1972) and Suhl & Suhl (1990) factor the
-  bump; here it is inverted explicitly.
-
-STRUCTURED_ROWS is a measured crossover.  Per pivot, over whole solves on
-one BLAS thread of a shared 2-vCPU host (two runs each; the spread is
-the noise), the structured kernel cost against the dense one: on
-compact LPs, +7% to +44% at 112-126 rows, 0% to -18% at 176, -25% to
--43% at 218-262, -46% to -75% at 371-453, and -70% to -87% on the
-benchmark's 348-1,011; on masters, whose columns are denser and whose
-many short warm solves each gather A's nonzeros again, +105% at 105
-rows, +24% to +71% at 189-235 and -1% at 333.  The switch sits above
-every master of the benchmark (at most 161 rows) and below every compact
-LP (at least 348).
+warm starts from a saved basis.  The simplex keeps an explicit dense
+basis inverse B^-1: B is inverted whole, and FTRAN, BTRAN, pricing and
+the rank-one update are dense expressions over all rows, with no gather.
 
 The pivot path is fixed by the model, the solves before it on the same
 model and the BLAS build: the inverse and the products with it round
@@ -42,7 +13,7 @@ differently under different BLAS thread counts, so the work counters
 (and on degenerate models the basis reached) can depend on the thread
 count.
 
-Both kernels keep their per-solve and per-pivot work small:
+The per-solve and per-pivot work is kept small:
 
 * The inverse is maintained, not recomputed.  It is inverted afresh
   every _REFACTOR_EVERY pivots, counted across solves, and when a
@@ -68,8 +39,8 @@ Conventions
   bounds encode the sense: slack in [0, inf) for <=, in (-inf, 0] for >=,
   fixed at 0 for ==.  The system is then  A z = b  over all columns.
   ``add_row`` refuses an entry in a logical's column, so each logical
-  stays the unit column of its row, as the cold basis and the bump
-  inverse assume.
+  stays the unit column of its row, and the all-logical cold basis has
+  B = I.
 * Duals: for a minimization problem, >=-rows get duals >= 0, <=-rows get
   duals <= 0, equality rows are free.
 * A warm basis names model columns only.  A row added since the
@@ -120,7 +91,6 @@ PIVOT_TOL = 1e-10
 ITER_LIMIT = 200_000  # iterations per solve before it gives up
 _REFACTOR_EVERY = 100
 _BLAND_AFTER = 40  # consecutive degenerate pivots before switching to Bland
-STRUCTURED_ROWS = 256  # m0: a model with this many rows takes the structured kernel
 
 OPTIMAL = "optimal"
 INFEASIBLE = "infeasible"
@@ -181,8 +151,8 @@ class LinearProgram:
         self._factor: Optional[tuple[tuple[int, ...], np.ndarray, int]] = None
 
     def _grow_cols(self, need: int):
-        # by a quarter, not double: the lab's 1,011 x 1,167 compact LP
-        # would otherwise carry a 1,024 x 2,048 matrix
+        # by a quarter, not double: a column-generation master grows a
+        # few columns at a time, and doubling could leave half of A spare
         new = self._ccap
         while new < need:
             new += max(1, new // 4)
@@ -245,8 +215,8 @@ class LinearProgram:
                 raise IndexError(f"column {j} does not exist")
             r = bisect_left(logical, j)
             if r < len(logical) and logical[r] == j:
-                # the bump inverse and the cold basis take every logical
-                # to be +1 in its own row and 0 elsewhere
+                # the cold basis takes every logical to be +1 in its own
+                # row and 0 elsewhere, so that B = I
                 raise ValueError(f"column {j} is the logical of row {r}")
         if self.nrows == self._rcap:
             self._grow_rows(self.nrows + 1)
@@ -282,12 +252,6 @@ class _Simplex:
     Phase 1 relaxes the bounds of some basic logicals in the workspace's
     own copies of ``lb`` and ``ub``; ``relaxed`` maps each such column to
     the bound it lay beyond, and empties as they leave the basis.
-
-    A model with at least STRUCTURED_ROWS rows takes the structured
-    kernel: ``Binv`` is column-major, and A's nonzeros by column are
-    held in ``nz_row``, ``nz_val`` and ``nz_col``, column j's at
-    ``nz_start[j]:nz_start[j + 1]``; ``row_of`` maps each logical to
-    its row and every other column to -1.
     """
 
     def __init__(self, lp: LinearProgram, warm: Optional[Basis]):
@@ -308,13 +272,6 @@ class _Simplex:
         self.sign = np.zeros(self.n)
         self.basic: list[int] = []
         self.Binv: Optional[np.ndarray] = None  # set with the basis
-        self.structured = self.m >= STRUCTURED_ROWS
-        if self.structured:
-            self.nz_col, self.nz_row = np.nonzero(self.A.T)
-            self.nz_val = self.A[self.nz_row, self.nz_col]
-            self.nz_start = np.searchsorted(self.nz_col, np.arange(self.n + 1))
-            self.row_of = np.full(self.n, -1, dtype=np.intp)
-            self.row_of[lp.logical] = np.arange(self.m)
         self.x = np.zeros(self.n)
         self.xb = np.zeros(self.m)
         self.iters = 0
@@ -328,7 +285,7 @@ class _Simplex:
         self.status[:] = np.where(self.lb > -INF, AT_LB, AT_UB)
         self.basic = list(self.lp.logical)
         self.status[self.basic] = BASIC
-        self.Binv = np.eye(self.m, order="F" if self.structured else "C")
+        self.Binv = np.eye(self.m)
         self.pivots_since_refactor = 0
 
     def _load_warm(self, warm: Basis) -> bool:
@@ -386,61 +343,11 @@ class _Simplex:
         self._refresh()
 
     def _inverse(self) -> np.ndarray:
-        """B^-1 of ``A[:, basic]``; raises SingularBasisError if B is singular.
-
-        The structured kernel inverts only the bump A[R_S, S] and fills
-        in the rest by the closed form in the module docstring.
-        """
+        """B^-1 of ``A[:, basic]``; raises SingularBasisError if B is singular."""
         try:
-            if not self.structured:
-                return np.linalg.inv(self.A[:, self.basic])
-            logical, covered, struct, bump = self._split()
-            Binv = np.zeros((self.m, self.m), order="F")
-            Binv[logical, covered] = 1.0
-            if struct.size:
-                cols = np.asarray(self.basic)[struct]
-                Y = np.linalg.inv(self.A[np.ix_(bump, cols)])
-                Binv[np.ix_(struct, bump)] = Y
-                Binv[np.ix_(logical, bump)] = -(self.A[np.ix_(covered, cols)] @ Y)
-            return Binv
+            return np.linalg.inv(self.A[:, self.basic])
         except np.linalg.LinAlgError:
             raise SingularBasisError("basis matrix became singular") from None
-
-    def _split(self) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-        """(basic logicals' positions, their rows, structurals' positions, bump rows)."""
-        rows = self.row_of[self.basic]
-        logical = np.flatnonzero(rows >= 0)
-        covered = rows[logical]
-        bump = np.ones(self.m, dtype=bool)
-        bump[covered] = False
-        return logical, covered, np.flatnonzero(rows < 0), np.flatnonzero(bump)
-
-    def _ftran(self, q: int) -> np.ndarray:
-        """B^-1 a_q, over the nonzeros of a_q on the structured kernel."""
-        if not self.structured:
-            return self.Binv @ self.A[:, q]
-        nz = slice(self.nz_start[q], self.nz_start[q + 1])
-        return self.Binv[:, self.nz_row[nz]] @ self.nz_val[nz]
-
-    def _btran(self, cb: np.ndarray) -> np.ndarray:
-        """cb B^-1, over the bump's columns of B^-1 on the structured kernel."""
-        if not self.structured:
-            return cb @ self.Binv
-        logical, covered, _, bump = self._split()
-        # the column of B^-1 for a basic logical's row is the unit vector
-        # of its position, so y there is that logical's cost
-        y = np.zeros(self.m)
-        y[covered] = cb[logical]
-        y[bump] = cb @ self.Binv[:, bump]
-        return y
-
-    def _times_A(self, y: np.ndarray) -> np.ndarray:
-        """y A, over the nonzeros of A on the structured kernel."""
-        if not self.structured:
-            return y @ self.A
-        return np.bincount(
-            self.nz_col, weights=y[self.nz_row] * self.nz_val, minlength=self.n
-        )
 
     def _relax_logicals(self) -> np.ndarray:
         """Relax each basic logical outside its bounds; returns the phase-1 costs.
@@ -483,7 +390,7 @@ class _Simplex:
         while True:
             if self.iters >= ITER_LIMIT:
                 return ITERATION_LIMIT
-            d = costs - self._times_A(self._btran(cb))
+            d = costs - cb @ self.Binv @ self.A
             sd = self.sign * d
             enter = int(sd.argmin())
             if not sd[enter] < -RC_TOL:
@@ -491,7 +398,7 @@ class _Simplex:
             if bland:
                 enter = int((sd < -RC_TOL).argmax())
             direction = float(self.sign[enter])
-            w = self._ftran(enter)
+            w = self.Binv @ self.A[:, enter]
             dw = direction * w
             t_best, leave_pos, leave_to = self._ratio_test(
                 dw, self.ub[enter] - self.lb[enter], bland, lo, hi
@@ -600,30 +507,20 @@ class _Simplex:
     def _update_inverse(self, p: int, w: np.ndarray):
         """Rank-one update of B^-1 after the column with B^-1 a = w enters row p.
 
-        The dense kernel updates all of B^-1 in one expression: below
-        STRUCTURED_ROWS rows its temporary is at most 520 KB.  The
-        structured one updates in place, column by column, only the
-        columns where row p is nonzero: the bump's rows and at most one more.
+        All of B^-1 is updated in one expression.  Its temporary, the
+        outer product, holds m^2 floats: 207 KB at the 161 rows of the
+        benchmark's largest master.
         """
-        Binv = self.Binv
-        if self.structured:
-            cols = np.flatnonzero(Binv[p])
-            pivot_row = Binv[p, cols] / w[p]
-            for j, v in zip(cols.tolist(), pivot_row.tolist()):
-                col = Binv[:, j]
-                col -= v * w
-            Binv[p, cols] = pivot_row
-            return
-        pivot_row = Binv[p] / w[p]
-        Binv -= np.outer(w, pivot_row)
-        Binv[p] = pivot_row
+        pivot_row = self.Binv[p] / w[p]
+        self.Binv -= np.outer(w, pivot_row)
+        self.Binv[p] = pivot_row
 
     def _duals(self) -> np.ndarray:
         """Row prices of the phase-2 costs."""
-        return self._btran(self.c[self.basic])
+        return self.c[self.basic] @ self.Binv
 
     def _reduced_costs(self) -> np.ndarray:
-        return self.c - self._times_A(self._duals())
+        return self.c - self._duals() @ self.A
 
     def _dual_feasible(self) -> bool:
         """Whether the basis prices out under the phase-2 costs."""
@@ -658,7 +555,7 @@ class _Simplex:
                 r = int(np.argmax(excess))
             to_lb = self.xb[r] < lo[r]
             d = self._reduced_costs()
-            alpha = self._times_A(self.Binv[r])
+            alpha = self.Binv[r] @ self.A
             # x_r rises to its lower bound (or falls to its upper bound)
             # when a column at its lower bound with alpha < 0 (> 0) rises,
             # or one at its upper bound with alpha > 0 (< 0) falls
@@ -675,7 +572,7 @@ class _Simplex:
             q = int(ties[0]) if bland else int(ties[np.argmax(np.abs(alpha[ties]))])
             streak = streak + 1 if step <= PIVOT_TOL else 0
             bland = streak >= _BLAND_AFTER
-            w = self._ftran(q)
+            w = self.Binv @ self.A[:, q]
             if self._zero_pivot(w[r]):
                 continue
             target = lo[r] if to_lb else hi[r]
@@ -689,7 +586,7 @@ class _Simplex:
             return False
         if np.any(x < self.lb - FEAS_TOL) or np.any(x > self.ub + FEAS_TOL):
             return False
-        d = self.c - self._times_A(y)
+        d = self.c - y @ self.A
         if (self.sign * d < -RC_TOL).any():
             return False
         return bool(np.all(np.abs(d[self.basic]) <= RC_TOL))

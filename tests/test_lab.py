@@ -150,10 +150,9 @@ PINNED_EXTENDED_WORK = [
         "bcspwr01", "edges", 117 / 37, 149, 86,
         id="bcspwr01-edges-3.1621621621621623-158-88",
     ),
-    # one cold LP with 1,011 rows, on the structured kernel; the others
-    # stay below lp.STRUCTURED_ROWS
+    # the compact bound is in closed form: no LP, no pivots
     pytest.param(
-        "bcspwr01", "compact", 0.0, 258, None,
+        "bcspwr01", "compact", 0.0, 0, None,
         id="bcspwr01-compact-0.0-229-None",
     ),
     # rows added between warm solves, so no solve can reuse the last inverse
@@ -228,9 +227,7 @@ def test_gnp45_root_reaches_the_natural_bound(family):
 
 
 @pytest.mark.parametrize(
-    "bound, what",
-    [(lp_bound_natural, "bound LP"), (lp_bound_compact, "assignment LP")],
-    ids=["natural", "compact"],
+    "bound, what", [(lp_bound_natural, "bound LP")], ids=["natural"]
 )
 def test_singular_basis_raises_engine_error(monkeypatch, bound, what):
     # the extended bound runs column_generation, which test_engine covers
@@ -247,6 +244,80 @@ def test_singular_basis_raises_engine_error(monkeypatch, bound, what):
 def test_compact_bound_on_p3_is_zero():
     got = lp_bound_compact(Instance(path3(), 2))
     assert got.value == pytest.approx(0.0, abs=1e-6)
+
+
+def _compact_lp_bound(g, k):
+    """The compact model's bound by a simplex solve, over the rows of its
+    docstring; ``inf`` when the LP is infeasible."""
+    model = lp.LinearProgram()
+    # minimize -(assigned weight); bound = total cost + min value
+    y = [
+        [model.add_variable(-g.costs[v], 0.0, 1.0) for v in range(g.n)]
+        for _ in range(k)
+    ]
+    for v in range(g.n):
+        model.add_row(lp.LESS, 1.0, [(y[i][v], 1.0) for i in range(k)])
+    for u, v in g.edges:
+        for i in range(k):
+            for a, b in ((u, v), (v, u)):
+                entries = [(y[i][a], 1.0)]
+                entries += [(y[j][b], 1.0) for j in range(k) if j != i]
+                model.add_row(lp.LESS, 1.0, entries)
+    for i in range(k):
+        model.add_row(lp.GREATER, 1.0, [(y[i][v], 1.0) for v in range(g.n)])
+    res = model.solve()
+    if res.status == lp.INFEASIBLE:
+        return math.inf
+    assert res.status == lp.OPTIMAL, res.status
+    return g.total_cost() + res.objective
+
+
+def test_compact_closed_form_matches_the_lp():
+    # at most 400 rows per LP keeps the dense simplex quick: a 12-clique
+    # at k=14 would have 1,874
+    rng = random.Random(41)
+    seen = {"edgeless": 0, "clique": 0, "gnp": 0, "n=k": 0, "n<k": 0}
+    sizes, ks, costs_seen = set(), set(), set()
+    checked = 0
+    while checked < 120:
+        n, k = rng.randint(1, 12), rng.randint(2, 14)
+        if rng.random() < 0.15:
+            n = k = rng.randint(2, 12)
+        kind = rng.choice(("edgeless", "clique", "gnp"))
+        if kind == "edgeless":
+            edges = []
+        elif kind == "clique":
+            edges = list(itertools.combinations(range(n), 2))
+        else:
+            edges = gnp_graph(n, rng.choice((0.2, 0.4)), seed=3000 + checked).edges
+        if n + 2 * len(edges) * k + k > 400:
+            continue
+        cost_kind = rng.choice(("zero", "some zero", "fractional", "1e6"))
+        costs = {
+            "zero": [0.0] * n,
+            "some zero": [rng.choice((0.0, 0.5, 1.25)) for _ in range(n)],
+            "fractional": [rng.uniform(0.0, 3.0) for _ in range(n)],
+            "1e6": [1e6] * n,
+        }[cost_kind]
+        g = Graph(n, edges, costs)
+        got = lp_bound_compact(Instance(g, k))
+        want = _compact_lp_bound(g, k)
+        assert got.iterations == 0
+        if n < k:
+            assert got.value == math.inf and want == math.inf, (n, k, kind)
+        else:
+            assert got.value == 0.0, (n, k, kind)
+            assert abs(want) <= 1e-9 * max(1.0, g.total_cost()), (n, k, kind, want)
+        checked += 1
+        seen[kind] += 1
+        seen["n=k"] += n == k
+        seen["n<k"] += n < k
+        sizes.add(n)
+        ks.add(k)
+        costs_seen.add(cost_kind)
+    assert min(seen.values()) >= 10, seen
+    assert sizes == set(range(1, 13)) and ks == set(range(2, 15))
+    assert len(costs_seen) == 4
 
 
 # ------------------------------------------------------------ edge behavior

@@ -936,12 +936,14 @@ def test_large_arrays_are_mapped_after_a_larger_one_is_freed():
 
 
 def test_freed_update_blocks_stay_on_the_heap():
-    """The heap keeps a pivot's freed temporaries for the next pivot.
+    """The heap keeps freed blocks below the trim threshold for reuse.
 
-    The structured kernel's BTRAN gathers the bump's columns of B^-1: at
-    m = 1,011 with 128 bump columns the copy is just below the mmap
-    threshold, so it lives on the heap.  Three such blocks freed together
-    at the top must not be trimmed, or every pivot faults them in again.
+    Importing kvcut pins glibc's trim threshold at 4 MiB.  Blocks just
+    below the 1 MiB mmap threshold live on the heap: 1,011 x 128 floats
+    here, about the size of the inverse update's m^2 temporary at
+    m = 362.  Three of them freed together at the top must not be
+    trimmed, or the next allocations fault them in again.  Trimmed at
+    2 MiB, they are.
     """
     try:
         libc = ctypes.CDLL("libc.so.6")
@@ -957,7 +959,7 @@ def test_freed_update_blocks_stay_on_the_heap():
         assert mallinfo2().arena == arena
 
 
-# ------------------------------------------------------------ structured kernel
+# ------------------------------------------------------------ large models
 
 
 def _sparse_model(rng, m, n):
@@ -976,37 +978,9 @@ def _sparse_model(rng, m, n):
     return model
 
 
-def test_structured_inverse_matches_numpy():
-    rng = random.Random(23)
-    for trial in range(6):
-        m = lp.STRUCTURED_ROWS + rng.randint(0, 60)
-        model = _sparse_model(rng, m, 20)
-        logicals = set(model.logical)
-        structural = [j for j in range(model.ncols) if j not in logicals]
-        s = lp._Simplex(model, None)
-        assert s.structured
-        swapped = set(rng.sample(range(m), rng.randint(1, m - 1)))
-        bases = {
-            "all-logical": list(model.logical),
-            "no-logical": structural[:m],
-            "mixed": [structural[i] if i in swapped else model.logical[i] for i in range(m)],
-        }
-        for name, basic in bases.items():
-            rng.shuffle(basic)  # any row order
-            s.basic = basic
-            want = np.linalg.inv(s.A[:, basic])
-            got = s._inverse()
-            assert got.flags.f_contiguous
-            err = np.linalg.norm(got - want) / np.linalg.norm(want)
-            assert err <= 1e-9, (trial, name, err)
-    # below the switch the dense kernel keeps a row-major inverse
-    small = lp._Simplex(_sparse_model(rng, lp.STRUCTURED_ROWS - 1, 5), None)
-    assert not small.structured
-
-
-def test_singular_bump_raises():
+def test_singular_basis_raises():
     rng = random.Random(29)
-    m = lp.STRUCTURED_ROWS
+    m = 256
     model = _sparse_model(rng, m, 0)
     # a structural column inside the span of row 0's logical
     twin = model.add_variable(1.0, 0.0, 1.0, [(0, 2.0)])
@@ -1015,7 +989,7 @@ def test_singular_bump_raises():
     with pytest.raises(lp.SingularBasisError):
         s._inverse()
     s.basic = list(model.logical)
-    assert s._inverse().tobytes() == np.eye(m, order="F").tobytes()
+    assert s._inverse().tobytes() == np.eye(m).tobytes()
 
 
 def test_add_row_rejects_an_entry_on_a_logical():
@@ -1082,8 +1056,8 @@ def _agrees(sp, costs, bounds, rows, res, cols):
     return abs(res.objective - ref.fun) < 1e-6 * (1 + abs(ref.fun))
 
 
-def test_structured_kernel_against_scipy_cold_and_warm(spy):
-    # sparse LPs above the switch, solved cold and then warm after an
+def test_large_sparse_lps_against_scipy_cold_and_warm(spy):
+    # sparse LPs of 260-360 rows, solved cold and then warm after an
     # added column, a tightened bound and an added row
     sp = pytest.importorskip("scipy.optimize")
     rng = random.Random(13)
@@ -1093,7 +1067,6 @@ def test_structured_kernel_against_scipy_cold_and_warm(spy):
         n = m + rng.randint(-20, 40)
         costs, bounds, rows = _random_sparse_lp(rng, n, m)
         model, cols = build(costs, bounds, rows)
-        assert lp._Simplex(model, None).structured
         res = model.solve()
         assert _agrees(sp, costs, bounds, rows, res, cols)
         if res.status != lp.OPTIMAL:
