@@ -118,7 +118,7 @@ def _options_from(args: argparse.Namespace) -> SolveOptions:
 def _load_graph(path: str, weights: str) -> Graph:
     try:
         parsed = read_dimacs(path)
-    except (OSError, DimacsError) as exc:
+    except (OSError, UnicodeDecodeError, DimacsError) as exc:
         raise CliError(f"{path}: {exc}") from exc
     for warning in parsed.warnings():
         print(f"warning: {path}: {warning}", file=sys.stderr)
@@ -128,7 +128,7 @@ def _load_graph(path: str, weights: str) -> Graph:
     if weights.startswith("file:"):
         wpath = weights[len("file:"):]
         try:
-            costs = parse_weights(Path(wpath).read_text(), g.n)
+            costs = parse_weights(Path(wpath).read_text(encoding="utf-8"), g.n)
         except (OSError, ValueError) as exc:
             raise CliError(f"{wpath}: {exc}") from exc
         return g.with_costs(costs)

@@ -26,9 +26,10 @@ The per-solve and per-pivot work is kept small:
   to the rounding of its updates, which the certificate bounds.
 * A sign vector marks each nonbasic column free to rise (+1) or to fall
   (-1), so pricing is one product and one argmin.
-* The ratio test, basic values and status set-up are array expressions
-  with the same float operations as a scan in row or column order; the
-  ratio test scans in Python only when the smallest steps tie.
+* The ratio test, basic values and status set-up are array expressions.
+  Both ratio tests take the smallest step, let every step within
+  PIVOT_TOL of it tie, and break the tie by the lowest id in Bland mode
+  or else by the largest pivot element (Harris 1973; Bland 1977).
 * Each element of B^-1 the update touches gets one multiply and one
   subtract.
 
@@ -239,6 +240,8 @@ class LinearProgram:
     def set_bounds(self, col: int, lb: float, ub: float):
         if lb > ub:
             raise ValueError("lb > ub")
+        if lb == -INF and ub == INF:
+            raise ValueError("free variables are not supported")
         self._lb[col] = lb
         self._ub[col] = ub
 
@@ -462,47 +465,28 @@ class _Simplex:
 
         ``lo`` and ``hi`` are the bounds of each row's basic column.
         Returns (t, leaving row, bound it leaves at), or (t_flip, -1, AT_LB)
-        when the entering column reaches its other bound first.  The result
-        is that of a scan in row order over the rows with |dw| > PIVOT_TOL:
-        a step more than PIVOT_TOL below the best so far replaces it; a
-        step within PIVOT_TOL of it replaces it on the lower variable id in
-        Bland mode (the anti-cycling guarantee needs it), otherwise on the
-        larger |dw| (the numerically safer pivot).  A row heading for an
-        infinite bound gets the step inf or nan, which never replaces
-        anything.  A smallest step more than PIVOT_TOL below every other
-        one decides the scan alone, so the scan runs only on near ties.
-        A row with |dw| <= PIVOT_TOL gets the step inf too, so no row is
-        gathered before the scan.
+        when the entering column reaches its other bound first.  A row with
+        |dw| > PIVOT_TOL gets the step max(t, 0.0); any other row gets inf,
+        and a row heading for an infinite bound gets inf or nan, so it never
+        leaves.  The rule is the dual phase's: the entering column flips
+        unless the smallest step t_min is more than PIVOT_TOL below t_flip;
+        otherwise the rows with a step within PIVOT_TOL of t_min tie, and
+        the lowest variable id leaves in Bland mode (the anti-cycling
+        guarantee needs it), otherwise the largest |dw| (the numerically
+        safest pivot), the first row on equal values.
         """
-        if not dw.size:
-            return t_flip, -1, AT_LB
         t = np.full(dw.size, INF)
         np.divide(self.xb - np.where(dw > 0.0, lo, hi), dw, out=t, where=np.abs(dw) > PIVOT_TOL)
         np.copyto(t, 0.0, where=t < 0.0)  # max(t, 0.0): keeps -0.0 and nan
-        i = int(t.argmin())  # the first nan, if there is one
-        t_min = t[i].item()
-        # both tests only get easier as the other step grows, so the
-        # smallest other step stands for all of them
-        t[i] = INF
-        t_2 = t.min().item()
-        t[i] = t_min
-        if abs(t_2 - t_min) > PIVOT_TOL and t_min < t_2 - PIVOT_TOL:
-            if t_min < t_flip - PIVOT_TOL:
-                return t_min, i, AT_LB if dw[i] > 0.0 else AT_UB
+        t_min = np.fmin.reduce(t, initial=INF).item()  # ignores nan
+        if not t_min < t_flip - PIVOT_TOL:
             return t_flip, -1, AT_LB
-        rows = np.flatnonzero(t < INF)  # an inf or nan step replaces nothing
-        t_best, leave_pos, best_d = t_flip, -1, 0.0
-        for p, tp, dp in zip(rows.tolist(), t[rows].tolist(), dw[rows].tolist()):
-            if leave_pos >= 0 and abs(tp - t_best) <= PIVOT_TOL:
-                if bland:
-                    if not self.basic[p] < self.basic[leave_pos]:
-                        continue
-                elif not abs(dp) > abs(best_d):
-                    continue
-            elif not tp < t_best - PIVOT_TOL:
-                continue
-            t_best, leave_pos, best_d = tp, p, dp
-        return t_best, leave_pos, AT_UB if best_d < 0.0 else AT_LB
+        ties = np.flatnonzero(t <= t_min + PIVOT_TOL)
+        if bland:
+            i = int(ties[np.argmin(np.take(self.basic, ties))])
+        else:
+            i = int(ties[np.argmax(np.abs(dw[ties]))])
+        return t[i].item(), i, AT_LB if dw[i] > 0.0 else AT_UB
 
     def _update_inverse(self, p: int, w: np.ndarray):
         """Rank-one update of B^-1 after the column with B^-1 a = w enters row p.

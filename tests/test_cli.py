@@ -243,6 +243,22 @@ def test_weight_file_must_cover_every_vertex(tmp_path, capsys):
     assert "short.txt" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("which", ["instance", "weights"])
+def test_non_utf8_file_exits_one(tmp_path, capsys, which):
+    # a 0xff byte in a comment line: one error line naming the file, no traceback
+    bad = tmp_path / "bad.txt"
+    if which == "instance":
+        bad.write_bytes(b"c caf\xff\n" + write_dimacs(Graph(3, [(0, 1), (1, 2)])).encode())
+        argv = ["solve", str(bad), "--k", "2"]
+    else:
+        bad.write_bytes(b"c caf\xff\nn 1 1\nn 2 1\nn 3 1\n")
+        argv = ["solve", path3_file(tmp_path), "--k", "2", "--weights", f"file:{bad}"]
+    assert main(argv) == 1
+    err = capsys.readouterr().err
+    assert err.startswith(f"kvcut: error: {bad}: ") and "utf-8" in err
+    assert err.count("\n") == 1
+
+
 @pytest.mark.parametrize("cost", ["nan", "inf", "-inf"])
 def test_non_finite_weight_exits_one(tmp_path, cost):
     # in a child process with a timeout: a NaN or infinite cost that

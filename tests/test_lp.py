@@ -296,6 +296,18 @@ def test_set_bounds_deactivates_column():
     assert res.x[x] == 0.0
 
 
+def test_set_bounds_rejects_a_free_column():
+    # min x s.t. x >= 1, x <= 5: freeing x would leave the simplex a
+    # column with no bound to sit at, as add_variable refuses
+    model, (x,) = build([1.0], [(0.0, INF)], [(lp.GREATER, 1.0, [1.0]), (lp.LESS, 5.0, [1.0])])
+    with pytest.raises(ValueError, match="free variables"):
+        model.set_bounds(x, -INF, INF)
+    res = model.solve()
+    assert res.status == lp.OPTIMAL and res.objective == 1.0
+    model.set_bounds(x, -INF, 3.0)  # one infinite bound is fine
+    assert model.solve().objective == 1.0
+
+
 # ------------------------------------------------------------ warm re-solves
 
 
@@ -476,37 +488,45 @@ def test_zero_pivot_guard():
 # ------------------------------------------------------------ ratio test
 
 
-def _row_scan(basic, xb, lo, hi, dw, t_flip, bland):
-    """The primal ratio test as a plain scan in row order, the reference
-    for ``_Simplex._ratio_test``; row p's basic column lies in [lo[p], hi[p]]."""
-    t_best = t_flip
-    leave_pos = -1
-    leave_to = lp.AT_LB
-    for p in range(len(basic)):
-        jb = basic[p]
+def _steps(xb, lo, hi, dw):
+    """(row, step, bound it leaves at) of every row that can leave."""
+    steps = []
+    for p in range(len(dw)):
         if dw[p] > lp.PIVOT_TOL:
             if lo[p] == -INF:
                 continue
-            t = (xb[p] - lo[p]) / dw[p]
-            to = lp.AT_LB
+            t, to = (xb[p] - lo[p]) / dw[p], lp.AT_LB
         elif dw[p] < -lp.PIVOT_TOL:
             if hi[p] == INF:
                 continue
-            t = (xb[p] - hi[p]) / dw[p]
-            to = lp.AT_UB
+            t, to = (xb[p] - hi[p]) / dw[p], lp.AT_UB
         else:
             continue
-        t = max(t, 0.0)
-        if leave_pos >= 0 and abs(t - t_best) <= lp.PIVOT_TOL:
-            if bland:
-                better = jb < basic[leave_pos]
-            else:
-                better = abs(dw[p]) > abs(dw[leave_pos])
-            if better:
-                t_best, leave_pos, leave_to = t, p, to
-        elif t < t_best - lp.PIVOT_TOL:
-            t_best, leave_pos, leave_to = t, p, to
-    return t_best, leave_pos, leave_to
+        steps.append((p, max(t, 0.0), to))
+    return steps
+
+
+def _window_rule(basic, xb, lo, hi, dw, t_flip, bland):
+    """The primal ratio test in plain Python, the reference for
+    ``_Simplex._ratio_test``; row p's basic column lies in [lo[p], hi[p]].
+    One pass finds the smallest step; a second breaks the tie among the
+    steps within PIVOT_TOL of it."""
+    steps = _steps(xb, lo, hi, dw)
+    t_min = min((t for _, t, _ in steps), default=INF)
+    if not t_min < t_flip - lp.PIVOT_TOL:
+        return t_flip, -1, lp.AT_LB
+    best = None
+    for p, t, to in steps:
+        if t > t_min + lp.PIVOT_TOL:
+            continue
+        if best is not None:
+            q = best[1]
+            if bland and not basic[p] < basic[q]:
+                continue
+            if not bland and not abs(dw[p]) > abs(dw[q]):
+                continue
+        best = (t, p, to)
+    return best
 
 
 def _ratio_case(basic, xb, lo, hi, dw, t_flip, bland):
@@ -515,7 +535,7 @@ def _ratio_case(basic, xb, lo, hi, dw, t_flip, bland):
     s = lp._Simplex(lp.LinearProgram(), None)
     s.basic, s.xb = list(basic), xb
     got = s._ratio_test(dw, t_flip, bland, lo, hi)
-    want = _row_scan(basic, xb, lo, hi, dw, t_flip, bland)
+    want = _window_rule(basic, xb, lo, hi, dw, t_flip, bland)
     return (float(got[0]).hex(), *got[1:]), (float(want[0]).hex(), *want[1:])
 
 
@@ -549,7 +569,7 @@ def _random_ratio_case(rng):
     return basic, xb, lo, hi, dw, t_flip, rng.random() < 0.5
 
 
-def test_ratio_test_matches_the_row_scan():
+def test_ratio_test_matches_the_window_rule():
     rng = random.Random(11)
     flips = 0
     for _ in range(4000):
@@ -557,32 +577,44 @@ def test_ratio_test_matches_the_row_scan():
         got, want = _ratio_case(*case)
         assert got == want, case
         flips += want[1] == -1
+        # the step taken, a flip's too, is within PIVOT_TOL of the smallest
+        basic, xb, lo, hi, dw = case[:5]
+        t_min = min((t for _, t, _ in _steps(xb, lo, hi, dw)), default=INF)
+        assert float.fromhex(got[0]) <= t_min + lp.PIVOT_TOL, case
     assert 1000 < flips < 3000  # both outcomes are common
 
 
-def test_ratio_test_follows_a_tie_chain():
-    # steps 0, 0.9 tol and 1.8 tol with growing |dw|: each ties with the
-    # one before, so the scan ends on the last row, whose step is more
-    # than PIVOT_TOL above the minimum
+def test_ratio_test_ties_within_pivot_tol_of_the_minimum():
+    # steps 0, 0.9 tol and 1.8 tol with growing |dw|: the last step is
+    # more than PIVOT_TOL above the smallest, so only rows 0 and 1 tie,
+    # even though each step is within PIVOT_TOL of the one before
     tol = lp.PIVOT_TOL
     lb = np.zeros(3)
     ub = np.full(3, INF)
     dw = np.array([1.0, 2.0, 4.0])
     xb = np.array([0.0, 0.9 * tol, 1.8 * tol]) * dw
-    for bland in (False, True):
+    for bland, row in ((False, 1), (True, 0)):
         got, want = _ratio_case([0, 1, 2], xb, lb, ub, dw, INF, bland)
         assert got == want
-        assert got[1] == (0 if bland else 2)
-    # a larger step ahead of the minimum is replaced by it, then the chain
-    # moves on from there
+        assert got[1] == row
+    # Bland mode takes the lowest variable id, not the first row
+    got, _ = _ratio_case([2, 0, 1], xb, lb, ub, dw, INF, True)
+    assert got[1] == 1
+    # a larger step ahead of the smallest is outside the window
     xb2 = np.array([5.0, 0.0, 0.9 * tol])
     dw2 = np.array([1.0, 1.0, 3.0])
     got, want = _ratio_case([0, 1, 2], xb2, lb, ub, dw2, INF, False)
     assert got == want and got[1] == 2
+    # equal |dw| in the window: the first row leaves
+    got, _ = _ratio_case([0, 1, 2], xb2, lb, ub, np.array([1.0, 3.0, 3.0]), INF, False)
+    assert got[1] == 1
+    # a flip within PIVOT_TOL of the smallest step wins over the rows
+    got, want = _ratio_case([0, 1, 2], xb, lb, ub, dw, 0.5 * tol, False)
+    assert got == want and got[1] == -1
 
 
 def test_ratio_test_with_infinite_basic_values():
-    # inf - inf steps are nan in both: a nan step never replaces anything
+    # inf - inf steps are nan: a nan step never leaves
     lb = np.array([0.0, -INF, 0.0])
     ub = np.array([INF, 0.0, 1.0])
     with np.errstate(invalid="ignore"):
@@ -593,6 +625,20 @@ def test_ratio_test_with_infinite_basic_values():
                         [0, 1, 2], np.array(xb), lb, ub, np.array(dw), t_flip, False
                     )
                     assert got == want, (xb, dw, t_flip)
+
+
+def test_ratio_test_without_a_leaving_row():
+    # an all-nan dw and a model with no rows both end in the flip (or,
+    # at t_flip = inf, in an unbounded ray)
+    lb, ub = np.zeros(3), np.ones(3)
+    nan3, empty = np.full(3, np.nan), np.empty(0)
+    for t_flip in (INF, 0.0, 1.0):
+        flip = (float(t_flip).hex(), -1, lp.AT_LB)
+        for bland in (False, True):
+            got, want = _ratio_case([0, 1, 2], np.zeros(3), lb, ub, nan3, t_flip, bland)
+            assert got == want == flip
+            got, want = _ratio_case([], empty, empty, empty, empty, t_flip, bland)
+            assert got == want == flip
 
 
 # ------------------------------------------------------------ kept inverse
