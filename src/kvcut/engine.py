@@ -4,8 +4,10 @@ Per tree node the engine runs column generation to convergence (master
 LP solve, price, add, repeat), reads the node's dual bound off the final
 LP, and either prunes, accepts an integral deletion vector as a new
 incumbent (after re-verifying the component count directly on the
-graph), or branches on a fractional deletion variable chosen by
-pseudocosts: the bound gains the tree's own child nodes have recorded.
+graph), or rounds the LP to a cut that may become the incumbent and then
+branches on a fractional deletion variable chosen by pseudocosts: the
+bound gains the tree's own child nodes have recorded.  Below the root,
+column generation stops early once a Lagrangian bound prunes the node.
 
 A child node starts from the parent's optimal basis.  Its new bound
 leaves it primal infeasible but dual feasible, so the LP re-optimises it
@@ -27,14 +29,14 @@ import logging
 import math
 import time
 from dataclasses import dataclass
-from typing import Optional
+from typing import Callable, Optional, Sequence
 
 from . import lp
 from .flow import ComponentResults, weighted_vertex_connectivity
 from .graph import Graph, automorphism_generators, connected_components
 from .instance import INFEASIBLE, TRIVIAL, Instance, screen
 from .master import Rmp, build_clique_family, init_rmp
-from .pricing import BranchState, price
+from .pricing import VIOLATION_TOL, BranchState, price
 from .symmetry import propagate
 
 log = logging.getLogger(__name__)
@@ -164,6 +166,50 @@ def disconnection_heuristic(
         removed.update(conn.vertices)
 
 
+def rounding_heuristic(
+    g: Graph, k: int, state: BranchState, xvals: Sequence[float]
+) -> Optional[Incumbent]:
+    """Round a node's LP deletion vector to a k-vertex cut, or return None.
+
+    Deletes the cut-fixed vertices, then the vertices that are not
+    keep-fixed in order of decreasing x_v (ties to the cheaper, then to the
+    lower index) until at least k components remain; it gives up when the
+    next x_v is 0 (within INT_TOL).  Then it restores, dearest first,
+    every such deletion the cut does not need.  The cut keeps the node's
+    fixings.
+    """
+    removed = set(state.fixed_to_cut)
+
+    def parts() -> int:
+        keep = [v for v in range(g.n) if v not in removed]
+        return len(connected_components(g, within=keep))
+
+    order = sorted(
+        (
+            v
+            for v in range(g.n)
+            if v not in state.fixed_to_cut and v not in state.fixed_to_keep
+        ),
+        key=lambda v: (-xvals[v], g.costs[v], v),
+    )
+    deleted = []
+    for v in order:
+        if parts() >= k:
+            break
+        if xvals[v] <= INT_TOL:
+            return None
+        removed.add(v)
+        deleted.append(v)
+    if parts() < k:
+        return None
+    for v in sorted(deleted, key=lambda v: (-g.costs[v], v)):
+        removed.discard(v)
+        if parts() < k:
+            removed.add(v)
+    cut = tuple(sorted(removed))
+    return Incumbent(cut, sum(g.costs[v] for v in cut), parts())
+
+
 @dataclass
 class CgWork:
     """Master pivots and pricing seconds, summed over the loops given it."""
@@ -180,13 +226,33 @@ def column_generation(
     *,
     work: CgWork,
     deadline: Optional[float] = None,
+    prune: Optional[Callable[[float], bool]] = None,
 ) -> Optional[lp.LpResult]:
     """Solve the master, price, add columns; repeat until none is added.
 
-    Returns the converged LP, or None when the master LP is infeasible
-    (the connectivity row has no artificial).  Raises ``EngineError`` on
-    any other LP failure, and ``_Timeout`` before a master solve past the
+    Returns the converged LP, or None when the node can be dropped: the
+    master LP is infeasible (the connectivity row has no artificial), or
+    ``prune`` accepts a Lagrangian bound.  Raises ``EngineError`` on any
+    other LP failure, and ``_Timeout`` before a master solve past the
     deadline, with ``work`` counted so far.
+
+    The Lagrangian bound (Lübbecke & Desrosiers 2005).  Let v be the
+    largest violation among a pricing call's columns, v' = max(v,
+    VIOLATION_TOL), and y_0 the count price.  When v' <= y_0, which stage
+    2 meets up to rounding (its stage-1 cut proved that no cluster beats
+    the count price), LB = z_RMP - k * v' bounds the node from below.
+    Lower y_0 by v' and keep every other dual.  The count row is a >= row
+    and y_0 - v' >= 0, so every dual keeps its sign.  Each cluster has
+    coefficient 1 in the count row, so its reduced cost rises by v' and
+    none prices out: pricing finds the most violated admissible cluster
+    and returns none below VIOLATION_TOL.  The count row's artificial
+    gains v' too, and no other column meets the row.  A cluster column
+    sits at a zero bound, so its bound term in the dual objective stays 0;
+    every other column keeps its reduced cost and bound term.  The
+    lowered duals are feasible for the node's full master, and their
+    objective is z_RMP less the change in the count row's term k * y_0,
+    k * v'.  Weak duality gives LB.  The root passes no ``prune``, so its
+    LP always converges and its bound is the converged value.
     """
     while True:
         _check_deadline(deadline)
@@ -198,9 +264,15 @@ def column_generation(
         if res.status != lp.OPTIMAL:
             raise EngineError(f"master LP ended with {res.status}")
         basis = res.basis
+        prices = rmp.extract_duals(res)
         t0 = time.monotonic()
-        outcome = price(g, rmp.fam, rmp.extract_duals(res), state)
+        outcome = price(g, rmp.fam, prices, state)
         work.pricing_seconds += time.monotonic() - t0
+        if prune is not None and outcome.columns:
+            v = max(max(col.violation for col in outcome.columns), VIOLATION_TOL)
+            if v <= prices.count_price and prune(res.objective - rmp.k * v):
+                log.debug("Lagrangian bound prunes the node")
+                return None
         if not sum(rmp.add_column(col.subset) for col in outcome.columns):
             if outcome.columns:
                 # every violated cluster is pooled and active, so its
@@ -301,6 +373,14 @@ class _Search:
         heapq.heappush(self.heap, (node.bound, -len(node.seq), self.pushed, node))
         self.pushed += 1
 
+    def _offer(self, candidate: Optional[Incumbent]):
+        """Make a cut the incumbent when it is cheaper than the current one."""
+        if candidate is not None and (
+            self.incumbent is None
+            or candidate.objective < self.incumbent.objective - 1e-9
+        ):
+            self.incumbent = candidate
+
     def _prunable(self, bound: float) -> bool:
         if self.incumbent is None:
             return False
@@ -383,7 +463,7 @@ class _Search:
         self._apply_state(state)
         res = column_generation(
             self.rmp, self.g, state, node.basis, work=self.work,
-            deadline=self.deadline,
+            deadline=self.deadline, prune=self._prunable if node.seq else None,
         )
         if res is None:
             return
@@ -407,6 +487,9 @@ class _Search:
         ]
         if not fractional:
             self._integral_leaf(node, state, res, xvals, bound)
+            return
+        self._offer(rounding_heuristic(self.g, self.inst.k, state, xvals))
+        if self._prunable(bound):
             return
         var = self._select_branch(fractional, xvals)
         self._branch(node, var, xvals[var], res.basis, bound)
@@ -432,11 +515,7 @@ class _Search:
         comps = connected_components(self.g, within=keep)
         if len(comps) >= self.inst.k:
             cost = sum(self.g.costs[v] for v in cut)
-            if (
-                self.incumbent is None
-                or cost < self.incumbent.objective - 1e-9
-            ):
-                self.incumbent = Incumbent(cut, cost, len(comps))
+            self._offer(Incumbent(cut, cost, len(comps)))
             return
         # An integral x can still fail verification: a variable may sit at
         # 2+ (the connectivity row has no reason not to), or the count row

@@ -179,6 +179,7 @@ class Rmp:
         connectivity: Optional[ComponentResults] = None,
     ):
         g = inst.graph
+        self.k = inst.k
         self.fam = fam
         self.model = lp.LinearProgram()
 

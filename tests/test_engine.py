@@ -25,19 +25,25 @@ from kvcut.engine import (
     _Timeout,
     column_generation,
     disconnection_heuristic,
+    rounding_heuristic,
     solve,
+    solve_lp,
 )
 from kvcut.graph import Graph, connected_components, is_k_vertex_cut, read_dimacs
 from kvcut.instance import Instance, gnp_graph, make_weighted
 from kvcut.master import CONNECTIVITY_MAX_K, build_clique_family, init_rmp
 from kvcut.oracle import Infeasible, OracleResult, brute_force
-from kvcut.pricing import BranchState, price
+from kvcut.pricing import VIOLATION_TOL, BranchState, price
 
 DATA = Path(__file__).parent.parent / "src" / "kvcut" / "data"
 
 
 def karate():
     return read_dimacs(DATA / "karate.col").graph
+
+
+def myciel4():
+    return read_dimacs(DATA / "myciel4.col").graph
 
 
 def cycle(n):
@@ -123,11 +129,13 @@ def test_karate_k5_optimum():
     assert is_k_vertex_cut(karate(), rep["cut"], 5)
     assert rep["root_lp_bound"] <= 2.0 + 1e-6
     # the default path's work, pinned so that a refactor cannot move it
-    # silently
-    assert tuple(rep["cut"]) == (0, 1)
-    assert rep["nodes"] == 6
-    assert rep["max_depth"] == 2
-    assert rep["cols_total"] == 201
+    # silently.  The heuristic starts at 3; rounding the root LP (bound
+    # 20/13) finds the cut (32, 33) of cost 2, the bound's ceiling, so the
+    # tree closes at the root
+    assert tuple(rep["cut"]) == (32, 33)
+    assert rep["nodes"] == 1
+    assert rep["max_depth"] == 0
+    assert rep["cols_total"] == 60
     assert rep["cols_root"] == 60
 
 
@@ -228,11 +236,54 @@ def test_matches_oracle_on_random_instances():
     assert optima >= 15
 
 
+def _differential_instances(count, seed):
+    """Small G(n, p), n <= 14, k up to n - 1, four kinds of cost in turn."""
+    rng = random.Random(seed)
+    for trial in range(count):
+        n = rng.randint(4, 14)
+        g = gnp_graph(n, rng.choice((0.2, 0.3, 0.45, 0.6)), seed=rng.randrange(2**32))
+        kind = trial % 4
+        if kind == 1:  # mostly zero
+            costs = [0.0 if rng.random() < 0.6 else float(rng.randint(1, 4)) for _ in range(n)]
+        elif kind == 2:
+            costs = [float(rng.randint(0, 5)) for _ in range(n)]
+        elif kind == 3:
+            costs = [round(rng.uniform(0.1, 3.0), 3) for _ in range(n)]
+        else:
+            costs = [1.0] * n
+        top = n - 1 if rng.random() < 0.25 else max(2, n // 2)
+        yield Instance(g.with_costs(costs), rng.randint(2, top))
+
+
+@pytest.mark.parametrize("symmetry", [True, False])
+def test_matches_oracle_on_every_cost_kind(symmetry):
+    # unit, mostly-zero, integer 0-5 and fractional costs; large costs are
+    # the strict xfail below
+    optima = infeasible = 0
+    for inst in _differential_instances(120, seed=24):
+        rep = solve(inst, SolveOptions(symmetry=symmetry))
+        exact = brute_force(inst)
+        if isinstance(exact, Infeasible):
+            assert rep.status == INFEASIBLE_STATUS, inst
+            infeasible += 1
+            continue
+        assert rep.status == OPTIMAL, inst
+        assert rep.objective == pytest.approx(exact.objective, abs=1e-6), inst
+        assert is_k_vertex_cut(inst.graph, rep.cut, inst.k), inst
+        total = sum(inst.graph.costs[v] for v in rep.cut)
+        assert rep.objective == pytest.approx(total, abs=1e-6), inst
+        if rep.root_lp_bound is not None:
+            assert rep.root_lp_bound <= rep.objective + 1e-6, inst
+        optima += 1
+    assert optima >= 80 and infeasible >= 10
+
+
 def test_option_variants_reach_the_same_optimum(monkeypatch):
     def without_incumbent(inst, opts):
         # the tree must also close with no starting incumbent
         with monkeypatch.context() as m:
             m.setattr(kvcut.engine, "disconnection_heuristic", lambda *a: None)
+            m.setattr(kvcut.engine, "rounding_heuristic", lambda *a: None)
             return solve(inst, opts)
 
     variants = [
@@ -325,6 +376,52 @@ def test_heuristic_success_is_always_feasible():
         assert inc.components == len(pieces), inst
 
 
+def test_rounding_heuristic_deletes_by_x_and_restores_dearest_first():
+    # 6-cycle, k=2: 0, 1 and 3 go by decreasing x and leave {2}, {4, 5};
+    # then 0 (the dearest) comes back, 1 and 3 are needed
+    g = cycle(6).with_costs([3.0, 1.0, 1.0, 1.0, 1.0, 1.0])
+    xvals = [0.9, 0.8, 0.0, 0.7, 0.0, 0.0]
+    inc = rounding_heuristic(g, 2, BranchState(), xvals)
+    assert (inc.cut, inc.objective, inc.components) == ((1, 3), 2.0, 2)
+    # equal x: the cheaper vertex goes first, then the lower index
+    inc = rounding_heuristic(g, 2, BranchState(), [0.5, 0.5, 0.0, 0.5, 0.0, 0.0])
+    assert inc.cut == (1, 3)
+    # a cut-fixed vertex stays deleted, a keep-fixed one is never deleted:
+    # with 5 cut and 1 kept, 0 and 3 go, and 0 comes back
+    state = BranchState(frozenset({5}), frozenset({1}))
+    inc = rounding_heuristic(g, 2, state, xvals)
+    assert inc.cut == (3, 5)
+    # the next x_v is 0 before k components remain
+    assert rounding_heuristic(g, 3, BranchState(), xvals) is None
+
+
+def test_rounding_heuristic_cuts_are_feasible_and_keep_the_fixings():
+    rng = random.Random(61)
+    rounded = 0
+    for inst in _random_instances(40, seed=61):
+        g, n = inst.graph, inst.graph.n
+        exact = brute_force(inst)
+        for _ in range(6):
+            order = rng.sample(range(n), n)
+            fixed_cut = frozenset(order[: rng.randint(0, 2)])
+            fixed_keep = frozenset(order[2 : 2 + rng.randint(0, 2)])
+            xvals = [rng.choice((0.0, 1.0, rng.random())) for _ in range(n)]
+            for v in fixed_keep:
+                xvals[v] = 1.0  # the LP holds these at 0; the rule must not care
+            inc = rounding_heuristic(g, inst.k, BranchState(fixed_cut, fixed_keep), xvals)
+            if inc is None:
+                continue
+            rounded += 1
+            assert is_k_vertex_cut(g, inc.cut, inst.k), inst
+            assert fixed_cut <= set(inc.cut) and fixed_keep.isdisjoint(inc.cut), inst
+            assert inc.objective == sum(g.costs[v] for v in inc.cut), inst
+            pieces = connected_components(g, within=set(range(n)) - set(inc.cut))
+            assert inc.components == len(pieces), inst
+            assert isinstance(exact, OracleResult), inst
+            assert inc.objective >= exact.objective - 1e-9, inst
+    assert rounded >= 100
+
+
 # ------------------------------------------------------------ branching
 
 
@@ -352,8 +449,8 @@ def test_branch_selection_solves_no_lp(monkeypatch):
 
     monkeypatch.setattr(lp.LinearProgram, "solve", solve_outside_selection)
     monkeypatch.setattr(_Search, "_select_branch", select)
-    rep = solve(Instance(karate(), 5))
-    assert rep.status == OPTIMAL and selections > 0
+    rep = solve(Instance(myciel4(), 5))  # a tree that branches
+    assert rep.status == OPTIMAL and rep.nodes > 1 and selections > 0
 
     search = _Search(Instance(karate(), 5), SolveOptions())
     xvals = [0.0] * 34
@@ -428,6 +525,83 @@ def test_integral_leaf_that_fails_verification_is_branched_away():
     assert search.incumbent is None and not search.heap
 
 
+def test_lagrangian_bound_is_valid_and_never_offered_at_the_root(monkeypatch):
+    # A predicate that records each bound column generation offers and
+    # never prunes lets every node converge, so each offered bound can be
+    # checked against the converged LP value it must not exceed.  Only
+    # non-root nodes pass a predicate, and a bound is offered exactly when
+    # the most violated column has v <= the count price.
+    calls = []  # per pricing call: [LP objective, count price, outcome, bound]
+    last = {}
+    seq = []
+    process = _Search._process
+
+    def solve_and_record(*args, **kwargs):
+        res = solve_lp(*args, **kwargs)
+        last["objective"] = res.objective
+        return res
+
+    def price_and_record(g, fam, prices, state):
+        outcome = price(g, fam, prices, state)
+        calls.append([last["objective"], prices.count_price, outcome, None])
+        return outcome
+
+    def process_and_record(self, node):
+        seq[:] = [node.seq]
+        process(self, node)
+
+    totals = {"roots": 0, "offered": 0, "stage2": 0, "would_prune": 0}
+
+    def cg(rmp, g, state, basis=None, *, prune=None, **kwargs):
+        assert (prune is None) == (seq[0] == ())
+        totals["roots"] += prune is None
+        start = len(calls)
+
+        def offer(bound):
+            calls[-1][3] = bound
+            totals["would_prune"] += prune(bound)
+            return False
+
+        res = column_generation(
+            rmp, g, state, basis, prune=None if prune is None else offer, **kwargs
+        )
+        for objective, count_price, outcome, bound in calls[start:]:
+            if prune is None or not outcome.columns:
+                assert bound is None
+                continue
+            v = max(max(col.violation for col in outcome.columns), VIOLATION_TOL)
+            assert (bound is not None) == (v <= count_price)
+            if outcome.stage == 2:
+                # stage 1 found no cluster beating the count price; a
+                # violation can still exceed it by rounding, and then no
+                # bound is offered
+                totals["stage2"] += 1
+                assert v <= count_price + 1e-9
+            if bound is not None:
+                totals["offered"] += 1
+                assert bound == objective - inst.k * v
+                if res is not None:
+                    assert bound <= res.objective + 1e-6
+        return res
+
+    monkeypatch.setattr("kvcut.engine.solve_lp", solve_and_record)
+    monkeypatch.setattr("kvcut.engine.price", price_and_record)
+    monkeypatch.setattr("kvcut.engine.column_generation", cg)
+    monkeypatch.setattr(_Search, "_process", process_and_record)
+    rng = random.Random(3)
+    trees = 0
+    for trial in range(16):
+        n = rng.randint(12, 22)
+        g = gnp_graph(n, rng.choice((0.15, 0.2, 0.3)), seed=rng.randrange(10**6))
+        inst = Instance(make_weighted(g, seed=trial), rng.randint(2, 5))
+        rep = solve(inst)
+        assert rep.status == OPTIMAL, inst
+        trees += rep.nodes > 0  # a screened instance runs no tree
+    assert totals["roots"] == trees
+    assert totals["stage2"] >= 50 and totals["offered"] >= 50, totals
+    assert totals["would_prune"] >= 5, totals
+
+
 @pytest.mark.parametrize("in_flight", [False, True])
 def test_time_limit_report_after_the_root(monkeypatch, in_flight):
     # the clock jumps past the deadline once the root has branched: the
@@ -447,7 +621,7 @@ def test_time_limit_report_after_the_root(monkeypatch, in_flight):
 
     monkeypatch.setattr("kvcut.engine.time.monotonic", lambda: now[0])
     monkeypatch.setattr(_Search, "_process", process_then_expire)
-    search = _Search(Instance(karate(), 5), SolveOptions(time_limit=10.0))
+    search = _Search(Instance(myciel4(), 5), SolveOptions(time_limit=10.0))
     rep = search.run()
     assert rep.status == TIME_LIMIT
     assert len(processed) == (2 if in_flight else 1)
