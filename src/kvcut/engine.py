@@ -36,7 +36,7 @@ from .flow import ComponentResults, weighted_vertex_connectivity
 from .graph import Graph, automorphism_generators, connected_components
 from .instance import INFEASIBLE, TRIVIAL, Instance, screen
 from .master import Rmp, build_clique_family, init_rmp
-from .pricing import VIOLATION_TOL, BranchState, price
+from .pricing import BranchState, price
 from .symmetry import propagate
 
 log = logging.getLogger(__name__)
@@ -236,23 +236,27 @@ def column_generation(
     other LP failure, and ``_Timeout`` before a master solve past the
     deadline, with ``work`` counted so far.
 
-    The Lagrangian bound (Lübbecke & Desrosiers 2005).  Let v be the
-    largest violation among a pricing call's columns, v' = max(v,
-    VIOLATION_TOL), and y_0 the count price.  When v' <= y_0, which stage
-    2 meets up to rounding (its stage-1 cut proved that no cluster beats
-    the count price), LB = z_RMP - k * v' bounds the node from below.
-    Lower y_0 by v' and keep every other dual.  The count row is a >= row
-    and y_0 - v' >= 0, so every dual keeps its sign.  Each cluster has
-    coefficient 1 in the count row, so its reduced cost rises by v' and
-    none prices out: pricing finds the most violated admissible cluster
-    and returns none below VIOLATION_TOL.  The count row's artificial
-    gains v' too, and no other column meets the row.  A cluster column
-    sits at a zero bound, so its bound term in the dual objective stays 0;
-    every other column keeps its reduced cost and bound term.  The
-    lowered duals are feasible for the node's full master, and their
-    objective is z_RMP less the change in the count row's term k * y_0,
-    k * v'.  Weak duality gives LB.  The root passes no ``prune``, so its
-    LP always converges and its bound is the converged value.
+    The Lagrangian bound (Lübbecke & Desrosiers 2005), offered after
+    every stage-2 pricing call.  Let y_0 be the count price and v the
+    smaller of y_0 and the largest violation among the call's columns;
+    v > VIOLATION_TOL, as stage 2 runs only for such a y_0 and keeps only
+    such columns.  Then LB = z_RMP - k * v bounds the node from below.
+    Stage 2 runs once the stage-1 cut has proved that no cluster beats
+    y_0, and it misses no cluster more violated than VIOLATION_TOL, so in
+    exact arithmetic its largest violation is every cluster's largest
+    and at most y_0; what rounding leaves is below the VIOLATION_TOL that
+    convergence already accepts.  Lower y_0 by v and keep every other
+    dual.  The count row is a >= row and y_0 - v >= 0, so every dual
+    keeps its sign.  Each cluster has coefficient 1 in the count row, so
+    its reduced cost rises by v and none prices out.  The count row's
+    artificial gains v too, and no other column meets the row.  A
+    cluster column sits at a zero bound, so its bound term in the dual
+    objective stays 0; every other column keeps its reduced cost and
+    bound term.  The lowered duals are feasible for the node's full
+    master, and their objective is z_RMP less the change in the count
+    row's term k * y_0, k * v.  Weak duality gives LB.  The root passes
+    no ``prune``, so its LP always converges and its bound is the
+    converged value.
     """
     while True:
         _check_deadline(deadline)
@@ -268,9 +272,9 @@ def column_generation(
         t0 = time.monotonic()
         outcome = price(g, rmp.fam, prices, state)
         work.pricing_seconds += time.monotonic() - t0
-        if prune is not None and outcome.columns:
-            v = max(max(col.violation for col in outcome.columns), VIOLATION_TOL)
-            if v <= prices.count_price and prune(res.objective - rmp.k * v):
+        if prune is not None and outcome.stage == 2:
+            v = min(max(col.violation for col in outcome.columns), prices.count_price)
+            if prune(res.objective - rmp.k * v):
                 log.debug("Lagrangian bound prunes the node")
                 return None
         if not sum(rmp.add_column(col.subset) for col in outcome.columns):

@@ -151,32 +151,29 @@ class LinearProgram:
         # inverted afresh) of the last certified solve
         self._factor: Optional[tuple[tuple[int, ...], np.ndarray, int]] = None
 
-    def _grow_cols(self, need: int):
-        # by a quarter, not double: a column-generation master grows a
-        # few columns at a time, and doubling could leave half of A spare
-        new = self._ccap
-        while new < need:
-            new += max(1, new // 4)
+    def _grow(self, rows: int, cols: int):
+        """Room for at least ``rows`` rows and ``cols`` columns.
+
+        Each capacity grows by a quarter, not double: a column-generation
+        master grows a few rows or columns at a time, and doubling could
+        leave half of A spare.
+        """
+        rcap, ccap = self._rcap, self._ccap
+        while rcap < rows:
+            rcap += max(1, rcap // 4)
+        while ccap < cols:
+            ccap += max(1, ccap // 4)
         for name in ("_c", "_lb", "_ub"):
-            arr = np.zeros(new)
+            arr = np.zeros(ccap)
             arr[: self.ncols] = getattr(self, name)[: self.ncols]
             setattr(self, name, arr)
-        A = np.zeros((self._rcap, new))
-        A[:, : self.ncols] = self._A[:, : self.ncols]
-        self._A = A
-        self._ccap = new
-
-    def _grow_rows(self, need: int):
-        new = self._rcap
-        while new < need:
-            new *= 2
-        rhs = np.zeros(new)
+        rhs = np.zeros(rcap)
         rhs[: self.nrows] = self._rhs[: self.nrows]
         self._rhs = rhs
-        A = np.zeros((new, self._ccap))
-        A[: self.nrows, :] = self._A[: self.nrows, :]
+        A = np.zeros((rcap, ccap))
+        A[: self.nrows, : self.ncols] = self._A[: self.nrows, : self.ncols]
         self._A = A
-        self._rcap = new
+        self._rcap, self._ccap = rcap, ccap
 
     def add_variable(
         self,
@@ -191,7 +188,7 @@ class LinearProgram:
         if lb == -INF and ub == INF:
             raise ValueError("free variables are not supported")
         if self.ncols == self._ccap:
-            self._grow_cols(self.ncols + 1)
+            self._grow(self.nrows, self.ncols + 1)
         j = self.ncols
         self.ncols += 1
         self._c[j] = cost
@@ -220,7 +217,7 @@ class LinearProgram:
                 # row and 0 elsewhere, so that B = I
                 raise ValueError(f"column {j} is the logical of row {r}")
         if self.nrows == self._rcap:
-            self._grow_rows(self.nrows + 1)
+            self._grow(self.nrows + 1, self.ncols)
         i = self.nrows
         self.nrows += 1
         self._rhs[i] = rhs
@@ -309,7 +306,6 @@ class _Simplex:
         if factor and factor[0] == tuple(basic):
             _, self.Binv, self.pivots_since_refactor = factor
         else:
-            factor = None  # free a stale inverse before inv() allocates its own
             try:
                 self.Binv = self._inverse()
             except SingularBasisError:
@@ -340,7 +336,6 @@ class _Simplex:
         self.x[self.basic] = self.xb
 
     def _refactor(self):
-        self.Binv = None  # free the old inverse before inv() allocates its own
         self.Binv = self._inverse()
         self.pivots_since_refactor = 0
         self._refresh()

@@ -57,14 +57,11 @@ class CliqueFamily:
     it is the index the pricing network and the column builder both use.
     """
 
-    mode: str
     cliques: list[tuple[int, ...]]
     member_of: list[list[int]]
 
     @classmethod
-    def from_cliques(
-        cls, n: int, mode: str, cliques: Sequence[Sequence[int]]
-    ) -> "CliqueFamily":
+    def from_cliques(cls, n: int, cliques: Sequence[Sequence[int]]) -> "CliqueFamily":
         member_of: list[list[int]] = [[] for _ in range(n)]
         stored = []
         for i, cl in enumerate(cliques):
@@ -72,7 +69,7 @@ class CliqueFamily:
             stored.append(tup)
             for v in tup:
                 member_of[v].append(i)
-        return cls(mode, stored, member_of)
+        return cls(stored, member_of)
 
     def touched_by(self, subset: Sequence[int]) -> list[int]:
         """Indices of family cliques meeting the subset."""
@@ -105,7 +102,7 @@ def build_clique_family(g: Graph, mode: str = COVER) -> CliqueFamily:
     isolated = [(v,) for v in range(g.n) if g.degree(v) == 0]
     if mode == EDGES:
         return CliqueFamily.from_cliques(
-            g.n, mode, [_edge_key(u, v) for u, v in g.edges] + isolated
+            g.n, [_edge_key(u, v) for u, v in g.edges] + isolated
         )
     covered: set[tuple[int, int]] = set()
     cliques: list[tuple[int, ...]] = []
@@ -130,7 +127,7 @@ def build_clique_family(g: Graph, mode: str = COVER) -> CliqueFamily:
         for i in range(len(clique)):
             for j in range(i + 1, len(clique)):
                 covered.add((clique[i], clique[j]))
-    return CliqueFamily.from_cliques(g.n, mode, cliques + isolated)
+    return CliqueFamily.from_cliques(g.n, cliques + isolated)
 
 
 # ---------------------------------------------------------------------------
@@ -139,10 +136,9 @@ def build_clique_family(g: Graph, mode: str = COVER) -> CliqueFamily:
 
 @dataclass
 class Column:
-    """One cluster column: its vertices, the cliques it touches, its LP id."""
+    """One cluster column: its vertices and its LP id."""
 
     subset: tuple[int, ...]
-    touched: tuple[int, ...]
     var: int
 
 
@@ -243,13 +239,12 @@ class Rmp:
             raise ValueError("empty cluster")
         if key in self._pool:
             return False
-        touched = self.fam.touched_by(key)
         entries = [(self.count_row, 1.0)]
         entries += [(self.cover_rows[v], 1.0) for v in key]
-        entries += [(self.clique_rows[i], 1.0) for i in touched]
+        entries += [(self.clique_rows[i], 1.0) for i in self.fam.touched_by(key)]
         var = self.model.add_variable(0.0, 0.0, lp.INF, entries)
         self._pool[key] = len(self.columns)
-        self.columns.append(Column(key, tuple(touched), var))
+        self.columns.append(Column(key, var))
         return True
 
     def column_values(self, result: lp.LpResult) -> list[float]:

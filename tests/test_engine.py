@@ -33,7 +33,7 @@ from kvcut.graph import Graph, connected_components, is_k_vertex_cut, read_dimac
 from kvcut.instance import Instance, gnp_graph, make_weighted
 from kvcut.master import CONNECTIVITY_MAX_K, build_clique_family, init_rmp
 from kvcut.oracle import Infeasible, OracleResult, brute_force
-from kvcut.pricing import VIOLATION_TOL, BranchState, price
+from kvcut.pricing import BranchState, price
 
 DATA = Path(__file__).parent.parent / "src" / "kvcut" / "data"
 
@@ -529,8 +529,8 @@ def test_lagrangian_bound_is_valid_and_never_offered_at_the_root(monkeypatch):
     # A predicate that records each bound column generation offers and
     # never prunes lets every node converge, so each offered bound can be
     # checked against the converged LP value it must not exceed.  Only
-    # non-root nodes pass a predicate, and a bound is offered exactly when
-    # the most violated column has v <= the count price.
+    # non-root nodes pass a predicate, and a bound is offered exactly
+    # after each stage-2 pricing call.
     calls = []  # per pricing call: [LP objective, count price, outcome, bound]
     last = {}
     seq = []
@@ -550,7 +550,7 @@ def test_lagrangian_bound_is_valid_and_never_offered_at_the_root(monkeypatch):
         seq[:] = [node.seq]
         process(self, node)
 
-    totals = {"roots": 0, "offered": 0, "stage2": 0, "would_prune": 0}
+    totals = {"roots": 0, "offered": 0, "would_prune": 0}
 
     def cg(rmp, g, state, basis=None, *, prune=None, **kwargs):
         assert (prune is None) == (seq[0] == ())
@@ -569,17 +569,14 @@ def test_lagrangian_bound_is_valid_and_never_offered_at_the_root(monkeypatch):
             if prune is None or not outcome.columns:
                 assert bound is None
                 continue
-            v = max(max(col.violation for col in outcome.columns), VIOLATION_TOL)
-            assert (bound is not None) == (v <= count_price)
-            if outcome.stage == 2:
-                # stage 1 found no cluster beating the count price; a
-                # violation can still exceed it by rounding, and then no
-                # bound is offered
-                totals["stage2"] += 1
-                assert v <= count_price + 1e-9
+            largest = max(col.violation for col in outcome.columns)
+            assert (bound is not None) == (outcome.stage == 2)
             if bound is not None:
+                # stage 1 found no cluster beating the count price; a
+                # violation can still exceed it by rounding
+                assert largest <= count_price + 1e-9
                 totals["offered"] += 1
-                assert bound == objective - inst.k * v
+                assert bound == objective - inst.k * min(largest, count_price)
                 if res is not None:
                     assert bound <= res.objective + 1e-6
         return res
@@ -598,7 +595,7 @@ def test_lagrangian_bound_is_valid_and_never_offered_at_the_root(monkeypatch):
         assert rep.status == OPTIMAL, inst
         trees += rep.nodes > 0  # a screened instance runs no tree
     assert totals["roots"] == trees
-    assert totals["stage2"] >= 50 and totals["offered"] >= 50, totals
+    assert totals["offered"] >= 50, totals
     assert totals["would_prune"] >= 5, totals
 
 

@@ -1,5 +1,4 @@
 import copy
-import ctypes
 import math
 import random
 
@@ -252,6 +251,67 @@ def test_warm_start_survives_growth():
     assert res.status == lp.OPTIMAL
     # y fills to its row cap 0.8, x covers the remainder of the >= row
     assert abs(res.objective - (0.5 * 0.8 + 0.2)) < 1e-9
+
+
+def test_growth_keeps_every_entry_and_grows_by_a_quarter():
+    # columns and rows added in turn, each column on rows written before
+    # it and each row on columns written before it, run both capacities
+    # past their start of 32 x 64 twice; a growth that lost a block of A
+    # (old rows x new columns, say) would change the entries and the solve
+    rng = random.Random(5)
+    model = lp.LinearProgram()
+    assert (model._rcap, model._ccap) == (32, 64)
+    A = np.zeros((45, 90))
+    rhs, c, lb, ub = np.zeros(45), np.zeros(90), np.zeros(90), np.zeros(90)
+    calls = []
+    caps = [(32, 64)]  # after each call that changed them
+
+    def call(name, *args):
+        calls.append((name, args))
+        out = getattr(model, name)(*args)
+        if caps[-1] != (model._rcap, model._ccap):
+            caps.append((model._rcap, model._ccap))
+        return out
+
+    structural = []
+    for step in range(45):
+        cost, hi = rng.uniform(1.0, 2.0), rng.choice([INF, rng.uniform(2.0, 4.0)])
+        rows = rng.sample(range(step), min(step, rng.randint(0, 4)))
+        entries = [(i, rng.uniform(0.5, 1.5)) for i in rows]
+        j = call("add_variable", cost, 0.0, hi, entries)
+        structural.append(j)
+        c[j], ub[j] = cost, hi
+        for i, a in entries:
+            A[i, j] = a
+        b = rng.uniform(1.0, 2.0)
+        cols = rng.sample(structural, min(len(structural), rng.randint(1, 4)))
+        entries = [(j, rng.uniform(0.5, 1.5)) for j in cols]
+        i = call("add_row", lp.GREATER, b, entries)
+        rhs[i] = b
+        for j, a in entries:
+            A[i, j] = a
+        logical = model.logical[i]
+        A[i, logical], lb[logical] = 1.0, -INF
+    assert (model.nrows, model.ncols) == (45, 90)
+    # one capacity at a time, each by a quarter
+    assert caps == [(32, 64), (32, 80), (40, 80), (40, 100), (50, 100)]
+    assert np.array_equal(model._A[:45, :90], A)
+    assert not model._A[45:].any() and not model._A[:, 90:].any()
+    assert np.array_equal(model._rhs[:45], rhs)
+    for have, want in ((model._c, c), (model._lb, lb), (model._ub, ub)):
+        assert np.array_equal(have[:90], want)
+    fresh = lp.LinearProgram()
+    fresh._grow(45, 90)  # one growth, before any entry is written
+    for name, args in calls:
+        getattr(fresh, name)(*args)
+    assert (fresh._rcap, fresh._ccap) == (50, 100)
+    res, ref = model.solve(), fresh.solve()
+    assert res.status == ref.status == lp.OPTIMAL
+    assert res.iterations == ref.iterations > 0
+    assert res.basis == ref.basis
+    assert abs(res.objective - ref.objective) <= 1e-9 * abs(ref.objective)
+    assert np.allclose(res.x, ref.x, rtol=0.0, atol=1e-9)
+    assert np.allclose(res.duals, ref.duals, rtol=0.0, atol=1e-9)
 
 
 def test_empty_model_solves_through_the_simplex():
@@ -944,65 +1004,6 @@ def test_warm_load_matches_the_column_loops():
             r -= s.A[:, nz] @ np.asarray([at[j] for j in nz])
         assert (s.Binv @ r).tobytes() == s._basic_values().tobytes()
     assert loaded >= 150
-
-
-class _Mallinfo2(ctypes.Structure):
-    _fields_ = [
-        (name, ctypes.c_size_t)
-        for name in ("arena", "ordblks", "smblks", "hblks", "hblkhd",
-                     "usmblks", "fsmblks", "uordblks", "fordblks", "keepcost")
-    ]
-
-
-def test_large_arrays_are_mapped_after_a_larger_one_is_freed():
-    """Importing kvcut pins glibc's mmap threshold at 1 MiB.
-
-    Left dynamic, freeing a mapped 8 MiB array would raise the threshold
-    to 8 MiB and put the next 2 MiB array on the heap, whose layout then
-    decides the peak RSS.  The test starts from a trimmed heap: free space
-    at the heap top, which the 4 MiB trim threshold lets earlier tests
-    leave, serves a 2 MiB request before mmap is tried.
-
-    It fails when ``_pin_malloc_thresholds`` makes no ``mallopt`` call,
-    but not when it makes only one of its two: any ``mallopt`` call of
-    either threshold switches off glibc's dynamic mmap threshold.
-    """
-    try:
-        libc = ctypes.CDLL("libc.so.6")
-        mallinfo2 = libc.mallinfo2
-    except (OSError, AttributeError):
-        pytest.skip("needs glibc 2.33 or later")
-    mallinfo2.restype = _Mallinfo2
-    libc.malloc_trim(0)
-    big = np.ones(1 << 20)  # 8 MiB
-    del big
-    mapped = mallinfo2().hblkhd
-    medium = np.ones(1 << 18)  # 2 MiB
-    assert mallinfo2().hblkhd >= mapped + medium.nbytes
-
-
-def test_freed_update_blocks_stay_on_the_heap():
-    """The heap keeps freed blocks below the trim threshold for reuse.
-
-    Importing kvcut pins glibc's trim threshold at 4 MiB.  Blocks just
-    below the 1 MiB mmap threshold live on the heap: 1,011 x 128 floats
-    here, about the size of the inverse update's m^2 temporary at
-    m = 362.  Three of them freed together at the top must not be
-    trimmed, or the next allocations fault them in again.  Trimmed at
-    2 MiB, they are.
-    """
-    try:
-        libc = ctypes.CDLL("libc.so.6")
-        mallinfo2 = libc.mallinfo2
-    except (OSError, AttributeError):
-        pytest.skip("needs glibc 2.33 or later")
-    mallinfo2.restype = _Mallinfo2
-    libc.malloc_trim(0)  # start from a heap top with no free space to spare
-    for _ in range(3):
-        blocks = [np.ones((1011, 128)) for _ in range(3)]
-        arena = mallinfo2().arena
-        del blocks
-        assert mallinfo2().arena == arena
 
 
 # ------------------------------------------------------------ large models

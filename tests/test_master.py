@@ -109,7 +109,12 @@ def test_add_column_dedup_and_coefficients():
     assert not rmp.add_column((2, 0))  # same set, different order
     col = rmp.columns[-1]
     assert col.subset == (0, 2)
-    assert col.touched == (0, 1)  # 0 in clique {0,1}, 2 in clique {1,2}
+    touched = rmp.fam.touched_by(col.subset)
+    assert touched == [0, 1]  # 0 in clique {0,1}, 2 in clique {1,2}
+    rows = [rmp.count_row, rmp.cover_rows[0], rmp.cover_rows[2]]
+    rows += [rmp.clique_rows[i] for i in touched]
+    column = rmp.model._A[: rmp.model.nrows, col.var]
+    assert {i: a for i, a in enumerate(column) if a} == dict.fromkeys(rows, 1.0)
 
 
 def test_empty_column_rejected():
@@ -156,7 +161,7 @@ def test_dual_feasibility_over_pool_after_convergence():
         violation = (
             duals.count_price
             + sum(duals.cover_price[v] for v in col.subset)
-            - sum(duals.clique_price[i] for i in col.touched)
+            - sum(duals.clique_price[i] for i in rmp.fam.touched_by(col.subset))
         )
         assert violation <= 1e-6
     assert abs(res.objective - 1.0) < 1e-9  # the converged bound on P3
