@@ -100,7 +100,6 @@ def _engine_flags(p: argparse.ArgumentParser) -> None:
     p.add_argument(
         "--time-limit", type=_positive_seconds, default=None, metavar="SECONDS"
     )
-    p.add_argument("--symmetry", choices=("on", "off"), default="on")
 
 
 def _weights_flag(p: argparse.ArgumentParser) -> None:
@@ -110,9 +109,7 @@ def _weights_flag(p: argparse.ArgumentParser) -> None:
 
 
 def _options_from(args: argparse.Namespace) -> SolveOptions:
-    return SolveOptions(
-        time_limit=args.time_limit, symmetry=args.symmetry == "on"
-    )
+    return SolveOptions(time_limit=args.time_limit)
 
 
 def _load_graph(path: str, weights: str) -> Graph:

@@ -76,7 +76,6 @@ def _check_deadline(deadline: Optional[float]):
 @dataclass
 class SolveOptions:
     time_limit: Optional[float] = None
-    symmetry: bool = True
 
 
 @dataclass
@@ -409,8 +408,7 @@ class _Search:
         connectivity: ComponentResults = {}
         self.rmp = init_rmp(self.inst, fam, connectivity=connectivity)
         self.incumbent = disconnection_heuristic(self.inst, connectivity)
-        if self.opts.symmetry:
-            self.generators = automorphism_generators(self.g)
+        self.generators = automorphism_generators(self.g)
 
         self._push(BnpNode(BranchState(), -math.inf, None, ()))
         try:

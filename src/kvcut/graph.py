@@ -7,6 +7,7 @@ construction iterates them in input order.
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass, field
 from typing import Iterable, Optional, Sequence
@@ -341,98 +342,106 @@ def has_stable_set_of_size(g: Graph, k: int) -> StableSetResult:
 
 Permutation = tuple  # tuple[int, ...], image[v] = gamma(v)
 
-#: the automorphism search stops after this many backtrack nodes ...
+#: the automorphism search stops after this many refinements ...
 AUTOMORPHISM_NODE_BUDGET = 1_000_000
-#: ... or this many collected permutations
+#: ... and returns at most this many group elements
 MAX_GENERATORS = 64
 
 
-def _refine_colors(g: Graph) -> list[int]:
-    """Iterated neighbor-signature refinement seeded by (cost, degree)."""
-    palette: dict = {}
-    colors = []
-    for v in range(g.n):
-        key = (g.costs[v], g.degree(v))
-        if key not in palette:
-            palette[key] = len(palette)
-        colors.append(palette[key])
+def _refine_colors(g: Graph, colors: Sequence[int]) -> list[int]:
+    """Coarsest equitable refinement of ``colors``, named canonically.
+
+    Each round renames every vertex by the rank of its (colour, sorted
+    neighbour colours) signature until no cell splits.  Ranks keep the
+    order of the old colours, and relabelling the graph permutes the
+    result the same way.
+    """
+    cells = len(set(colors))
     while True:
-        palette = {}
-        new = []
-        for v in range(g.n):
-            sig = (colors[v], tuple(sorted(colors[w] for w in g.adj[v])))
-            if sig not in palette:
-                palette[sig] = len(palette)
-            new.append(palette[sig])
-        if new == colors:
+        sigs = [
+            (c, tuple(sorted([colors[w] for w in nbrs])))
+            for c, nbrs in zip(colors, g.adj)
+        ]
+        rank = {sig: r for r, sig in enumerate(sorted(set(sigs)))}
+        colors = [rank[sig] for sig in sigs]
+        if len(rank) == cells:
             return colors
-        colors = new
+        cells = len(rank)
+
+
+def _individualize(g: Graph, colors: list[int], v: int) -> list[int]:
+    # colour n outranks every cell and refinement keeps that order, so the
+    # i-th vertex individualized on a path of depth d ends with colour
+    # n - d + i: matching leaves pair up their paths' vertices
+    return _refine_colors(g, [g.n if u == v else c for u, c in enumerate(colors)])
 
 
 def is_automorphism(g: Graph, perm: Sequence[int]) -> bool:
-    if sorted(perm) != list(range(g.n)):
-        return False
-    for v in range(g.n):
-        if g.costs[perm[v]] != g.costs[v]:
-            return False
-    for u, v in g.edges:
-        if not g.has_edge(perm[u], perm[v]):
-            return False
-    return True
+    return (
+        sorted(perm) == list(range(g.n))
+        and all(g.costs[perm[v]] == c for v, c in enumerate(g.costs))
+        and all(perm[v] in g.adj_set[perm[u]] for u, v in g.edges)
+    )
 
 
 def automorphism_generators(g: Graph) -> list[Permutation]:
-    """Cost- and adjacency-preserving automorphisms found by backtracking.
+    """Cost- and adjacency-preserving automorphisms by individualization–refinement.
 
-    Sound but not necessarily complete: the search stops at
-    AUTOMORPHISM_NODE_BUDGET backtrack nodes or MAX_GENERATORS collected
-    permutations, so highly symmetric graphs may yield only part of the
-    group.  Every returned permutation is verified.
+    A first path individualizes a vertex of the smallest non-singleton
+    cell until the colouring is discrete; its vertices are the base.  For
+    each base vertex u, last to first, and each w in u's cell outside u's
+    orbit so far, a search under "u -> w" looks for a leaf matching the
+    first path's leaf (McKay & Piperno 2014).  One such coset
+    representative per orbit point generates the whole group (Sims 1970).
+    Returned are the group's non-identity elements, breadth first from
+    the generators, up to MAX_GENERATORS, each verified.  A graph that
+    spends AUTOMORPHISM_NODE_BUDGET refinements yields a subgroup's.
     """
     n = g.n
-    if n == 0:
-        return []
-    colors = _refine_colors(g)
-    cell_size = [0] * (max(colors) + 1)
-    for c in colors:
-        cell_size[c] += 1
-    # most constrained vertices first, ties by index, keeps the search shallow
-    order = sorted(range(n), key=lambda v: (cell_size[colors[v]], colors[v], v))
-    found: list[Permutation] = []
-    image = [-1] * n
-    used = [False] * n
-    nodes = 0
+    rank = {c: r for r, c in enumerate(sorted(set(g.costs)))}
+    levels = [_refine_colors(g, [rank[c] for c in g.costs])]
+    targets: list[int] = []  # the colour of the cell split at each level
+    while len(set(colors := levels[-1])) < n:
+        sizes = {c: colors.count(c) for c in set(colors)}
+        targets.append(min((s, c) for c, s in sizes.items() if s > 1)[1])
+        levels.append(_individualize(g, colors, colors.index(targets[-1])))
+    shapes = [sorted(colors) for colors in levels]
+    ticks = itertools.count(1)
 
-    def backtrack(i: int) -> bool:
-        # returns True to abort the whole search
-        nonlocal nodes
-        nodes += 1
-        if nodes > AUTOMORPHISM_NODE_BUDGET:
-            return True
-        if i == n:
-            perm = tuple(image)
-            if any(perm[v] != v for v in range(n)):
-                found.append(perm)
-            return len(found) >= MAX_GENERATORS
-        u = order[i]
+    def search(colors: list[int], depth: int, cands: Iterable[int]):
+        """An automorphism whose path goes on from ``colors`` through ``cands``."""
+        for x in cands:
+            if next(ticks) > AUTOMORPHISM_NODE_BUDGET:
+                return None
+            nxt = _individualize(g, colors, x)
+            if sorted(nxt) != shapes[depth + 1]:
+                continue
+            if depth + 1 < len(targets):
+                cell = [v for v, c in enumerate(nxt) if c == targets[depth + 1]]
+                if perm := search(nxt, depth + 1, cell):
+                    return perm
+                continue
+            at = sorted(range(n), key=nxt.__getitem__)  # the vertex of each colour
+            if is_automorphism(g, perm := tuple(at[c] for c in levels[-1])):
+                return perm
+        return None
+
+    gens: list[Permutation] = []
+    for depth in reversed(range(len(targets))):
+        colors = levels[depth]
+        orbit = {colors.index(targets[depth])}  # deeper generators fix the base vertex
         for w in range(n):
-            if used[w] or colors[w] != colors[u]:
-                continue
-            ok = True
-            for j in range(i):
-                p = order[j]
-                if g.has_edge(u, p) != g.has_edge(w, image[p]):
-                    ok = False
-                    break
-            if not ok:
-                continue
-            image[u] = w
-            used[w] = True
-            if backtrack(i + 1):
-                return True
-            image[u] = -1
-            used[w] = False
-        return False
+            if colors[w] == targets[depth] and w not in orbit:
+                if perm := search(colors, depth, [w]):
+                    gens.append(perm)
+                    while more := {p[v] for p in gens for v in orbit} - orbit:
+                        orbit |= more
 
-    backtrack(0)
-    return [p for p in found if is_automorphism(g, p)]
+    group = [tuple(range(n))]
+    for e in group:  # breadth first: the list grows while it is scanned
+        for s in gens:
+            if len(group) > MAX_GENERATORS:
+                break
+            if (p := tuple(map(s.__getitem__, e))) not in group:
+                group.append(p)
+    return [p for p in group[1:] if is_automorphism(g, p)]

@@ -193,13 +193,10 @@ class Rmp:
             for v in range(g.n)
         ]
 
-        self.connectivity_row: Optional[int] = None
-        self.connectivity_rhs: Optional[float] = None
         if connectivity_bound and inst.k <= CONNECTIVITY_MAX_K:
             conn = weighted_vertex_connectivity(g, results=connectivity)
             if not conn.unbreakable:
-                self.connectivity_rhs = conn.cost
-                self.connectivity_row = self.model.add_row(
+                self.model.add_row(
                     lp.GREATER,
                     conn.cost,
                     [(self.x_vars[v], g.costs[v]) for v in range(g.n)],

@@ -109,8 +109,10 @@ def test_bad_flags_exit_one(tmp_path, capsys):
     ):
         assert main(argv) == 1, argv
         assert "kvcut: error: argument" in capsys.readouterr().err, argv
-    # only --time-limit and --symmetry configure the solver
+    # only --time-limit configures the solver
     for flag in (
+        ["--symmetry", "off"],
+        ["--symmetry", "on"],
         ["--clique-family", "cover"],
         ["--connectivity-cut", "auto"],
         ["--pricing-max-cols", "10"],

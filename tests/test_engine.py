@@ -255,13 +255,12 @@ def _differential_instances(count, seed):
         yield Instance(g.with_costs(costs), rng.randint(2, top))
 
 
-@pytest.mark.parametrize("symmetry", [True, False])
-def test_matches_oracle_on_every_cost_kind(symmetry):
+def test_matches_oracle_on_every_cost_kind():
     # unit, mostly-zero, integer 0-5 and fractional costs; large costs are
     # the strict xfail below
     optima = infeasible = 0
     for inst in _differential_instances(120, seed=24):
-        rep = solve(inst, SolveOptions(symmetry=symmetry))
+        rep = solve(inst)
         exact = brute_force(inst)
         if isinstance(exact, Infeasible):
             assert rep.status == INFEASIBLE_STATUS, inst
@@ -278,23 +277,76 @@ def test_matches_oracle_on_every_cost_kind(symmetry):
     assert optima >= 80 and infeasible >= 10
 
 
-def test_option_variants_reach_the_same_optimum(monkeypatch):
-    def without_incumbent(inst, opts):
-        # the tree must also close with no starting incumbent
-        with monkeypatch.context() as m:
-            m.setattr(kvcut.engine, "disconnection_heuristic", lambda *a: None)
-            m.setattr(kvcut.engine, "rounding_heuristic", lambda *a: None)
-            return solve(inst, opts)
+def _symmetric_instances(count, seed):
+    """Unit-cost graphs with large groups, n <= 14, four shapes in turn:
+    G x K2 prisms, circulants, graphs with added twins, and three copies
+    of a graph joined at a hub."""
+    rng = random.Random(seed)
+    for trial in range(count):
+        shape = trial % 4
+        if shape == 0:  # G x K2
+            m = rng.randint(3, 7)
+            g = gnp_graph(m, 0.4, seed=rng.randrange(2**32))
+            edges = g.edges + [(u + m, v + m) for u, v in g.edges]
+            g = Graph(2 * m, edges + [(v, v + m) for v in range(m)])
+        elif shape == 1:  # circulant
+            n = rng.randint(5, 14)
+            steps = rng.sample(range(1, n // 2 + 1), rng.randint(1, 2))
+            pairs = {tuple(sorted((v, (v + s) % n))) for v in range(n) for s in steps}
+            g = Graph(n, sorted(pairs))
+        elif shape == 2:  # twins: copies of some vertices' neighbourhoods
+            m = rng.randint(4, 9)
+            g = gnp_graph(m, 0.35, seed=rng.randrange(2**32))
+            edges = list(g.edges)
+            twins = rng.sample(range(m), rng.randint(1, min(m, 14 - m)))
+            for t, v in enumerate(twins, start=m):
+                edges += [(w, t) for w in g.adj[v]]
+                if rng.random() < 0.5:
+                    edges.append((v, t))  # a true twin
+            g = Graph(m + len(twins), edges)
+        else:  # three copies joined at a hub
+            m = rng.randint(2, 4)
+            g = gnp_graph(m, 0.6, seed=rng.randrange(2**32))
+            hub = 3 * m
+            attach = rng.sample(range(m), rng.randint(1, m))
+            edges = [(u + c * m, v + c * m) for c in range(3) for u, v in g.edges]
+            edges += [(v + c * m, hub) for c in range(3) for v in attach]
+            g = Graph(hub + 1, edges)
+        top = g.n - 1 if rng.random() < 0.25 else max(2, g.n // 2)
+        yield Instance(g, rng.randint(2, top))
 
-    variants = [
-        (solve, SolveOptions()),
-        (solve, SolveOptions(symmetry=False)),
-        (without_incumbent, SolveOptions()),
-        (without_incumbent, SolveOptions(symmetry=False)),
-    ]
+
+def test_matches_oracle_on_symmetric_instances():
+    optima = 0
+    for inst in _symmetric_instances(152, seed=26):
+        rep = solve(inst)
+        exact = brute_force(inst)
+        if isinstance(exact, Infeasible):
+            assert rep.status == INFEASIBLE_STATUS, inst
+            continue
+        assert rep.status == OPTIMAL, inst
+        assert rep.objective == exact.objective, inst
+        assert is_k_vertex_cut(inst.graph, rep.cut, inst.k), inst
+        optima += 1
+    assert optima >= 100
+
+
+def test_option_variants_reach_the_same_optimum(monkeypatch):
+    def variant(inst, heuristics, symmetry):
+        # the tree must also close with no starting incumbent, and with
+        # no automorphisms
+        with monkeypatch.context() as m:
+            if not heuristics:
+                m.setattr(kvcut.engine, "disconnection_heuristic", lambda *a: None)
+                m.setattr(kvcut.engine, "rounding_heuristic", lambda *a: None)
+            if not symmetry:
+                m.setattr(kvcut.engine, "automorphism_generators", lambda g: [])
+            return solve(inst)
+
+    variants = [(True, True), (True, False), (False, True), (False, False)]
     longer = 0
     for inst in _random_instances(12, seed=33, n_lo=7, n_hi=10):
-        reports = [run(inst, opts) for run, opts in variants]
+        reports = [variant(inst, *flags) for flags in variants]
         statuses = {rep.status for rep in reports}
         assert len(statuses) == 1, inst
         if statuses == {OPTIMAL}:

@@ -7,10 +7,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from kvcut.graph import (
+    MAX_GENERATORS,
     NO,
     YES,
     DimacsError,
     Graph,
+    _refine_colors,
     automorphism_generators,
     connected_components,
     has_stable_set_of_size,
@@ -201,18 +203,87 @@ def test_stable_set_matches_enumeration(seed):
 # ---------------------------------------------------------- automorphisms
 
 
-def test_c4_automorphisms_generate_dihedral_group():
-    gens = automorphism_generators(cycle(4))
-    group = {(0, 1, 2, 3)}
-    frontier = [tuple(range(4))]
+def hypercube(d):
+    n = 1 << d
+    edges = [(v, v | 1 << b) for v in range(n) for b in range(d) if not v >> b & 1]
+    return Graph(n, edges)
+
+
+def grid(rows, cols):
+    across = [(v, v + 1) for v in range(rows * cols) if (v + 1) % cols]
+    down = [(v, v + cols) for v in range((rows - 1) * cols)]
+    return Graph(rows * cols, across + down)
+
+
+def petersen():
+    outer = [(i, (i + 1) % 5) for i in range(5)]
+    spokes = [(i, i + 5) for i in range(5)]
+    inner = [(5 + i, 5 + (i + 2) % 5) for i in range(5)]
+    return Graph(10, outer + spokes + inner)
+
+
+def group_closure(n, perms):
+    """Every product of ``perms``, the identity included."""
+    group = {tuple(range(n))}
+    frontier = list(group)
     while frontier:
         base = frontier.pop()
-        for gen in gens:
-            nxt = tuple(gen[base[i]] for i in range(4))
+        for perm in perms:
+            nxt = tuple(perm[base[i]] for i in range(n))
             if nxt not in group:
                 group.add(nxt)
                 frontier.append(nxt)
-    assert len(group) == 8
+    return group
+
+
+#: each graph, made on demand, and the order of its automorphism group
+GROUPS = {
+    "C4": (lambda: cycle(4), 8),
+    "C12": (lambda: cycle(12), 24),
+    "Q4": (lambda: hypercube(4), 384),
+    "Petersen": (petersen, 120),
+    "K3,3": (lambda: Graph(6, [(a, b) for a in range(3) for b in range(3, 6)]), 72),
+    "grid5x5": (lambda: grid(5, 5), 8),
+    "grid4x8": (lambda: grid(4, 8), 4),
+    "myciel4": (lambda: read_dimacs(DATA / "myciel4.col").graph, 10),
+}
+
+
+@pytest.mark.parametrize("name", GROUPS)
+def test_automorphisms_generate_the_whole_group(name):
+    build, order = GROUPS[name]
+    g = build()
+    elements = automorphism_generators(g)
+    assert len(elements) == min(order - 1, MAX_GENERATORS)
+    assert len(group_closure(g.n, elements)) == order
+
+
+def test_hypercube_q5_is_vertex_transitive():
+    elements = automorphism_generators(hypercube(5))
+    assert {perm[0] for perm in group_closure(32, elements)} == set(range(32))
+
+
+def test_grid_10x10_yields_its_seven_symmetries():
+    elements = automorphism_generators(grid(10, 10))
+    assert len(elements) == 7
+    assert len(group_closure(100, elements)) == 8
+
+
+def test_refinement_commutes_with_relabelling():
+    rng = random.Random(11)
+    for _ in range(30):
+        n = rng.randint(1, 14)
+        pairs = itertools.combinations(range(n), 2)
+        g = Graph(n, [(u, v) for u, v in pairs if rng.random() < 0.3])
+        start = [rng.randint(0, 1) for _ in range(n)]
+        pi = list(range(n))
+        rng.shuffle(pi)
+        h = Graph(n, [(pi[u], pi[v]) for u, v in g.edges])
+        moved = [0] * n
+        for v in range(n):
+            moved[pi[v]] = start[v]
+        ours, theirs = _refine_colors(g, start), _refine_colors(h, moved)
+        assert [theirs[pi[v]] for v in range(n)] == ours
 
 
 def test_p3_endpoint_swap_found():

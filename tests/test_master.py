@@ -27,6 +27,12 @@ def triangle():
     return Graph(3, [(0, 1), (0, 2), (1, 2)])
 
 
+def connectivity_rhs(rmp):
+    """The connectivity row's right-hand side; None when it is left out."""
+    rows = 1 + len(rmp.cover_rows) + len(rmp.clique_rows)
+    return rmp.model._rhs[rows] if rmp.model.nrows > rows else None
+
+
 # ------------------------------------------------------------ clique family
 
 
@@ -80,8 +86,8 @@ def test_rmp_shape_on_path():
     assert rmp.count_row == 0
     assert len(rmp.cover_rows) == 3
     assert len(rmp.clique_rows) == 2
-    assert rmp.connectivity_row is not None
-    assert rmp.connectivity_rhs == 1.0
+    assert rmp.model.nrows == 7
+    assert connectivity_rhs(rmp) == 1.0
     assert len(rmp.x_vars) == 3
     assert len(rmp.columns) == 3  # the singleton seed columns
     assert [c.subset for c in rmp.columns] == [(0,), (1,), (2,)]
@@ -94,12 +100,12 @@ def test_karate_connectivity_row_activation():
     g = read_dimacs(DATA / "karate.col").graph
     fam = build_clique_family(g, COVER)
     rmp = init_rmp(Instance(g, 5), fam)
-    assert rmp.connectivity_rhs == 1.0  # one vertex disconnects the club
-    assert init_rmp(Instance(g, 15), fam).connectivity_row is not None
-    assert init_rmp(Instance(g, 16), fam).connectivity_row is None
-    assert init_rmp(Instance(g, 20), fam).connectivity_row is None
+    assert connectivity_rhs(rmp) == 1.0  # one vertex disconnects the club
+    assert connectivity_rhs(init_rmp(Instance(g, 15), fam)) == 1.0
+    assert connectivity_rhs(init_rmp(Instance(g, 16), fam)) is None
+    assert connectivity_rhs(init_rmp(Instance(g, 20), fam)) is None
     off = init_rmp(Instance(g, 5), fam, connectivity_bound=False)
-    assert off.connectivity_row is None
+    assert connectivity_rhs(off) is None
 
 
 def test_add_column_dedup_and_coefficients():

@@ -2,7 +2,8 @@ import random
 
 import pytest
 
-from kvcut.engine import OPTIMAL, SolveOptions, solve
+import kvcut.engine
+from kvcut.engine import OPTIMAL, solve
 from kvcut.graph import Graph, automorphism_generators
 from kvcut.instance import Instance, gnp_graph
 from kvcut.symmetry import (
@@ -139,12 +140,16 @@ def test_costs_break_the_orbit():
 # ------------------------------------------------------------ end to end
 
 
-def _objective(inst, symmetry, **kw):
-    rep = solve(inst, SolveOptions(symmetry=symmetry, **kw))
+def _objective(inst, symmetry, monkeypatch):
+    # the symmetry-free engine is the same solve with no automorphisms
+    with monkeypatch.context() as m:
+        if not symmetry:
+            m.setattr(kvcut.engine, "automorphism_generators", lambda g: [])
+        rep = solve(inst)
     return rep.status, rep.objective, rep.nodes
 
 
-def test_symmetric_families_agree_with_symmetry_off():
+def test_symmetric_families_agree_with_symmetry_off(monkeypatch):
     two_paths = Graph(8, [(0, 1), (1, 2), (2, 3), (4, 5), (5, 6), (6, 7)])
     bipartite = Graph(6, [(a, b) for a in range(3) for b in range(3, 6)])
     cases = [
@@ -154,30 +159,30 @@ def test_symmetric_families_agree_with_symmetry_off():
         Instance(two_paths, 4),
     ]
     for inst in cases:
-        s_on, obj_on, _ = _objective(inst, True)
-        s_off, obj_off, _ = _objective(inst, False)
+        s_on, obj_on, _ = _objective(inst, True, monkeypatch)
+        s_off, obj_off, _ = _objective(inst, False, monkeypatch)
         assert s_on == s_off == OPTIMAL, inst
         assert obj_on == pytest.approx(obj_off), inst
 
 
-def test_random_instances_agree_with_symmetry_off():
+def test_random_instances_agree_with_symmetry_off(monkeypatch):
     rng = random.Random(3)
     for trial in range(12):
         g = gnp_graph(rng.randint(6, 10), 0.3, seed=600 + trial)
         inst = Instance(g, rng.randint(2, 4))
-        s_on, obj_on, _ = _objective(inst, True)
-        s_off, obj_off, _ = _objective(inst, False)
+        s_on, obj_on, _ = _objective(inst, True, monkeypatch)
+        s_off, obj_off, _ = _objective(inst, False, monkeypatch)
         assert s_on == s_off, inst
         if s_on == OPTIMAL:
             assert obj_on == pytest.approx(obj_off), inst
 
 
-def test_cycle_node_counts_with_symmetry(capsys):
+def test_cycle_node_counts_with_symmetry(capsys, monkeypatch):
     # soft expectation: the fixings shouldn't enlarge the tree
     for n in (8, 10, 12):
         inst = Instance(cycle(n), 2)
-        _, obj_on, nodes_on = _objective(inst, True)
-        _, obj_off, nodes_off = _objective(inst, False)
+        _, obj_on, nodes_on = _objective(inst, True, monkeypatch)
+        _, obj_off, nodes_off = _objective(inst, False, monkeypatch)
         assert obj_on == pytest.approx(obj_off) == 2.0
         marker = "<=" if nodes_on <= nodes_off else "> (not enforced)"
         print(f"C{n} k=2 nodes: sym {nodes_on} {marker} plain {nodes_off}")
