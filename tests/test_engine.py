@@ -255,9 +255,12 @@ def _differential_instances(count, seed):
         yield Instance(g.with_costs(costs), rng.randint(2, top))
 
 
-def test_matches_oracle_on_every_cost_kind():
+@pytest.mark.parametrize("symmetry", [True, False])
+def test_matches_oracle_on_every_cost_kind(symmetry, monkeypatch):
     # unit, mostly-zero, integer 0-5 and fractional costs; large costs are
-    # the strict xfail below
+    # the strict xfail below. symmetry=False solves with no automorphisms.
+    if not symmetry:
+        monkeypatch.setattr(kvcut.engine, "automorphism_generators", lambda g: [])
     optima = infeasible = 0
     for inst in _differential_instances(120, seed=24):
         rep = solve(inst)
