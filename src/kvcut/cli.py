@@ -2,8 +2,8 @@
 
 Exit codes: 0 when the instance is solved (Optimal or Trivial), 2 when
 it is proven Infeasible, 3 on TimeLimit, 1 for usage or IO problems, 4
-on an internal solver failure (an ``EngineError``, which a singular
-simplex basis raises too), reported as one line on stderr.
+on an internal solver failure (an ``EngineError``, which an LP that
+ends singular or uncertified raises too), reported as one line on stderr.
 Timing lives in its own JSON sub-object so reports can be compared
 byte-for-byte with timing stripped.
 """

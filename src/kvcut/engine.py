@@ -58,16 +58,6 @@ class _Timeout(Exception):
     pass
 
 
-def solve_lp(
-    model: lp.LinearProgram, warm: Optional[lp.Basis] = None, what: str = "master LP"
-) -> lp.LpResult:
-    """``model.solve(warm=warm)``, raising ``EngineError`` for a singular basis."""
-    try:
-        return model.solve(warm=warm)
-    except lp.SingularBasisError as exc:
-        raise EngineError(f"{what} failed: {exc}") from exc
-
-
 def _check_deadline(deadline: Optional[float]):
     if deadline is not None and time.monotonic() > deadline:
         raise _Timeout
@@ -232,8 +222,8 @@ def column_generation(
     Returns the converged LP, or None when the node can be dropped: the
     master LP is infeasible (the connectivity row has no artificial), or
     ``prune`` accepts a Lagrangian bound.  Raises ``EngineError`` on any
-    other LP failure, and ``_Timeout`` before a master solve past the
-    deadline, with ``work`` counted so far.
+    other LP status, a singular basis included, and ``_Timeout`` before a
+    master solve past the deadline, with ``work`` counted so far.
 
     The Lagrangian bound (Lübbecke & Desrosiers 2005), offered after
     every stage-2 pricing call.  Let y_0 be the count price and v the
@@ -259,7 +249,7 @@ def column_generation(
     """
     while True:
         _check_deadline(deadline)
-        res = solve_lp(rmp.model, basis)
+        res = rmp.model.solve(basis)
         work.pivots += res.iterations
         if res.status == lp.INFEASIBLE:
             log.debug("master LP infeasible")
@@ -315,7 +305,7 @@ class _Search:
 
     # -- plumbing -------------------------------------------------------------
 
-    def _report(self, status: str, **extra) -> SolveReport:
+    def _report(self, status: str) -> SolveReport:
         rep = SolveReport(
             instance=self.g.name,
             n=self.g.n,
@@ -330,44 +320,29 @@ class _Search:
             pricing_seconds=self.work.pricing_seconds,
             total_seconds=time.monotonic() - self.start,
         )
-        for key, value in extra.items():
-            setattr(rep, key, value)
+        gap_from = None  # the bound the gap is measured from
+        if status == OPTIMAL:
+            rep.best_bound = self.incumbent.objective
+            gap_from = self.root_bound
+        elif status == TIME_LIMIT:
+            # never empty: the deadline is checked only with a node on the
+            # heap or in flight.  Costs are nonnegative, so 0 is a bound
+            # too, the only one before the root's LP converges.
+            bounds = [entry[0] for entry in self.heap]
+            if self.inflight_bound is not None:
+                bounds.append(self.inflight_bound)
+            rep.best_bound = gap_from = max(0.0, min(bounds))
         if self.incumbent is not None:
             rep.objective = self.incumbent.objective
             rep.cut = self.incumbent.cut
             rep.num_components = self.incumbent.components
-        if status == OPTIMAL:
-            rep.best_bound = rep.objective
-            if rep.objective is not None and self.root_bound is not None:
-                if rep.objective > 1e-9:
-                    # The root bound can drift a few ulps above an integer
-                    # optimum; a negative gap is impossible, so clamp.
-                    rep.gap_percent = max(
-                        0.0,
-                        100.0
-                        * (rep.objective - self.root_bound)
-                        / rep.objective,
-                    )
-                else:
-                    rep.gap_percent = 0.0
-        elif status == TIME_LIMIT:
-            bounds = [entry[0] for entry in self.heap]
-            if self.inflight_bound is not None:
-                bounds.append(self.inflight_bound)
-            # never empty: the deadline is checked only with a node on the
-            # heap or in flight
-            bb = min(bounds)
-            rep.best_bound = None if math.isinf(bb) else bb
-            if (
-                self.incumbent is not None
-                and rep.best_bound is not None
-                and self.incumbent.objective > 1e-9
-            ):
+            if rep.objective <= 1e-9:
+                rep.gap_percent = 0.0
+            elif gap_from is not None:
+                # An LP bound can drift a few ulps above an integer
+                # optimum; a negative gap is impossible, so clamp.
                 rep.gap_percent = max(
-                    0.0,
-                    100.0
-                    * (self.incumbent.objective - rep.best_bound)
-                    / self.incumbent.objective,
+                    0.0, 100.0 * (rep.objective - gap_from) / rep.objective
                 )
         return rep
 
@@ -398,7 +373,7 @@ class _Search:
         scr = screen(self.inst)
         if scr.status == TRIVIAL:
             self.incumbent = Incumbent((), 0.0, scr.num_components)
-            return self._report(OPTIMAL, gap_percent=0.0)
+            return self._report(OPTIMAL)
         if scr.status == INFEASIBLE:
             return self._report(INFEASIBLE_STATUS)
 
@@ -433,36 +408,14 @@ class _Search:
         """Branch fixings plus symmetry-forced fixings; None = dominated."""
         if not self.generators or not node.seq:
             return node.state
-        branch_values = {
-            v: (1 if v in node.state.fixed_to_cut else 0) for v in node.seq
-        }
-        result = propagate(self.generators, node.seq, branch_values)
-        if result.conflict:
-            return None
-        if not result.force_cut and not result.force_keep:
-            return node.state
-        return BranchState(
-            node.state.fixed_to_cut | result.force_cut,
-            node.state.fixed_to_keep | result.force_keep,
-        )
-
-    def _apply_state(self, state: BranchState):
-        rmp = self.rmp
-        for v in range(self.g.n):
-            if v in state.fixed_to_cut:
-                rmp.set_vertex_fixed(v, 1)
-            elif v in state.fixed_to_keep:
-                rmp.set_vertex_fixed(v, 0)
-            else:
-                rmp.set_vertex_fixed(v, None)
-        for index, col in enumerate(rmp.columns):
-            rmp.set_column_active(index, state.allows_cluster(self.g, col.subset))
+        result = propagate(self.generators, node.seq, node.state)
+        return None if result.conflict else result.state
 
     def _process(self, node: BnpNode):
         state = self._effective_state(node)
         if state is None:
             return  # dominated by a symmetric sibling
-        self._apply_state(state)
+        self.rmp.restrict(state)
         res = column_generation(
             self.rmp, self.g, state, node.basis, work=self.work,
             deadline=self.deadline, prune=self._prunable if node.seq else None,

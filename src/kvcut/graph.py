@@ -394,8 +394,9 @@ def automorphism_generators(g: Graph) -> list[Permutation]:
     first path's leaf (McKay & Piperno 2014).  One such coset
     representative per orbit point generates the whole group (Sims 1970).
     Returned are the group's non-identity elements, breadth first from
-    the generators, up to MAX_GENERATORS, each verified.  A graph that
-    spends AUTOMORPHISM_NODE_BUDGET refinements yields a subgroup's.
+    the generators, up to MAX_GENERATORS: products of generators, each of
+    which ``is_automorphism`` accepted.  A graph that spends
+    AUTOMORPHISM_NODE_BUDGET refinements yields a subgroup's.
     """
     n = g.n
     rank = {c: r for r, c in enumerate(sorted(set(g.costs)))}
@@ -444,4 +445,4 @@ def automorphism_generators(g: Graph) -> list[Permutation]:
                 break
             if (p := tuple(map(s.__getitem__, e))) not in group:
                 group.append(p)
-    return [p for p in group[1:] if is_automorphism(g, p)]
+    return group[1:]

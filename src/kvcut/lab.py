@@ -18,7 +18,7 @@ from dataclasses import dataclass, field
 from typing import Optional
 
 from . import lp
-from .engine import CgWork, EngineError, column_generation, solve_lp
+from .engine import CgWork, EngineError, column_generation
 from .graph import Graph
 from .instance import Instance
 from .master import COVER, FAMILY_MODES, build_clique_family, init_rmp
@@ -134,7 +134,7 @@ def lp_bound_natural(
     cuts = 0
     basis = None
     for _ in range(MAX_SEPARATION_ROUNDS):
-        res = solve_lp(model, basis, "bound LP")
+        res = model.solve(basis)
         if res.status == lp.INFEASIBLE:
             # accumulated rows can contradict the box bounds outright
             # (small graphs with k close to n); the instance is infeasible

@@ -73,7 +73,8 @@ Conventions
   that has drifted from B^-1 fails the first (through x) or the last
   (through the duals).  A basis that fails is inverted afresh and gets
   one more round of phase 2; failing again, the solve reports
-  UNCERTIFIED.
+  UNCERTIFIED.  A basis that cannot be inverted, or a fourth pivot
+  element in a row below PIVOT_TOL, ends the solve as SINGULAR.
 """
 
 from __future__ import annotations
@@ -98,6 +99,7 @@ INFEASIBLE = "infeasible"
 UNBOUNDED = "unbounded"
 ITERATION_LIMIT = "iteration_limit"
 UNCERTIFIED = "uncertified"  # phase 2 ended twice at a basis that failed the certificate
+SINGULAR = "singular"  # the basis inverse could not be maintained
 
 AT_LB, AT_UB, BASIC = 0, 1, 2
 
@@ -105,7 +107,7 @@ LESS, GREATER, EQUAL = "<=", ">=", "=="
 
 
 class SingularBasisError(ArithmeticError):
-    """The basis inverse could not be maintained; the model is numerically bad."""
+    """The basis inverse could not be maintained; ``solve`` reports SINGULAR."""
 
 
 @dataclass
@@ -145,7 +147,6 @@ class LinearProgram:
         self._lb = np.zeros(self._ccap)
         self._ub = np.zeros(self._ccap)
         self._rhs = np.zeros(self._rcap)
-        self.row_sense: list[str] = []
         self.logical: list[int] = []  # column id of each row's logical
         # (basic column id per row, B^-1, pivots since B^-1 was last
         # inverted afresh) of the last certified solve
@@ -221,7 +222,6 @@ class LinearProgram:
         i = self.nrows
         self.nrows += 1
         self._rhs[i] = rhs
-        self.row_sense.append(sense)
         for j, a in entries:
             self._A[i, j] = a
         if sense == LESS:
@@ -243,7 +243,11 @@ class LinearProgram:
         self._ub[col] = ub
 
     def solve(self, warm: Optional[Basis] = None) -> LpResult:
-        return _Simplex(self, warm).run()
+        simplex = _Simplex(self, warm)
+        try:
+            return simplex.run()
+        except SingularBasisError:
+            return LpResult(SINGULAR, iterations=simplex.iters)
 
 
 class _Simplex:

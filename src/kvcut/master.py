@@ -23,12 +23,15 @@ at optimality, and the pricing theory relies on this shape).
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional, Sequence
+from typing import TYPE_CHECKING, Optional, Sequence
 
 from . import lp
 from .flow import ComponentResults, weighted_vertex_connectivity
 from .graph import Graph
 from .instance import Instance
+
+if TYPE_CHECKING:
+    from .pricing import BranchState  # pricing imports this module
 
 COVER = "cover"
 PARTITION = "partition"
@@ -159,11 +162,10 @@ class DualPrices:
 class Rmp:
     """Mutable restricted master: LP model plus the column pool.
 
-    One instance per solve; the branch-and-price engine mutates variable
-    bounds in place when it moves between tree nodes.  The connectivity
-    row is left out when ``connectivity_bound`` is False; it stores its
-    per-component results in ``connectivity`` when given, so the caller
-    can share them.
+    One instance per solve; the branch-and-price engine restricts it in
+    place to each tree node's fixings.  The connectivity row is left out
+    when ``connectivity_bound`` is False; it stores its per-component
+    results in ``connectivity`` when given, so the caller can share them.
     """
 
     def __init__(
@@ -174,7 +176,7 @@ class Rmp:
         connectivity_bound: bool = True,
         connectivity: Optional[ComponentResults] = None,
     ):
-        g = inst.graph
+        g = self.g = inst.graph
         self.k = inst.k
         self.fam = fam
         self.model = lp.LinearProgram()
@@ -249,20 +251,23 @@ class Rmp:
 
     # -- per-node state -------------------------------------------------------
 
-    def set_vertex_fixed(self, v: int, value: Optional[int]):
-        """Pin x_v for the current node: 1, 0, or None to release."""
-        if value is None:
-            self.model.set_bounds(self.x_vars[v], 0.0, lp.INF)
-        elif value == 1:
-            self.model.set_bounds(self.x_vars[v], 1.0, 1.0)
-        elif value == 0:
-            self.model.set_bounds(self.x_vars[v], 0.0, 0.0)
-        else:
-            raise ValueError(f"bad fixing {value!r}")
+    def restrict(self, state: BranchState):
+        """Restrict the master to a tree node's fixings.
 
-    def set_column_active(self, index: int, active: bool):
-        var = self.columns[index].var
-        self.model.set_bounds(var, 0.0, lp.INF if active else 0.0)
+        Pins x_v to 1 or 0 where the state fixes v and releases it
+        elsewhere, and keeps active exactly the pooled columns the state
+        allows.  ``BranchState()`` releases everything.
+        """
+        for v, var in enumerate(self.x_vars):
+            if v in state.fixed_to_cut:
+                self.model.set_bounds(var, 1.0, 1.0)
+            elif v in state.fixed_to_keep:
+                self.model.set_bounds(var, 0.0, 0.0)
+            else:
+                self.model.set_bounds(var, 0.0, lp.INF)
+        for col in self.columns:
+            active = state.allows_cluster(self.g, col.subset)
+            self.model.set_bounds(col.var, 0.0, lp.INF if active else 0.0)
 
     # -- results ----------------------------------------------------------------
 

@@ -17,7 +17,9 @@ dominated by a symmetric sibling and can be dropped.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Mapping, Optional, Sequence
+from typing import Mapping, Sequence
+
+from .pricing import BranchState
 
 
 @dataclass
@@ -90,38 +92,37 @@ def lex_fixings(
 @dataclass
 class Propagation:
     conflict: bool
-    force_cut: set[int] = field(default_factory=set)
-    force_keep: set[int] = field(default_factory=set)
+    state: BranchState  # the branch fixings plus the forced ones
 
 
 def propagate(
     generators: Sequence[Sequence[int]],
     seq: Sequence[int],
-    branch_values: Mapping[int, int],
+    state: BranchState,
 ) -> Propagation:
     """Fixpoint of lex_fixings over all generators.
 
-    ``branch_values`` holds the branching decisions along ``seq``; the
+    The branching decisions along ``seq`` are read from ``state``; the
     forced fixings accumulate on top of them and feed back into later
-    rounds until nothing new is deduced.
+    rounds until nothing new is deduced.  On a conflict ``state`` comes
+    back as given.
     """
-    values = dict(branch_values)
-    out = Propagation(False)
+    values = {v: int(v in state.fixed_to_cut) for v in seq}
+    cut: set[int] = set()  # the forced fixings
+    keep: set[int] = set()
     changed = True
     while changed:
         changed = False
         for perm in generators:
             result = lex_fixings(seq, values, perm)
             if result.conflict:
-                return Propagation(True)
+                return Propagation(True, state)
             for vertex, value in result.forced:
                 if values.get(vertex) == value:
                     continue
                 values[vertex] = value
                 changed = True
-                if value == 1:
-                    out.force_cut.add(vertex)
-                else:
-                    out.force_keep.add(vertex)
-    return out
-
+                (cut if value else keep).add(vertex)
+    if cut or keep:
+        state = BranchState(state.fixed_to_cut | cut, state.fixed_to_keep | keep)
+    return Propagation(False, state)

@@ -158,7 +158,7 @@ def test_singular_basis_exits_four(tmp_path, capsys, monkeypatch, command):
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err.startswith("kvcut: error: internal solver failure: ")
-    assert captured.err.endswith("LP failed: basis matrix became singular\n")
+    assert captured.err.endswith("LP ended with singular\n")
     assert captured.err.count("\n") == 1
 
 

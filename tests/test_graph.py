@@ -255,6 +255,7 @@ def test_automorphisms_generate_the_whole_group(name):
     g = build()
     elements = automorphism_generators(g)
     assert len(elements) == min(order - 1, MAX_GENERATORS)
+    assert all(is_automorphism(g, perm) for perm in elements)
     assert len(group_closure(g.n, elements)) == order
 
 

@@ -236,9 +236,8 @@ def test_singular_basis_raises_engine_error(monkeypatch, bound, what):
 
     monkeypatch.setattr(lp._Simplex, "_inverse", singular)
     monkeypatch.setattr(lp, "_REFACTOR_EVERY", 1)  # the first pivot inverts
-    with pytest.raises(EngineError, match=f"^{what} failed: basis matrix") as info:
+    with pytest.raises(EngineError, match=f"^{what} ended with singular$"):
         bound(Instance(cycle(6), 2))
-    assert isinstance(info.value.__cause__, lp.SingularBasisError)
 
 
 def test_compact_bound_on_p3_is_zero():

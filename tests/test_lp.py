@@ -1039,6 +1039,20 @@ def test_singular_basis_raises():
     assert s._inverse().tobytes() == np.eye(m).tobytes()
 
 
+def test_singular_basis_is_a_status(monkeypatch):
+    # every inversion finds B singular, and the first pivot asks for one
+    def singular(self):
+        raise lp.SingularBasisError("basis matrix became singular")
+
+    model, _ = build([1.0, 2.0], [(0.0, INF)] * 2, [(lp.GREATER, 3.0, [1.0, 1.0])])
+    monkeypatch.setattr(lp._Simplex, "_inverse", singular)
+    monkeypatch.setattr(lp, "_REFACTOR_EVERY", 1)
+    res = model.solve()
+    assert (res.status, res.iterations, res.basis) == (lp.SINGULAR, 1, None)
+    monkeypatch.undo()
+    assert model.solve().status == lp.OPTIMAL
+
+
 def test_add_row_rejects_an_entry_on_a_logical():
     model = lp.LinearProgram()
     x = model.add_variable(1.0, 0.0, 1.0)
@@ -1048,7 +1062,7 @@ def test_add_row_rejects_an_entry_on_a_logical():
     with pytest.raises(IndexError):
         model.add_row(lp.LESS, 2.0, [(x, 1.0), (model.ncols, 1.0)])
     # a rejected row leaves the model as it was
-    assert (model.nrows, model.ncols, model.row_sense) == (1, 2, [lp.GREATER])
+    assert (model.nrows, model.ncols, model.logical) == (1, 2, [1])
     assert model.solve().objective == pytest.approx(1.0)
 
 

@@ -191,3 +191,31 @@ def test_artificial_level_flags_infeasible_node():
             break
     assert rmp.infeasible(res)
 
+
+def test_restrict_pins_x_and_activates_the_allowed_columns():
+    rng = random.Random(8)
+    g = gnp_graph(12, 0.3, seed=8)
+    fam = build_clique_family(g)
+    rmp = init_rmp(Instance(g, 3), fam)
+    state = BranchState()
+    for _ in range(30):
+        res = rmp.model.solve()
+        assert res.status == lp.OPTIMAL
+        for col in price(g, fam, rmp.extract_duals(res), state).columns:
+            rmp.add_column(col.subset)
+    assert len(rmp.columns) > g.n  # more than the singletons to switch
+    model = rmp.model
+    for _ in range(40):
+        fixed = rng.sample(range(g.n), rng.randint(0, 5))
+        cut = frozenset(v for v in fixed if rng.random() < 0.5)
+        state = BranchState(cut, frozenset(fixed) - cut)
+        rmp.restrict(state)
+        for v, var in enumerate(rmp.x_vars):
+            want = (1.0, 1.0) if v in cut else (0.0, 0.0) if v in fixed else (0.0, lp.INF)
+            assert (model._lb[var], model._ub[var]) == want
+        for col in rmp.columns:
+            allowed = state.allows_cluster(g, col.subset)
+            assert (model._lb[col.var], model._ub[col.var]) == (0.0, lp.INF if allowed else 0.0)
+    rmp.restrict(BranchState())
+    for var in rmp.x_vars + [col.var for col in rmp.columns]:
+        assert (model._lb[var], model._ub[var]) == (0.0, lp.INF)

@@ -6,6 +6,7 @@ import kvcut.engine
 from kvcut.engine import OPTIMAL, solve
 from kvcut.graph import Graph, automorphism_generators
 from kvcut.instance import Instance, gnp_graph
+from kvcut.pricing import BranchState
 from kvcut.symmetry import (
     LexResult,
     invert_permutation,
@@ -78,30 +79,34 @@ def test_fixed_point_on_the_mirror_is_skipped():
 # ------------------------------------------------------------ propagation
 
 
+def keep(*vertices):
+    return BranchState(fixed_to_keep=frozenset(vertices))
+
+
 def test_propagate_collects_keep_fixings():
-    res = propagate([ROTATE_C4], (0,), {0: 0})
+    res = propagate([ROTATE_C4], (0,), keep(0))
     assert not res.conflict
-    assert res.force_keep == {3}
-    assert res.force_cut == set()
+    assert res.state == keep(0, 3)
 
 
 def test_propagate_detects_dominated_nodes():
-    res = propagate([ROTATE_C4], (0, 3), {0: 0, 3: 1})
+    res = propagate([ROTATE_C4], (0, 3), keep(0).with_fixing(3, 1))
     assert res.conflict
 
 
 def test_propagate_reaches_a_fixpoint_over_generators():
     gens = automorphism_generators(cycle(4))
-    res = propagate(gens, (0, 1), {0: 0, 1: 0})
+    res = propagate(gens, (0, 1), keep(0, 1))
     assert not res.conflict
-    assert res.force_cut == set()
-    # every deduced value is a keep, and none contradicts the branch
-    assert res.force_keep.isdisjoint({0, 1})
+    # x0 = 0 heads every sequence, so each element's preimage of 0 is
+    # kept too: the whole orbit of 0, all of C4
+    assert res.state == keep(0, 1, 2, 3)
 
 
 def test_propagate_without_generators_is_inert():
-    res = propagate([], (0, 1), {0: 1, 1: 0})
-    assert res == propagate([], (), {})
+    state = BranchState(frozenset({0}), frozenset({1}))
+    res = propagate([], (0, 1), state)
+    assert not res.conflict and res.state == state
 
 
 # ------------------------------------------------------------ orbits
