@@ -1,16 +1,21 @@
 """Max-flow / min-cut kernel and weighted vertex connectivity.
 
-A small Dinic implementation over adjacency-indexed arc pairs.  Dinic runs
-in place on a residual-capacity list that ``FlowNetwork.residual`` builds
-from the network's capacities.  Infinite capacities are materialized there
-as a sentinel strictly larger than twice the sum of all finite capacities
-plus any headroom asked for, so every finite min cut stays strictly below
-it and cut membership is unambiguous.
+Shortest augmenting paths (Edmonds & Karp 1972) over adjacency-indexed arc
+pairs, read off BFS trees.  The flow runs in place on a residual-capacity
+list that ``FlowNetwork.residual`` builds from the network's capacities.
+Infinite capacities are materialized there as a sentinel strictly larger
+than twice the sum of all finite capacities plus any headroom asked for,
+so every finite min cut stays strictly below it and cut membership is
+unambiguous.
 
-Each phase's BFS stops once it labels the sink: nodes at the sink's level
-or deeper lie on no shortest augmenting path.  The BFS that cannot reach
-the sink labels exactly the nodes reachable from the source, so the
-minimal min-cut source side is read from its labels, and
+Each pass is one BFS that records the arc labelling each node and scans
+no node at the sink's level or deeper, as those lie on no shortest
+augmenting path.  Every open arc into the sink from the level before it
+ends a shortest path up the BFS tree, and the pass pushes along it the
+bottleneck that its earlier pushes left; no path is searched for, so
+nothing is retreated from.  The pass that cannot reach the sink labels
+exactly the nodes reachable from the source, so the minimal min-cut
+source side is read from its labels, and
 ``maximal_source_side`` reads the largest one off the same residual: the
 nodes that cannot reach the sink, by one reverse BFS and no flow.  Every
 min-cut source side lies between the two.  A ``limit`` stops
@@ -79,75 +84,64 @@ class FlowNetwork:
     def max_flow(
         self, s: int, t: int, res: Optional[list[float]] = None, limit: float = INF
     ) -> tuple[float, Optional[list[int]]]:
-        """Dinic.  Returns (flow value, source side of a minimum cut).
+        """Shortest augmenting paths.  Returns (flow value, min-cut source side).
 
         Runs on ``res`` in place when given (a list from ``residual``,
         possibly left by earlier flows and with raised entries) and on a
         fresh ``residual()`` otherwise; the value is the flow this call
-        adds.  The source side is the set of nodes reachable from s in the
-        final residual network, i.e. the unique minimal min-cut source
-        side, whatever flow the residual started from.  Once the value
-        reaches ``limit`` the flow stops and the side is None.  The
-        network itself is never modified.
+        adds.  Each BFS pass pushes along the shortest paths of its tree,
+        as the module docstring sets out.  The pass that pushes nothing
+        labels exactly the nodes reachable from s in the final residual
+        network, i.e. the unique minimal min-cut source side, whatever
+        flow the residual started from.  Once the value reaches ``limit``
+        the flow stops and the side is None.  The network itself is never
+        modified.
         """
         if s == t:
             raise ValueError(f"source and sink are the same node {s}")
         if res is None:
             res = self.residual()
-        n, head, to = self.n, self.head, self.to
+        n, head, to, tol = self.n, self.head, self.to, CUT_TOL
         total = 0.0
         while total < limit or limit == INF:  # a flow can overflow to inf
-            level = [-1] * n
-            level[s] = 0
-            queue = [s]
-            for u in queue:  # grows while it is scanned
-                lv = level[u] + 1
-                for a in head[u]:
-                    v = to[a]
-                    if level[v] < 0 and res[a] > CUT_TOL:
-                        level[v] = lv
-                        queue.append(v)
-                if level[t] >= 0:
-                    break  # deeper nodes cannot lie on a shortest path to t
-            else:
+            tree = [-1] * n  # the arc that labelled each node
+            tree[s] = 0  # labelled; the walk up stops before reading it
+            level = [s]
+            reached = False
+            while level and not reached:
+                deeper = []
+                for u in level:
+                    for a in head[u]:
+                        v = to[a]
+                        if tree[v] < 0 and res[a] > tol:
+                            if v != t:
+                                tree[v] = a
+                                deeper.append(v)
+                                continue
+                            reached = True
+                            push, w = res[a], u
+                            while w != s and push > tol:
+                                b = tree[w]
+                                if not res[b] >= push:  # a nan closes the path
+                                    push = res[b]
+                                w = to[b ^ 1]
+                            if not push > tol:
+                                continue  # an earlier push saturated the path
+                            res[a] -= push
+                            res[a ^ 1] += push
+                            w = u
+                            while w != s:
+                                b = tree[w]
+                                res[b] -= push
+                                res[b ^ 1] += push
+                                w = to[b ^ 1]
+                            total += push
+                            if total >= limit != INF:  # inf runs on, as above
+                                return total, None
+                level = deeper
+            if not reached:
                 # t is unreachable, so the labelled nodes are the source side
-                return total, [v for v in range(n) if level[v] >= 0]
-            it = [0] * n
-            path: list[int] = []  # arc ids along the current partial path
-            u = s
-            while True:
-                if u == t:
-                    push = min([res[a] for a in path])
-                    total += push
-                    rewind = len(path)
-                    for i, a in enumerate(path):
-                        res[a] -= push
-                        res[a ^ 1] += push
-                        if res[a] <= CUT_TOL and i < rewind:
-                            rewind = i
-                    if total >= limit:
-                        break  # to the limit test
-                    del path[rewind:]
-                    u = to[path[-1]] if path else s
-                    continue
-                arcs = head[u]
-                i, m, lv = it[u], len(arcs), level[u] + 1
-                while i < m:
-                    a = arcs[i]
-                    if res[a] > CUT_TOL and level[to[a]] == lv:
-                        break
-                    i += 1
-                it[u] = i
-                if i < m:
-                    path.append(a)
-                    u = to[a]
-                    continue
-                if u == s:
-                    break  # blocking flow for this level graph is complete
-                level[u] = -1  # dead end for this phase
-                a = path.pop()
-                u = to[a ^ 1]
-                it[u] += 1  # skip the arc that led into the dead end
+                return total, [v for v in range(n) if tree[v] >= 0]
         return total, None
 
     def maximal_source_side(self, t: int, res: list[float]) -> list[int]:

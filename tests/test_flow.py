@@ -1,11 +1,12 @@
 import itertools
 import math
 import random
+import sys
 from pathlib import Path
 
 import pytest
 
-from kvcut.engine import disconnection_heuristic
+from kvcut.engine import CgWork, column_generation, disconnection_heuristic
 from kvcut.flow import (
     CUT_TOL,
     INF,
@@ -17,6 +18,8 @@ from kvcut.flow import (
 )
 from kvcut.graph import Graph, connected_components, is_clique, is_k_vertex_cut, read_dimacs
 from kvcut.instance import Instance, gnp_graph, make_weighted
+from kvcut.master import build_clique_family, init_rmp
+from kvcut.pricing import BranchState
 
 DATA = Path(__file__).parent.parent / "src" / "kvcut" / "data"
 
@@ -78,8 +81,8 @@ def test_max_flow_rejects_equal_endpoints():
 
 
 def test_resumed_flow_matches_cold_flow_after_raising_one_arc():
-    # a finished flow stays feasible when one capacity rises, so Dinic
-    # resumes from its residual; the total and the minimal source side
+    # a finished flow stays feasible when one capacity rises, so the
+    # flow resumes from its residual; the total and the minimal source side
     # must equal a cold run on the raised network.  Infinite arcs and a
     # raise far above every finite capacity catch a sentinel without
     # headroom for the raise.
@@ -106,6 +109,42 @@ def test_resumed_flow_matches_cold_flow_after_raising_one_arc():
         cold, cold_side = net.max_flow(0, n - 1)
         assert first + more == pytest.approx(cold, rel=1e-12, abs=1e-9), trial
         assert side == cold_side, trial
+
+
+def _check_flow(net, s, t, res, value):
+    """The flow a cold run left in ``res`` is within every capacity and is
+    conserved at every node but s and t, where it is +-value."""
+    excess = [0.0] * net.n
+    for a in range(0, len(net.cap), 2):
+        flow = net.cap[a] - res[a]
+        assert -1e-12 <= flow <= net.cap[a] + 1e-12, a
+        assert res[a + 1] == flow, a
+        excess[net.to[a + 1]] -= flow
+        excess[net.to[a]] += flow
+    assert excess[s] == -value and excess[t] == value
+    assert all(abs(x) <= 1e-12 for v, x in enumerate(excess) if v not in (s, t))
+
+
+def test_one_pass_rechecks_a_tree_path_an_earlier_push_saturated():
+    # s=0 labels a=1, which labels b=2 and c=3, each with an arc into t=4,
+    # so one pass finds s-a-b-t and then s-a-c-t up the same tree arc s->a
+    s, a, b, c, t = range(5)
+    cases = [
+        # the first push saturates s->a: the second path has nothing left
+        ([(s, a, 1.0), (a, b, 5.0), (a, c, 5.0), (b, t, 5.0), (c, t, 5.0)], 1.0, [s]),
+        # the first push saturates only a->b, so the second path gets the
+        # 2 that is left on s->a, not the 3 it had when c was labelled
+        ([(s, a, 3.0), (a, b, 1.0), (a, c, 5.0), (b, t, 5.0), (c, t, 5.0)], 3.0, [s]),
+        # as above with s->a wide: the second push is bounded by c->t
+        ([(s, a, 9.0), (a, b, 1.0), (a, c, 5.0), (b, t, 5.0), (c, t, 2.0)], 3.0, [s, a, c]),
+    ]
+    for trial, (arcs, value, side) in enumerate(cases):
+        net = FlowNetwork(5)
+        for u, v, cap in arcs:
+            net.add_arc(u, v, cap)
+        res = net.residual()
+        assert net.max_flow(s, t, res) == (value, side), trial
+        _check_flow(net, s, t, res, value)
 
 
 def test_all_infinite_paths():
@@ -448,6 +487,87 @@ def test_interior_flow_on_a_left_residual_matches_a_fresh_network():
                 assert (got, got_side) == (value, side), (trial, limit)
         moved += first > 0 and value > 0
     assert moved >= 40 and stopped >= 100
+
+
+def _edmonds_karp(net, s, t, res, limit):
+    """Reference max-flow: one shortest augmenting path per BFS, with the
+    contract of ``max_flow`` (value added, minimal source side or None
+    once the value reaches ``limit``)."""
+    total = 0.0
+    while total < limit or limit == INF:
+        tree = {s: None}
+        queue = [s]
+        for u in queue:
+            for a in net.head[u]:
+                if net.to[a] not in tree and res[a] > CUT_TOL:
+                    tree[net.to[a]] = a
+                    queue.append(net.to[a])
+        if t not in tree:
+            return total, sorted(tree)
+        path, v = [], t
+        while v != s:
+            path.append(tree[v])
+            v = net.to[tree[v] ^ 1]
+        push = min(res[a] for a in path)
+        for a in path:
+            res[a] -= push
+            res[a ^ 1] += push
+        total += push
+    return total, None
+
+
+def _root_flows(monkeypatch, g, k):
+    """(kind, network, s, t, residual before, limit, value, side) of every
+    max-flow call at the root of (g, k): the master's connectivity row,
+    then column generation's pricing."""
+    calls = []
+    real = FlowNetwork.max_flow
+
+    def record(net, s, t, res=None, limit=INF):
+        caller = sys._getframe(1).f_code.co_name
+        before = net.residual() if res is None else res.copy()
+        value, side = real(net, s, t, res, limit)
+        if caller == "min_vertex_cut_between":
+            kind = "connectivity"
+        elif s == 0:
+            kind = "stage 1" if limit == INF else "boosted"
+        else:
+            kind = "enclosure"
+        calls.append((kind, net, s, t, before, limit, value, side))
+        return value, side
+
+    monkeypatch.setattr(FlowNetwork, "max_flow", record)
+    rmp = init_rmp(Instance(g, k), build_clique_family(g))
+    column_generation(rmp, g, BranchState(), work=CgWork())
+    monkeypatch.undo()
+    return calls
+
+
+@pytest.mark.parametrize(
+    "g, k",
+    [
+        (read_dimacs(DATA / "karate.col").graph, 4),
+        (make_weighted(gnp_graph(30, 0.1, 3), 3), 3),
+    ],
+    ids=["karate-k4", "weighted-gnp30-k3"],
+)
+def test_max_flow_matches_edmonds_karp_on_pricing_residuals(monkeypatch, g, k):
+    # every flow of a root as pricing and connectivity run it: fresh stage-1
+    # flows, boosted flows resumed from a copy with a limit, enclosure tests
+    # between interior nodes of a left residual, and split networks
+    calls = _root_flows(monkeypatch, g, k)
+    kinds = {kind: [0, 0] for kind in ("connectivity", "stage 1", "boosted", "enclosure")}
+    for i, (kind, net, s, t, before, limit, value, side) in enumerate(calls):
+        ref, ref_side = _edmonds_karp(net, s, t, before, limit)
+        assert (side is None) == (value >= limit), (i, kind)
+        assert (side is None) == (ref_side is None), (i, kind)
+        if side is not None:
+            assert value == pytest.approx(ref, rel=0, abs=1e-9), (i, kind)
+            assert side == ref_side, (i, kind)
+        kinds[kind][side is None] += 1
+    # each kind ran, and every kind but stage 1 both ended and stopped
+    assert all(done > 0 for done, _ in kinds.values()), kinds
+    assert all(stopped > 0 for kind, (_, stopped) in kinds.items() if kind != "stage 1"), kinds
 
 
 def _plain_connectivity(g):
