@@ -148,26 +148,14 @@ def _round(value: Optional[float], digits: int = 9) -> Optional[float]:
 
 
 def report_json(rep: SolveReport) -> str:
-    doc = {
-        "instance": rep.instance,
-        "n": rep.n,
-        "m": rep.m,
-        "k": rep.k,
-        "status": rep.status,
-        "objective": _round(rep.objective),
-        "cut": None if rep.cut is None else [v + 1 for v in rep.cut],
-        "num_components": rep.num_components,
-        "root_lp_bound": _round(rep.root_lp_bound),
-        "best_bound": _round(rep.best_bound),
-        "gap_percent": _round(rep.gap_percent),
-        "nodes": rep.nodes,
-        "max_depth": rep.max_depth,
-        "cols_total": rep.cols_total,
-        "cols_root": rep.cols_root,
-        "timing": {
-            "pricing_seconds": rep.pricing_seconds,
-            "total_seconds": rep.total_seconds,
-        },
+    """The report's fields in order, the seconds moved into ``timing``."""
+    doc = dataclasses.asdict(rep)
+    for key in ("objective", "root_lp_bound", "best_bound", "gap_percent"):
+        doc[key] = _round(doc[key])
+    if rep.cut is not None:
+        doc["cut"] = [v + 1 for v in rep.cut]  # 1-based, as DIMACS counts
+    doc["timing"] = {
+        key: doc.pop(key) for key in ("pricing_seconds", "total_seconds")
     }
     return json.dumps(doc, indent=2)
 
@@ -199,22 +187,24 @@ def cmd_solve(args: argparse.Namespace) -> int:
     return _status_exit(rep.status)
 
 
-BENCH_COLUMNS = (
-    "instance", "n", "m", "k", "status", "objective", "root_bound", "gap%",
-    "nodes", "depth", "cols_total", "cols_root", "time_total", "time_pricing",
+#: (header, SolveReport field, cell format) of every bench column, in order
+_BENCH_TABLE = (
+    ("instance", "instance", "{}"), ("n", "n", "{}"), ("m", "m", "{}"),
+    ("k", "k", "{}"), ("status", "status", "{}"),
+    ("objective", "objective", "{:.6g}"),
+    ("root_bound", "root_lp_bound", "{:.6g}"),
+    ("gap%", "gap_percent", "{:.6g}"),
+    ("nodes", "nodes", "{}"), ("depth", "max_depth", "{}"),
+    ("cols_total", "cols_total", "{}"), ("cols_root", "cols_root", "{}"),
+    ("time_total", "total_seconds", "{:.3f}"),
+    ("time_pricing", "pricing_seconds", "{:.3f}"),
 )
+BENCH_COLUMNS = tuple(header for header, _, _ in _BENCH_TABLE)
 
 
-def _bench_row(rep: SolveReport) -> list:
-    def num(x):
-        return "" if x is None else f"{x:.6g}"
-
-    return [
-        rep.instance, rep.n, rep.m, rep.k, rep.status, num(rep.objective),
-        num(rep.root_lp_bound), num(rep.gap_percent), rep.nodes,
-        rep.max_depth, rep.cols_total, rep.cols_root,
-        f"{rep.total_seconds:.3f}", f"{rep.pricing_seconds:.3f}",
-    ]
+def _bench_row(rep: SolveReport) -> list[str]:
+    cells = [(getattr(rep, field), fmt) for _, field, fmt in _BENCH_TABLE]
+    return ["" if value is None else fmt.format(value) for value, fmt in cells]
 
 
 def cmd_bench(args: argparse.Namespace) -> int:
@@ -231,26 +221,19 @@ def cmd_bench(args: argparse.Namespace) -> int:
                 res = solve(Instance(g, k), opts)
             except Exception as exc:  # noqa: BLE001 - batch survives
                 print(f"error: {path} k={k}: {exc}", file=sys.stderr)
-                writer.writerow([path, "", "", k, "Error"] + [""] * 9)
+                error = [path, "", "", k, "Error"]
+                writer.writerow(error + [""] * (len(BENCH_COLUMNS) - len(error)))
                 failures += 1
                 continue
             writer.writerow(_bench_row(res))
             group.append(res)
         if group:
-            # per-k average over the instances that produced numbers,
-            # mirroring the usual benchmark-table grouping
-            solved = [r for r in group if r.objective is not None]
-            writer.writerow([
-                f"avg(k={k})", "", "", k, f"{len(group)} runs",
-                _avg([r.objective for r in solved]),
-                _avg([r.root_lp_bound for r in group]),
-                _avg([r.gap_percent for r in group]),
-                _avg([r.nodes for r in group]),
-                _avg([r.max_depth for r in group]),
-                _avg([r.cols_total for r in group]),
-                _avg([r.cols_root for r in group]),
-                _avg([r.total_seconds for r in group]),
-                _avg([r.pricing_seconds for r in group]),
+            # per-k average of every column after the labels, over the
+            # instances that produced numbers
+            labels = [f"avg(k={k})", "", "", k, f"{len(group)} runs"]
+            writer.writerow(labels + [
+                _avg([getattr(r, field) for r in group])
+                for _, field, _ in _BENCH_TABLE[len(labels):]
             ])
     _emit(buf.getvalue().rstrip("\n"), args.output)
     return EXIT_USAGE if failures else EXIT_SOLVED

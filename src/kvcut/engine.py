@@ -2,12 +2,14 @@
 
 Per tree node the engine runs column generation to convergence (master
 LP solve, price, add, repeat), reads the node's dual bound off the final
-LP, and either prunes, accepts an integral deletion vector as a new
-incumbent (after re-verifying the component count directly on the
-graph), or rounds the LP to a cut that may become the incumbent and then
-branches on a fractional deletion variable chosen by pseudocosts: the
-bound gains the tree's own child nodes have recorded.  Below the root,
-column generation stops early once a Lagrangian bound prunes the node.
+LP, and either prunes, offers an integral deletion vector as a new
+incumbent, or rounds the LP to a cut it offers and then branches on a
+fractional deletion variable chosen by pseudocosts: the bound gains the
+tree's own child nodes have recorded.  ``_Search._offer`` alone re-checks
+and costs a cut on the graph and keeps the incumbent, whether the cut is
+a trivial instance's empty one, a heuristic's or an integral leaf's.
+Below the root, column generation stops early once a Lagrangian bound
+prunes the node.
 
 A child node starts from the parent's optimal basis.  Its new bound
 leaves it primal infeasible but dual feasible, so the LP re-optimises it
@@ -35,8 +37,8 @@ from . import lp
 from .flow import ComponentResults, weighted_vertex_connectivity
 from .graph import Graph, automorphism_generators, connected_components
 from .instance import INFEASIBLE, TRIVIAL, Instance, screen
-from .master import Rmp, build_clique_family, init_rmp
-from .pricing import BranchState, price
+from .master import BranchState, Rmp, build_clique_family, init_rmp
+from .pricing import price
 from .symmetry import propagate
 
 log = logging.getLogger(__name__)
@@ -127,14 +129,15 @@ class _Pseudocosts:
 
 def disconnection_heuristic(
     inst: Instance, connectivity: Optional[ComponentResults] = None
-) -> Optional[Incumbent]:
+) -> Optional[tuple[int, ...]]:
     """Greedy warm start: repeatedly split the cheapest breakable component.
 
     Each round computes, per surviving component, the cheapest vertex set
     whose removal disconnects it, and removes the cheapest such set over
     all components (ties to the component with the lowest vertex index).
-    Fails — returns None — exactly when too few components remain and
-    every one of them is a clique.  Per-component results are read from
+    Returns the removed vertices, sorted, once at least k components
+    remain.  Fails — returns None — exactly when too few components remain
+    and every one of them is a clique.  Per-component results are read from
     and stored in ``connectivity`` (a fresh dict when not given), so a
     component that survives a round unchanged is not computed again.
     """
@@ -146,26 +149,24 @@ def disconnection_heuristic(
         keep = [v for v in range(g.n) if v not in removed]
         comps = connected_components(g, within=keep)
         if len(comps) >= k:
-            cut = tuple(sorted(removed))
-            cost = sum(g.costs[v] for v in cut)
-            return Incumbent(cut, cost, len(comps))
+            return tuple(sorted(removed))
         conn = weighted_vertex_connectivity(g, keep, connectivity)
-        if conn.unbreakable:
+        if conn is None:
             return None
         removed.update(conn.vertices)
 
 
 def rounding_heuristic(
     g: Graph, k: int, state: BranchState, xvals: Sequence[float]
-) -> Optional[Incumbent]:
+) -> Optional[tuple[int, ...]]:
     """Round a node's LP deletion vector to a k-vertex cut, or return None.
 
     Deletes the cut-fixed vertices, then the vertices that are not
     keep-fixed in order of decreasing x_v (ties to the cheaper, then to the
     lower index) until at least k components remain; it gives up when the
     next x_v is 0 (within INT_TOL).  Then it restores, dearest first,
-    every such deletion the cut does not need.  The cut keeps the node's
-    fixings.
+    every such deletion the cut does not need.  Returns the cut's
+    vertices, sorted; the cut keeps the node's fixings.
     """
     removed = set(state.fixed_to_cut)
 
@@ -195,8 +196,7 @@ def rounding_heuristic(
         removed.discard(v)
         if parts() < k:
             removed.add(v)
-    cut = tuple(sorted(removed))
-    return Incumbent(cut, sum(g.costs[v] for v in cut), parts())
+    return tuple(sorted(removed))
 
 
 @dataclass
@@ -351,13 +351,23 @@ class _Search:
         heapq.heappush(self.heap, (node.bound, -len(node.seq), self.pushed, node))
         self.pushed += 1
 
-    def _offer(self, candidate: Optional[Incumbent]):
-        """Make a cut the incumbent when it is cheaper than the current one."""
-        if candidate is not None and (
-            self.incumbent is None
-            or candidate.objective < self.incumbent.objective - 1e-9
-        ):
-            self.incumbent = candidate
+    def _offer(self, cut: Optional[tuple[int, ...]]) -> bool:
+        """Whether a sorted vertex tuple is a k-vertex cut; keep it if cheaper.
+
+        None, from a heuristic that found nothing, is no cut.  A cut is
+        costed from the graph and becomes the incumbent when it beats the
+        current one by more than 1e-9.
+        """
+        if cut is None:
+            return False
+        keep = set(range(self.g.n)).difference(cut)
+        components = len(connected_components(self.g, within=keep))
+        if components < self.inst.k:
+            return False
+        cost = sum((self.g.costs[v] for v in cut), 0.0)
+        if self.incumbent is None or cost < self.incumbent.objective - 1e-9:
+            self.incumbent = Incumbent(cut, cost, components)
+        return True
 
     def _prunable(self, bound: float) -> bool:
         if self.incumbent is None:
@@ -370,11 +380,11 @@ class _Search:
     # -- main loop ------------------------------------------------------------
 
     def run(self) -> SolveReport:
-        scr = screen(self.inst)
-        if scr.status == TRIVIAL:
-            self.incumbent = Incumbent((), 0.0, scr.num_components)
+        screened = screen(self.inst)
+        if screened == TRIVIAL:
+            self._offer(())
             return self._report(OPTIMAL)
-        if scr.status == INFEASIBLE:
+        if screened == INFEASIBLE:
             return self._report(INFEASIBLE_STATUS)
 
         fam = build_clique_family(self.g)
@@ -382,7 +392,7 @@ class _Search:
         # need the same per-component cuts; compute each once
         connectivity: ComponentResults = {}
         self.rmp = init_rmp(self.inst, fam, connectivity=connectivity)
-        self.incumbent = disconnection_heuristic(self.inst, connectivity)
+        self._offer(disconnection_heuristic(self.inst, connectivity))
         self.generators = automorphism_generators(self.g)
 
         self._push(BnpNode(BranchState(), -math.inf, None, ()))
@@ -465,12 +475,7 @@ class _Search:
         xvals: list[float],
         bound: float,
     ):
-        cut = tuple(v for v in range(self.g.n) if xvals[v] > 0.5)
-        keep = [v for v in range(self.g.n) if xvals[v] <= 0.5]
-        comps = connected_components(self.g, within=keep)
-        if len(comps) >= self.inst.k:
-            cost = sum(self.g.costs[v] for v in cut)
-            self._offer(Incumbent(cut, cost, len(comps)))
+        if self._offer(tuple(v for v in range(self.g.n) if xvals[v] > 0.5)):
             return
         # An integral x can still fail verification: a variable may sit at
         # 2+ (the connectivity row has no reason not to), or the count row

@@ -35,7 +35,9 @@ earlier cut, on a copy of that cut's residual.
 
 Weighted connectivity cuts n - 1 - deg u pairs from a minimum-degree vertex
 u plus the non-adjacent pairs of u's neighbours (Esfahanian & Hakimi 1984);
-``component_connectivity`` lists them and proves them exact.
+``component_connectivity`` lists them and proves them exact.  Both
+connectivity routines return one ``VertexCut``, or None for a clique
+component (or a graph of only cliques), which no vertex set disconnects.
 """
 
 from __future__ import annotations
@@ -218,29 +220,20 @@ def min_vertex_cut_between(
     return VertexCut(value, sorted(cut))
 
 
-@dataclass
-class ConnectivityResult:
-    """Cheapest disconnecting set of a graph, or proof that none exists."""
-
-    unbreakable: bool
-    cost: Optional[float] = None
-    vertices: Optional[list[int]] = None
+#: per-component separators, keyed by the component's sorted vertex ids
+ComponentResults = dict[tuple[int, ...], Optional[VertexCut]]
 
 
-#: per-component results, keyed by the component's sorted vertex ids
-ComponentResults = dict[tuple[int, ...], ConnectivityResult]
-
-
-def component_connectivity(g: Graph, component: list[int]) -> ConnectivityResult:
+def component_connectivity(g: Graph, component: list[int]) -> Optional[VertexCut]:
     """Cheapest vertex set disconnecting one connected component.
 
-    Cliques (including singletons) cannot be disconnected.  Otherwise let
-    u be a vertex of minimum degree in the component, ties to the lowest
-    index, and cut the pairs of Esfahanian & Hakimi (1984): (u, t) for
-    every t not adjacent to u, in ascending t, then (x, y) for every
-    non-adjacent pair x < y of u's neighbours, in lexicographic order.
-    Some pair is separated by an optimal separator S, since costs are
-    nonnegative:
+    None for a clique (a singleton included): no vertex set disconnects
+    it.  Otherwise let u be a vertex of minimum degree in the component,
+    ties to the lowest index, and cut the pairs of Esfahanian & Hakimi
+    (1984): (u, t) for every t not adjacent to u, in ascending t, then
+    (x, y) for every non-adjacent pair x < y of u's neighbours, in
+    lexicographic order.  Some pair is separated by an optimal separator
+    S, since costs are nonnegative:
 
     - If u is not in S, some vertex t of another component of G - S is
       not adjacent to u, and the (u, t) cut costs at most c(S).
@@ -258,7 +251,7 @@ def component_connectivity(g: Graph, component: list[int]) -> ConnectivityResult
     """
     comp = sorted(component)
     if is_clique(g, comp):
-        return ConnectivityResult(unbreakable=True)
+        return None
     sub, ids = g.induced(comp)
     net = split_network(sub)
     base = net.residual()
@@ -275,36 +268,32 @@ def component_connectivity(g: Graph, component: list[int]) -> ConnectivityResult
             best = cand
     # a non-clique component has pairs, and by the cases above one is optimal
     assert best is not None
-    return ConnectivityResult(False, best.cost, [ids[v] for v in best.vertices])
+    return VertexCut(best.cost, [ids[v] for v in best.vertices])
 
 
 def weighted_vertex_connectivity(
     g: Graph,
     within: Optional[Iterable[int]] = None,
     results: Optional[ComponentResults] = None,
-) -> ConnectivityResult:
+) -> Optional[VertexCut]:
     """Min-cost vertex set whose removal increases the component count.
 
     For a disconnected graph this is the minimum over components, ties to
-    the component with the lowest vertex; a graph whose components are all
-    cliques cannot be broken further.  ``within`` restricts to an induced
-    subgraph without building it.  A component's result depends only on
-    its vertex set, so ``results`` may carry them from one call to the
-    next: components found there are not computed again, and the others
-    are stored.
+    the component with the lowest vertex; None when every component is a
+    clique, so that no vertex set breaks the graph further.  ``within``
+    restricts to an induced subgraph without building it.  A component's
+    result depends only on its vertex set, so ``results`` may carry them
+    from one call to the next: components found there are not computed
+    again, and the others are stored.
     """
     if results is None:
         results = {}
-    best: Optional[ConnectivityResult] = None
+    best: Optional[VertexCut] = None
     for comp in connected_components(g, within):
         key = tuple(comp)
-        res = results.get(key)
-        if res is None:
-            res = results[key] = component_connectivity(g, comp)
-        if res.unbreakable:
-            continue
-        if best is None or res.cost < best.cost - CUT_TOL:
-            best = res
-    if best is None:
-        return ConnectivityResult(unbreakable=True)
+        if key not in results:
+            results[key] = component_connectivity(g, comp)
+        cut = results[key]
+        if cut is not None and (best is None or cut.cost < best.cost - CUT_TOL):
+            best = cut
     return best

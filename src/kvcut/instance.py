@@ -11,14 +11,7 @@ import math
 from dataclasses import dataclass
 from typing import Iterator, Optional
 
-from .graph import (
-    Graph,
-    StableSetResult,
-    UNKNOWN,
-    YES,
-    connected_components,
-    has_stable_set_of_size,
-)
+from .graph import NO, Graph, connected_components, has_stable_set_of_size
 
 _MASK64 = (1 << 64) - 1
 
@@ -72,36 +65,21 @@ class Instance:
 # screening outcomes
 TRIVIAL = "trivial"
 INFEASIBLE = "infeasible"
-FEASIBLE = "feasible"
-UNDETERMINED = "undetermined"
 
 
-@dataclass
-class ScreenResult:
-    status: str
-    num_components: int
-    stable_set: Optional[list[int]] = None  # witness when FEASIBLE
-
-
-def screen(inst: Instance) -> ScreenResult:
+def screen(inst: Instance) -> Optional[str]:
     """Cheap dispatch before the solver proper.
 
     TRIVIAL: the graph already has >= k components, the empty cut is optimal.
     INFEASIBLE: no stable set of size k exists, hence no k-vertex cut.
-    FEASIBLE: a size-k stable set was found (deleting everything else is a
-    feasible cut), so an optimum exists.
-    UNDETERMINED: the stable-set search ran out of budget either way; the
-    solver still decides correctly, just without the early exit.
+    None: the tree decides, whether the stable-set search found a size-k
+    set (an optimum exists) or ran out of budget.
     """
-    comps = connected_components(inst.graph)
-    if len(comps) >= inst.k:
-        return ScreenResult(TRIVIAL, len(comps))
-    res: StableSetResult = has_stable_set_of_size(inst.graph, inst.k)
-    if res.status == YES:
-        return ScreenResult(FEASIBLE, len(comps), res.stable_set)
-    if res.status == UNKNOWN:
-        return ScreenResult(UNDETERMINED, len(comps))
-    return ScreenResult(INFEASIBLE, len(comps))
+    if len(connected_components(inst.graph)) >= inst.k:
+        return TRIVIAL
+    if has_stable_set_of_size(inst.graph, inst.k).status == NO:
+        return INFEASIBLE
+    return None
 
 
 # ---------------------------------------------------------------------------

@@ -21,8 +21,7 @@ from . import lp
 from .engine import CgWork, EngineError, column_generation
 from .graph import Graph
 from .instance import Instance
-from .master import COVER, FAMILY_MODES, build_clique_family, init_rmp
-from .pricing import BranchState
+from .master import COVER, FAMILY_MODES, BranchState, build_clique_family, init_rmp
 from .pricing import price  # noqa: F401 - unused; perfbench/spans.py wraps it by name
 
 #: a forest row is added only when violated by more than this

@@ -23,15 +23,12 @@ at optimality, and the pricing theory relies on this shape).
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Optional, Sequence
+from typing import Optional, Sequence
 
 from . import lp
 from .flow import ComponentResults, weighted_vertex_connectivity
 from .graph import Graph
 from .instance import Instance
-
-if TYPE_CHECKING:
-    from .pricing import BranchState  # pricing imports this module
 
 COVER = "cover"
 PARTITION = "partition"
@@ -137,6 +134,34 @@ def build_clique_family(g: Graph, mode: str = COVER) -> CliqueFamily:
 # the restricted master itself
 
 
+@dataclass(frozen=True)
+class BranchState:
+    """Branching decisions in force at a tree node."""
+
+    fixed_to_cut: frozenset[int] = frozenset()
+    fixed_to_keep: frozenset[int] = frozenset()
+
+    def __post_init__(self):
+        overlap = self.fixed_to_cut & self.fixed_to_keep
+        if overlap:
+            raise ValueError(f"contradictory fixings on {sorted(overlap)}")
+
+    def with_fixing(self, vertex: int, value: int) -> "BranchState":
+        if value == 1:
+            return BranchState(self.fixed_to_cut | {vertex}, self.fixed_to_keep)
+        return BranchState(self.fixed_to_cut, self.fixed_to_keep | {vertex})
+
+    def allows_cluster(self, g: Graph, subset) -> bool:
+        """Whether a cluster column may be active under these fixings."""
+        sset = set(subset)
+        if sset & self.fixed_to_cut:
+            return False
+        for w in self.fixed_to_keep:
+            if w not in sset and not sset.isdisjoint(g.adj_set[w]):
+                return False
+        return True
+
+
 @dataclass
 class Column:
     """One cluster column: its vertices and its LP id."""
@@ -197,7 +222,7 @@ class Rmp:
 
         if connectivity_bound and inst.k <= CONNECTIVITY_MAX_K:
             conn = weighted_vertex_connectivity(g, results=connectivity)
-            if not conn.unbreakable:
+            if conn is not None:
                 self.model.add_row(
                     lp.GREATER,
                     conn.cost,

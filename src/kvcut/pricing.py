@@ -44,40 +44,10 @@ from typing import Optional
 
 from .flow import CUT_TOL, INF, FlowNetwork
 from .graph import Graph, connected_components
-from .master import CliqueFamily, DualPrices
+from .master import BranchState, CliqueFamily, DualPrices
 
 #: a cluster is worth adding when its violation exceeds this
 VIOLATION_TOL = 1e-6
-
-
-@dataclass(frozen=True)
-class BranchState:
-    """Branching decisions in force at a tree node."""
-
-    fixed_to_cut: frozenset[int] = frozenset()
-    fixed_to_keep: frozenset[int] = frozenset()
-
-    def __post_init__(self):
-        overlap = self.fixed_to_cut & self.fixed_to_keep
-        if overlap:
-            raise ValueError(f"contradictory fixings on {sorted(overlap)}")
-
-    def with_fixing(self, vertex: int, value: int) -> "BranchState":
-        if value == 1:
-            return BranchState(
-                self.fixed_to_cut | {vertex}, self.fixed_to_keep
-            )
-        return BranchState(self.fixed_to_cut, self.fixed_to_keep | {vertex})
-
-    def allows_cluster(self, g: Graph, subset) -> bool:
-        """Whether a cluster column may be active under these fixings."""
-        sset = set(subset)
-        if sset & self.fixed_to_cut:
-            return False
-        for w in self.fixed_to_keep:
-            if w not in sset and not sset.isdisjoint(g.adj_set[w]):
-                return False
-        return True
 
 
 @dataclass

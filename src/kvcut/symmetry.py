@@ -19,7 +19,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Mapping, Sequence
 
-from .pricing import BranchState
+from .master import BranchState
 
 
 @dataclass

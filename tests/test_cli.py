@@ -1,6 +1,7 @@
 import csv
 import json
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -204,6 +205,33 @@ def test_bench_groups_rows_by_k(tmp_path, capsys):
     assert by_label[("c6", "2")][5] == "2"
     assert by_label[("avg(k=2)", "2")][5] == "1.5"
     assert by_label[("p3", "3")][4] == "Infeasible"
+
+
+def test_bench_csv_text_is_pinned(tmp_path, capsys):
+    # the whole table, header to error rows, with the two time columns
+    # blanked once each data row is seen to print them to 3 places
+    p3 = path3_file(tmp_path)
+    c6 = cycle6_file(tmp_path)
+    missing = str(tmp_path / "gone.col")
+    assert main(["bench", p3, c6, missing, "--k", "2,3"]) == 1
+    rows = list(csv.reader(capsys.readouterr().out.splitlines()))
+    for row in rows[1:]:
+        if row[4] != "Error" and not row[0].startswith("avg("):
+            assert all(re.fullmatch(r"\d+\.\d{3}", cell) for cell in row[12:]), row
+        row[12:] = ["", ""]
+    text = "\n".join(",".join(row) for row in rows).replace(missing, "gone.col")
+    assert text == (
+        "instance,n,m,k,status,objective,root_bound,gap%,nodes,depth,"
+        "cols_total,cols_root,time_total,time_pricing\n"
+        "p3,3,2,2,Optimal,1,1,0,1,0,3,3,,\n"
+        "c6,6,6,2,Optimal,2,2,0,1,0,7,7,,\n"
+        "gone.col,,,2,Error,,,,,,,,,\n"
+        "avg(k=2),,,2,2 runs,1.5,1.5,0,1,0,5,5,,\n"
+        "p3,3,2,3,Infeasible,,,,0,0,0,0,,\n"
+        "c6,6,6,3,Optimal,3,3,0,1,0,10,10,,\n"
+        "gone.col,,,3,Error,,,,,,,,,\n"
+        "avg(k=3),,,3,2 runs,3,3,0,0.5,0,5,5,,"
+    )
 
 
 def test_bench_survives_a_broken_instance(tmp_path, capsys):

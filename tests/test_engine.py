@@ -30,9 +30,9 @@ from kvcut.engine import (
 )
 from kvcut.graph import Graph, connected_components, is_k_vertex_cut, read_dimacs
 from kvcut.instance import Instance, gnp_graph, make_weighted
-from kvcut.master import CONNECTIVITY_MAX_K, build_clique_family, init_rmp
+from kvcut.master import CONNECTIVITY_MAX_K, BranchState, build_clique_family, init_rmp
 from kvcut.oracle import Infeasible, OracleResult, brute_force
-from kvcut.pricing import BranchState, price
+from kvcut.pricing import price
 
 DATA = Path(__file__).parent.parent / "src" / "kvcut" / "data"
 
@@ -47,6 +47,12 @@ def myciel4():
 
 def cycle(n):
     return Graph(n, [(i, (i + 1) % n) for i in range(n)])
+
+
+def _cost_and_parts(g, cut):
+    """The cost of a vertex set and the components it leaves."""
+    pieces = connected_components(g, within=set(range(g.n)) - set(cut))
+    return sum(g.costs[v] for v in cut), len(pieces)
 
 
 def _strip_timing(report):
@@ -378,11 +384,12 @@ def test_repeat_runs_are_identical():
 
 
 def test_heuristic_cuts_a_cycle_for_two():
-    inc = disconnection_heuristic(Instance(cycle(6), 2))
-    assert inc is not None
-    assert inc.objective == pytest.approx(2.0)
-    assert inc.components >= 2
-    assert is_k_vertex_cut(cycle(6), inc.cut, 2)
+    cut = disconnection_heuristic(Instance(cycle(6), 2))
+    assert cut is not None and cut == tuple(sorted(cut))
+    cost, parts = _cost_and_parts(cycle(6), cut)
+    assert cost == pytest.approx(2.0)
+    assert parts >= 2
+    assert is_k_vertex_cut(cycle(6), cut, 2)
 
 
 def test_heuristic_fails_on_all_clique_components():
@@ -391,10 +398,10 @@ def test_heuristic_fails_on_all_clique_components():
 
 
 def test_heuristic_bounds_the_karate_optimum():
-    inc = disconnection_heuristic(Instance(karate(), 3))
-    assert inc is not None
-    assert is_k_vertex_cut(karate(), inc.cut, 3)
-    assert inc.objective >= 1.0  # never better than the true optimum
+    cut = disconnection_heuristic(Instance(karate(), 3))
+    assert cut is not None
+    assert is_k_vertex_cut(karate(), cut, 3)
+    assert _cost_and_parts(karate(), cut)[0] >= 1.0  # never below the optimum
 
 
 def test_shared_connectivity_does_not_change_the_heuristic():
@@ -424,19 +431,14 @@ def test_shared_connectivity_does_not_change_the_heuristic():
 
 def test_heuristic_success_is_always_feasible():
     for inst in _random_instances(25, seed=55):
-        inc = disconnection_heuristic(inst)
-        if inc is None:
+        cut = disconnection_heuristic(inst)
+        if cut is None:
             continue
-        assert is_k_vertex_cut(inst.graph, inc.cut, inst.k), inst
-        total = sum(inst.graph.costs[v] for v in inc.cut)
-        assert inc.objective == pytest.approx(total), inst
+        assert cut == tuple(sorted(set(cut))), inst
+        assert is_k_vertex_cut(inst.graph, cut, inst.k), inst
         exact = brute_force(inst)
         assert isinstance(exact, OracleResult), inst
-        assert inc.objective >= exact.objective - 1e-9, inst
-        pieces = connected_components(
-            inst.graph, within=set(range(inst.graph.n)) - set(inc.cut)
-        )
-        assert inc.components == len(pieces), inst
+        assert _cost_and_parts(inst.graph, cut)[0] >= exact.objective - 1e-9, inst
 
 
 def test_rounding_heuristic_deletes_by_x_and_restores_dearest_first():
@@ -444,16 +446,16 @@ def test_rounding_heuristic_deletes_by_x_and_restores_dearest_first():
     # then 0 (the dearest) comes back, 1 and 3 are needed
     g = cycle(6).with_costs([3.0, 1.0, 1.0, 1.0, 1.0, 1.0])
     xvals = [0.9, 0.8, 0.0, 0.7, 0.0, 0.0]
-    inc = rounding_heuristic(g, 2, BranchState(), xvals)
-    assert (inc.cut, inc.objective, inc.components) == ((1, 3), 2.0, 2)
+    cut = rounding_heuristic(g, 2, BranchState(), xvals)
+    assert (cut, *_cost_and_parts(g, cut)) == ((1, 3), 2.0, 2)
     # equal x: the cheaper vertex goes first, then the lower index
-    inc = rounding_heuristic(g, 2, BranchState(), [0.5, 0.5, 0.0, 0.5, 0.0, 0.0])
-    assert inc.cut == (1, 3)
+    cut = rounding_heuristic(g, 2, BranchState(), [0.5, 0.5, 0.0, 0.5, 0.0, 0.0])
+    assert cut == (1, 3)
     # a cut-fixed vertex stays deleted, a keep-fixed one is never deleted:
     # with 5 cut and 1 kept, 0 and 3 go, and 0 comes back
     state = BranchState(frozenset({5}), frozenset({1}))
-    inc = rounding_heuristic(g, 2, state, xvals)
-    assert inc.cut == (3, 5)
+    cut = rounding_heuristic(g, 2, state, xvals)
+    assert cut == (3, 5)
     # the next x_v is 0 before k components remain
     assert rounding_heuristic(g, 3, BranchState(), xvals) is None
 
@@ -471,18 +473,43 @@ def test_rounding_heuristic_cuts_are_feasible_and_keep_the_fixings():
             xvals = [rng.choice((0.0, 1.0, rng.random())) for _ in range(n)]
             for v in fixed_keep:
                 xvals[v] = 1.0  # the LP holds these at 0; the rule must not care
-            inc = rounding_heuristic(g, inst.k, BranchState(fixed_cut, fixed_keep), xvals)
-            if inc is None:
+            cut = rounding_heuristic(g, inst.k, BranchState(fixed_cut, fixed_keep), xvals)
+            if cut is None:
                 continue
             rounded += 1
-            assert is_k_vertex_cut(g, inc.cut, inst.k), inst
-            assert fixed_cut <= set(inc.cut) and fixed_keep.isdisjoint(inc.cut), inst
-            assert inc.objective == sum(g.costs[v] for v in inc.cut), inst
-            pieces = connected_components(g, within=set(range(n)) - set(inc.cut))
-            assert inc.components == len(pieces), inst
+            assert cut == tuple(sorted(set(cut))), inst
+            assert is_k_vertex_cut(g, cut, inst.k), inst
+            assert fixed_cut <= set(cut) and fixed_keep.isdisjoint(cut), inst
             assert isinstance(exact, OracleResult), inst
-            assert inc.objective >= exact.objective - 1e-9, inst
+            assert _cost_and_parts(g, cut)[0] >= exact.objective - 1e-9, inst
     assert rounded >= 100
+
+
+def test_offer_keeps_only_verified_cheaper_cuts():
+    # the one path to the incumbent: on a 6-cycle with k=2, {0} leaves one
+    # path, {0, 3} two; costs make {1, 4} cheaper than {0, 3}
+    g = cycle(6).with_costs([2.0, 1.0, 1.0, 2.0, 1.0, 1.0])
+    search = _Search(Instance(g, 2), SolveOptions())
+    assert search._offer(None) is False
+    assert search._offer((0,)) is False  # not a cut: one component remains
+    assert search.incumbent is None
+    assert search._offer((0, 3)) is True
+    assert (search.incumbent.cut, search.incumbent.objective) == ((0, 3), 4.0)
+    before = search.incumbent
+    assert search._offer((0,)) is False
+    assert search.incumbent is before
+    # a dearer cut (cost 5) is a cut, so the offer succeeds, but nothing changes
+    assert search._offer((0, 2, 3)) is True
+    assert search.incumbent is before
+    # a cheaper cut replaces it with its own cost and component count
+    assert search._offer((1, 4)) is True
+    inc = search.incumbent
+    assert (inc.cut, inc.objective, inc.components) == ((1, 4), 2.0, 2)
+    assert type(inc.objective) is float
+    # the empty cut of a graph with k components costs 0.0
+    empty = _Search(Instance(Graph(3, [(0, 1)]), 2), SolveOptions())
+    assert empty._offer(()) is True
+    assert (empty.incumbent.objective, empty.incumbent.components) == (0.0, 2)
 
 
 # ------------------------------------------------------------ branching

@@ -18,8 +18,7 @@ from kvcut.flow import (
 )
 from kvcut.graph import Graph, connected_components, is_clique, is_k_vertex_cut, read_dimacs
 from kvcut.instance import Instance, gnp_graph, make_weighted
-from kvcut.master import build_clique_family, init_rmp
-from kvcut.pricing import BranchState
+from kvcut.master import BranchState, build_clique_family, init_rmp
 
 DATA = Path(__file__).parent.parent / "src" / "kvcut" / "data"
 
@@ -235,10 +234,10 @@ def test_vertex_cut_matches_exhaustive():
 def test_connectivity_examples():
     karate = read_dimacs(DATA / "karate.col").graph
     res = weighted_vertex_connectivity(karate)
-    assert not res.unbreakable
+    assert res is not None
     assert res.cost == 1.0
 
-    assert weighted_vertex_connectivity(complete(4)).unbreakable
+    assert weighted_vertex_connectivity(complete(4)) is None
 
     res = weighted_vertex_connectivity(cycle(5))
     assert res.cost == 2.0
@@ -278,7 +277,7 @@ def test_connectivity_on_disconnected_graph():
     assert res.cost == 2.0
     # all-clique components cannot be broken
     g2 = Graph(5, [(0, 1), (2, 3), (3, 4), (2, 4)])
-    assert weighted_vertex_connectivity(g2).unbreakable
+    assert weighted_vertex_connectivity(g2) is None
 
 
 def _xi_brute(g):
@@ -311,9 +310,9 @@ def test_connectivity_matches_exhaustive():
         expected = _xi_brute(g)
         res = weighted_vertex_connectivity(g)
         if expected is None:
-            assert res.unbreakable, trial
+            assert res is None, trial
         else:
-            assert not res.unbreakable, trial
+            assert res is not None, trial
             assert abs(res.cost - expected) < 1e-9, trial
             broken += 1
     assert broken >= 25
@@ -623,7 +622,7 @@ def test_connectivity_cutoff_keeps_the_plain_sweeps_separator():
         expected = _plain_connectivity(g)
         res = weighted_vertex_connectivity(g)
         if expected is None:
-            assert res.unbreakable, trial
+            assert res is None, trial
             continue
         assert (res.cost, res.vertices) == expected, trial
         comps = connected_components(g)
@@ -698,9 +697,9 @@ def test_connectivity_equals_the_minimum_over_every_pair():
         expected = _every_pair_connectivity(g)
         res = weighted_vertex_connectivity(g)
         if expected is None:
-            assert res.unbreakable, trial
+            assert res is None, trial
             continue
-        assert not res.unbreakable and res.cost == expected, trial
+        assert res is not None and res.cost == expected, trial
         assert sum(g.costs[v] for v in res.vertices) == expected, trial
         comps = connected_components(g)
         rest = [v for v in range(g.n) if v not in res.vertices]
@@ -744,9 +743,9 @@ def test_heuristic_flow_count_on_a_weighted_gnp_100(monkeypatch):
     # from every neighbour of the lowest vertex took 6,341 flows here
     inst = Instance(make_weighted(gnp_graph(100, 0.1, 1), 1), 10)
     calls = _count_flows(monkeypatch)
-    inc = disconnection_heuristic(inst)
-    assert (len(calls), inc.objective) == (697, 171.0)
-    assert is_k_vertex_cut(inst.graph, inc.cut, 10)
+    cut = disconnection_heuristic(inst)
+    assert (len(calls), sum(inst.graph.costs[v] for v in cut)) == (697, 171.0)
+    assert is_k_vertex_cut(inst.graph, cut, 10)
 
 
 @pytest.mark.parametrize("cost", [1e16, 1e20, 1e300])

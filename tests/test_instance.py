@@ -4,12 +4,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from kvcut.graph import Graph
+from kvcut.engine import solve
+from kvcut.graph import YES, Graph, has_stable_set_of_size
 from kvcut.instance import (
-    FEASIBLE,
     INFEASIBLE,
     TRIVIAL,
-    UNDETERMINED,
     Instance,
     format_weights,
     gnp_graph,
@@ -51,14 +50,15 @@ def test_instance_requires_k_at_least_two():
 
 
 def test_screen_trivial_on_isolated_vertices():
-    res = screen(Instance(Graph(5, []), 5))
-    assert res.status == TRIVIAL
-    assert res.num_components == 5
+    inst = Instance(Graph(5, []), 5)
+    assert screen(inst) == TRIVIAL
+    # the engine offers the empty cut, which counts the components itself
+    assert solve(inst).num_components == 5
 
 
 def test_screen_infeasible_on_k5():
     g = Graph(5, [(a, b) for a in range(5) for b in range(a + 1, 5)])
-    assert screen(Instance(g, 2)).status == INFEASIBLE
+    assert screen(Instance(g, 2)) == INFEASIBLE
 
 
 def test_screen_feasible_on_karate_k20():
@@ -68,9 +68,8 @@ def test_screen_feasible_on_karate_k20():
 
     data = Path(__file__).parent.parent / "src" / "kvcut" / "data"
     g = read_dimacs(data / "karate.col").graph
-    res = screen(Instance(g, 20))
-    assert res.status == FEASIBLE
-    assert len(res.stable_set) == 20
+    # a stable set of 20 exists, so the screen leaves the instance to the tree
+    assert screen(Instance(g, 20)) is None
 
 
 @settings(max_examples=30, deadline=None)
@@ -81,13 +80,16 @@ def test_screen_never_feasible_when_oracle_says_infeasible(seed):
     g = gnp_graph(n, rng.uniform(0.3, 0.9), seed=seed)
     k = rng.randint(2, n)
     inst = Instance(g, k)
-    status = screen(inst).status
+    status = screen(inst)
     oracle_infeasible = isinstance(brute_force(inst), Infeasible)
-    if status in (FEASIBLE, TRIVIAL):
+    if status == TRIVIAL:
         assert not oracle_infeasible
     if status == INFEASIBLE:
         assert oracle_infeasible
-    # UNDETERMINED makes no claim either way
+    # None makes no claim; a stable set of size k it leaves to the tree
+    # still proves a cut exists
+    if status is None and has_stable_set_of_size(g, k).status == YES:
+        assert not oracle_infeasible
 
 
 def test_weight_file_roundtrip():

@@ -13,7 +13,7 @@ import kvcut
 from kvcut import lp
 from kvcut.engine import EngineError
 from kvcut.graph import Graph
-from kvcut.instance import FEASIBLE, Instance, gnp_graph, make_weighted, screen
+from kvcut.instance import Instance, gnp_graph, make_weighted, screen
 from kvcut.lab import (
     FormulationBound,
     bound_report,
@@ -407,7 +407,9 @@ def test_dominance_chain_on_random_instances(capsys):
         if rng.random() < 0.3:
             g = make_weighted(g, seed=checked)
         inst = Instance(g, rng.randint(2, 4))
-        if screen(inst).status != FEASIBLE:
+        # trivial or infeasible; at n <= 9 the stable-set search never runs
+        # out of budget, so None means a stable set of size k was found
+        if screen(inst) is not None:
             continue
         checked += 1
         report = bound_report(inst)

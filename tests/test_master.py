@@ -11,10 +11,11 @@ from kvcut.master import (
     EDGES,
     FAMILY_MODES,
     PARTITION,
+    BranchState,
     build_clique_family,
     init_rmp,
 )
-from kvcut.pricing import BranchState, price
+from kvcut.pricing import price
 
 DATA = Path(__file__).parent.parent / "src" / "kvcut" / "data"
 

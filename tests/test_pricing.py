@@ -10,10 +10,9 @@ from kvcut.engine import CgWork, column_generation, solve
 from kvcut.flow import CUT_TOL, INF, FlowNetwork
 from kvcut.graph import Graph, read_dimacs
 from kvcut.instance import Instance, gnp_graph, make_weighted
-from kvcut.master import DualPrices, build_clique_family, init_rmp
+from kvcut.master import BranchState, DualPrices, build_clique_family, init_rmp
 from kvcut.pricing import (
     VIOLATION_TOL,
-    BranchState,
     PricedColumn,
     build_network,
     cluster_violation,

@@ -6,7 +6,7 @@ import kvcut.engine
 from kvcut.engine import OPTIMAL, solve
 from kvcut.graph import Graph, automorphism_generators
 from kvcut.instance import Instance, gnp_graph
-from kvcut.pricing import BranchState
+from kvcut.master import BranchState
 from kvcut.symmetry import (
     LexResult,
     invert_permutation,
