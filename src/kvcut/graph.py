@@ -298,42 +298,31 @@ def has_stable_set_of_size(g: Graph, k: int) -> StableSetResult:
         return StableSetResult(NO)
     best = _greedy_stable_set(g, set(range(g.n)))
     nodes = 0
-    budget_hit = False
-
-    def expand(candidates: list[int], current: list[int]) -> bool:
-        # returns True once a stable set reaching k is found
-        nonlocal nodes, best, budget_hit
+    # depth first on an explicit stack of (candidates, current) frames:
+    # a long run of degree-1 takes must not recurse once per vertex
+    stack = [(list(range(g.n)), [])]
+    while stack and len(best) < k:
+        candidates, current = stack.pop()
         nodes += 1
         if nodes > STABLE_SET_NODE_BUDGET:
-            budget_hit = True
-            return False
+            return StableSetResult(UNKNOWN)
         if len(current) > len(best):
-            best = list(current)
-            if len(best) >= k:
-                return True
+            best = current
         if not candidates or len(current) + len(candidates) <= len(best):
-            return False
+            continue
         cand = set(candidates)
-        # vertices with at most one live neighbor can always be taken
-        for v in candidates:
-            if len(g.adj_set[v] & cand) <= 1:
-                rest = [w for w in candidates if w != v and w not in g.adj_set[v]]
-                return expand(rest, current + [v])
-        # branch on the max-degree candidate: include it or discard it
-        v = max(candidates, key=lambda u: (len(g.adj_set[u] & cand), -u))
-        with_v = [w for w in candidates if w != v and w not in g.adj_set[v]]
-        if expand(with_v, current + [v]):
-            return True
-        if budget_hit:
-            return False
-        without_v = [w for w in candidates if w != v]
-        return expand(without_v, current)
-
-    if len(best) < k:
-        expand(list(range(g.n)), [])
+        # a vertex with at most one live neighbor can always be taken;
+        # otherwise branch on the max-degree candidate, pushing the child
+        # that discards it below the one that includes it
+        v = next((u for u in candidates if len(g.adj_set[u] & cand) <= 1), None)
+        if v is None:
+            v = max(candidates, key=lambda u: (len(g.adj_set[u] & cand), -u))
+            stack.append(([w for w in candidates if w != v], current))
+        rest = [w for w in candidates if w != v and w not in g.adj_set[v]]
+        stack.append((rest, current + [v]))
     if len(best) >= k:
         return StableSetResult(YES, sorted(best[:k]))
-    return StableSetResult(UNKNOWN if budget_hit else NO)
+    return StableSetResult(NO)
 
 
 # ---------------------------------------------------------------------------

@@ -134,21 +134,15 @@ def lp_bound_natural(
     basis = None
     for _ in range(MAX_SEPARATION_ROUNDS):
         res = model.solve(basis)
+        iterations += res.iterations
         if res.status == lp.INFEASIBLE:
             # accumulated rows can contradict the box bounds outright
             # (small graphs with k close to n); the instance is infeasible
-            return _with_gap(
-                FormulationBound(
-                    math.inf,
-                    time.monotonic() - start,
-                    iterations + res.iterations,
-                    cuts=cuts,
-                ),
-                optimum,
-            )
+            value = math.inf
+            break
         if res.status != lp.OPTIMAL:
             raise EngineError(f"bound LP ended with {res.status}")
-        iterations += res.iterations
+        value = res.objective
         basis = res.basis
         xv = [float(res.x[c]) for c in xcols]
         weights = [1.0 - xv[u] - xv[v] for u, v in g.edges]
@@ -169,9 +163,7 @@ def lp_bound_natural(
         )
         cuts += 1
     return _with_gap(
-        FormulationBound(
-            res.objective, time.monotonic() - start, iterations, cuts=cuts
-        ),
+        FormulationBound(value, time.monotonic() - start, iterations, cuts=cuts),
         optimum,
     )
 

@@ -16,18 +16,10 @@ dominated by a symmetric sibling and can be dropped.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Mapping, Sequence
+from dataclasses import dataclass
+from typing import Sequence
 
 from .master import BranchState
-
-
-@dataclass
-class LexResult:
-    """Outcome of one scan against one automorphism."""
-
-    conflict: bool
-    forced: list[tuple[int, int]] = field(default_factory=list)
 
 
 def invert_permutation(perm: Sequence[int]) -> list[int]:
@@ -35,58 +27,6 @@ def invert_permutation(perm: Sequence[int]) -> list[int]:
     for v, image in enumerate(perm):
         inv[image] = v
     return inv
-
-
-def lex_fixings(
-    seq: Sequence[int],
-    values: Mapping[int, int],
-    perm: Sequence[int],
-) -> LexResult:
-    """Deduce fixings from one lexicographic dominance constraint.
-
-    ``values`` maps vertices to their currently fixed 0/1 value; vertices
-    absent from it are free.  The scan walks the branching sequence as
-    long as the pair of entries is (or is forced) equal:
-
-    * left 0, right free  -> the right side is forced to 0,
-    * left free, right 1  -> the left side is forced to 1,
-    * left 1, right 0     -> strictly greater already, stop deducing,
-    * left 0, right 1     -> impossible, the node is dominated.
-
-    Any other combination leaves the order undecided, so the scan stops.
-    Forcings made earlier in the scan are visible to later positions.
-    """
-    inv = invert_permutation(perm)
-    local = dict(values)
-    forced: list[tuple[int, int]] = []
-
-    def put(vertex: int, value: int):
-        local[vertex] = value
-        forced.append((vertex, value))
-
-    for var in seq:
-        mirror = inv[var]
-        left = local.get(var)
-        right = local.get(mirror)
-        if var == mirror:
-            continue  # the pair is trivially equal
-        if left == 0:
-            if right is None:
-                put(mirror, 0)
-                continue
-            if right == 0:
-                continue
-            return LexResult(True, forced)  # 0 < 1: dominated
-        if left == 1:
-            if right == 1:
-                continue
-            break  # right is 0 or free: greater or undecided
-        # left free
-        if right == 1:
-            put(var, 1)
-            continue
-        break  # equality not forced, nothing further to deduce
-    return LexResult(False, forced)
 
 
 @dataclass
@@ -100,29 +40,35 @@ def propagate(
     seq: Sequence[int],
     state: BranchState,
 ) -> Propagation:
-    """Fixpoint of lex_fixings over all generators.
+    """The fixings the lex constraints of ``generators`` force at a node.
 
-    The branching decisions along ``seq`` are read from ``state``; the
-    forced fixings accumulate on top of them and feed back into later
-    rounds until nothing new is deduced.  On a conflict ``state`` comes
-    back as given.
+    Every vertex of ``seq`` was branched on, so ``state`` gives it a
+    value and the left side x[var] of every pair is fixed.  Each group
+    element's scan walks ``seq`` while the pair is equal:
+
+    * left 0, right free  -> the right side is forced to 0 (kept),
+    * left 0, right 1     -> impossible, the node is dominated,
+    * left equal to right -> go on,
+    * left 1, right 0 or free -> greater or undecided, stop.
+
+    So only keeps are forced, and only on vertices outside ``seq``.  A
+    keep one scan forces never changes another scan's course: against a
+    left 0 the scan goes on whether the right is that keep or free (and
+    then forced), and against a left 1 it stops either way.  One scan
+    per element is therefore the fixpoint.  On a conflict ``state``
+    comes back as given.
     """
     values = {v: int(v in state.fixed_to_cut) for v in seq}
-    cut: set[int] = set()  # the forced fixings
-    keep: set[int] = set()
-    changed = True
-    while changed:
-        changed = False
-        for perm in generators:
-            result = lex_fixings(seq, values, perm)
-            if result.conflict:
+    for inv in map(invert_permutation, generators):
+        for var in seq:
+            left, right = values[var], values.get(inv[var])
+            if left == 0 and right is None:
+                values[inv[var]] = 0
+            elif left == 0 and right == 1:
                 return Propagation(True, state)
-            for vertex, value in result.forced:
-                if values.get(vertex) == value:
-                    continue
-                values[vertex] = value
-                changed = True
-                (cut if value else keep).add(vertex)
-    if cut or keep:
-        state = BranchState(state.fixed_to_cut | cut, state.fixed_to_keep | keep)
+            elif left != right:
+                break
+    forced = set(values).difference(seq)
+    if forced:
+        state = BranchState(state.fixed_to_cut, state.fixed_to_keep | forced)
     return Propagation(False, state)

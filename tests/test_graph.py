@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from kvcut.engine import INFEASIBLE_STATUS, solve
 from kvcut.graph import (
     MAX_GENERATORS,
     NO,
@@ -23,6 +24,7 @@ from kvcut.graph import (
     read_dimacs,
     write_dimacs,
 )
+from kvcut.instance import Instance
 
 DATA = Path(__file__).parent.parent / "src" / "kvcut" / "data"
 
@@ -198,6 +200,17 @@ def test_stable_set_matches_enumeration(seed):
         if res.status == YES:
             s = res.stable_set
             assert len(s) == k and is_clique_complement(g, s)
+
+
+def test_stable_set_search_on_a_long_path_does_not_recurse():
+    # every step takes a degree-1 end, so a search that recursed per
+    # vertex would pass Python's recursion limit long before the answer
+    p = Graph(2001, [(v, v + 1) for v in range(2000)])
+    assert has_stable_set_of_size(p, 1002).status == NO
+    res = has_stable_set_of_size(p, 1001)
+    assert res.status == YES
+    assert len(res.stable_set) == 1001 and is_clique_complement(p, res.stable_set)
+    assert solve(Instance(p, 1002)).status == INFEASIBLE_STATUS
 
 
 # ---------------------------------------------------------- automorphisms

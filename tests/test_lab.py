@@ -332,6 +332,9 @@ def test_natural_bound_reports_infeasibility():
     # x_b >= 2
     got = lp_bound_natural(Instance(path3(), 3))
     assert math.isinf(got.value)
+    # the first optimum violates that row; once it is added the second
+    # solve is infeasible, and the pivots of both solves are counted
+    assert got.iterations == 2 and got.cuts == 1
 
 
 def test_extended_bound_flags_infeasible_instances():
