@@ -393,7 +393,7 @@ class _Search:
         connectivity: ComponentResults = {}
         self.rmp = init_rmp(self.inst, fam, connectivity=connectivity)
         self._offer(disconnection_heuristic(self.inst, connectivity))
-        self.generators = automorphism_generators(self.g)
+        self.generators = automorphism_generators(self.g, self.deadline)
 
         self._push(BnpNode(BranchState(), -math.inf, None, ()))
         try:

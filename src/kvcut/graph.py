@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import itertools
 import math
+import time
 from dataclasses import dataclass, field
 from typing import Iterable, Optional, Sequence
 
@@ -373,7 +374,9 @@ def is_automorphism(g: Graph, perm: Sequence[int]) -> bool:
     )
 
 
-def automorphism_generators(g: Graph) -> list[Permutation]:
+def automorphism_generators(
+    g: Graph, deadline: Optional[float] = None
+) -> list[Permutation]:
     """Cost- and adjacency-preserving automorphisms by individualization–refinement.
 
     A first path individualizes a vertex of the smallest non-singleton
@@ -385,7 +388,9 @@ def automorphism_generators(g: Graph) -> list[Permutation]:
     Returned are the group's non-identity elements, breadth first from
     the generators, up to MAX_GENERATORS: products of generators, each of
     which ``is_automorphism`` accepted.  A graph that spends
-    AUTOMORPHISM_NODE_BUDGET refinements yields a subgroup's.
+    AUTOMORPHISM_NODE_BUDGET refinements, or a search still running at
+    ``deadline`` (a ``time.monotonic()`` value), yields the subgroup
+    generated so far; a subgroup keeps symmetry propagation sound.
     """
     n = g.n
     rank = {c: r for r, c in enumerate(sorted(set(g.costs)))}
@@ -402,6 +407,8 @@ def automorphism_generators(g: Graph) -> list[Permutation]:
         """An automorphism whose path goes on from ``colors`` through ``cands``."""
         for x in cands:
             if next(ticks) > AUTOMORPHISM_NODE_BUDGET:
+                return None
+            if deadline is not None and time.monotonic() > deadline:
                 return None
             nxt = _individualize(g, colors, x)
             if sorted(nxt) != shapes[depth + 1]:

@@ -30,8 +30,15 @@ The per-solve and per-pivot work is kept small:
   Both ratio tests take the smallest step, let every step within
   PIVOT_TOL of it tie, and break the tie by the lowest id in Bland mode
   or else by the largest pivot element (Harris 1973; Bland 1977).
+* A degenerate pivot (a step of 0) leaves the basic values as they are.
 * Each element of B^-1 the update touches gets one multiply and one
   subtract.
+* A warm-start token is the basic list and one status byte per column.
+* Phase 2's last pricing pass, which found no entering column, priced
+  the final basis with y = c_B B^-1 and d = c - y A.  The certificate
+  takes that d, and the solve reports that y, instead of computing
+  both again: they would be the same floats.  Each phase starts them
+  at nan, so a phase that stops without a pricing pass is not certified.
 
 Conventions
 -----------
@@ -69,7 +76,8 @@ Conventions
 * Every OPTIMAL is certified by residuals computed from A, whatever the
   inverse: row residuals A x - b and variable bounds within FEAS_TOL,
   the reduced-cost signs of the nonbasic columns within RC_TOL, and the
-  reduced costs of the basic columns within RC_TOL of zero.  An inverse
+  reduced costs of the basic columns within RC_TOL of zero (d = c - y A
+  is a product with A too).  An inverse
   that has drifted from B^-1 fails the first (through x) or the last
   (through the duals).  A basis that fails is inverted afresh and gets
   one more round of phase 2; failing again, the solve reports
@@ -116,12 +124,13 @@ class Basis:
 
     ``basic`` holds one model column id per row; rows added later start
     on their own logicals.  ``status`` holds AT_LB / AT_UB / BASIC per
-    column id at snapshot time; columns created later default to their
-    finite bound.
+    column id at snapshot time, one byte each as ``solve`` writes it (a
+    list of the same ints loads too); columns created later default to
+    their finite bound.
     """
 
     basic: list[int]
-    status: list[int]
+    status: bytes | list[int]
 
 
 @dataclass
@@ -183,11 +192,18 @@ class LinearProgram:
         ub: float = INF,
         entries: Optional[Sequence[tuple[int, float]]] = None,
     ) -> int:
-        """New column; ``entries`` are (row id, coefficient) pairs."""
+        """New column; ``entries`` are (row id, coefficient) pairs.
+
+        A row out of range is refused before the column is added.
+        """
         if lb > ub:
             raise ValueError("lb > ub")
         if lb == -INF and ub == INF:
             raise ValueError("free variables are not supported")
+        entries = entries or ()
+        for i, _ in entries:
+            if not (0 <= i < self.nrows):
+                raise IndexError(f"row {i} does not exist")
         if self.ncols == self._ccap:
             self._grow(self.nrows, self.ncols + 1)
         j = self.ncols
@@ -195,11 +211,8 @@ class LinearProgram:
         self._c[j] = cost
         self._lb[j] = lb
         self._ub[j] = ub
-        if entries:
-            for i, a in entries:
-                if not (0 <= i < self.nrows):
-                    raise IndexError(f"row {i} does not exist")
-                self._A[i, j] = a
+        for i, a in entries:
+            self._A[i, j] = a
         return j
 
     def add_row(
@@ -278,6 +291,10 @@ class _Simplex:
         self.Binv: Optional[np.ndarray] = None  # set with the basis
         self.x = np.zeros(self.n)
         self.xb = np.zeros(self.m)
+        # row prices and reduced costs of _iterate's last pricing pass; nan
+        # until a pass has run, so no certificate holds without one
+        self.y = np.full(self.m, np.nan)
+        self.d = np.full(self.n, np.nan)
         self.iters = 0
         self.pivots_since_refactor = 0
         self.zero_pivots = 0  # sub-tolerance pivot elements in a row
@@ -297,12 +314,13 @@ class _Simplex:
         basic = list(warm.basic) + self.lp.logical[len(warm.basic) :]
         if len(basic) > self.m or len(set(basic)) < len(basic):
             return False
-        if any(not 0 <= j < self.n for j in basic):
+        if basic and not (min(basic) >= 0 and max(basic) < self.n):
             return False
         # a column starts at its finite bound, except that one recorded at
         # a finite upper bound stays there
         self.status[:] = np.where(self.lb > -INF, AT_LB, AT_UB)
-        up = np.flatnonzero(np.array(warm.status[: self.n]) == AT_UB)
+        recorded = np.frombuffer(bytes(warm.status[: self.n]), dtype=np.int8)
+        up = np.flatnonzero(recorded == AT_UB)
         self.status[up] = np.where(self.ub[up] < INF, AT_UB, AT_LB)
         self.status[basic] = BASIC
         self.basic = basic
@@ -387,13 +405,16 @@ class _Simplex:
         bland = False
         streak = 0  # degenerate pivots in a row
         self.zero_pivots = 0
+        self.y = np.full(self.m, np.nan)  # no prices left from an earlier phase
+        self.d = np.full(self.n, np.nan)
         if not self.n:
             return OPTIMAL
         while True:
             if self.iters >= ITER_LIMIT:
                 return ITERATION_LIMIT
-            d = costs - cb @ self.Binv @ self.A
-            sd = self.sign * d
+            self.y = cb @ self.Binv
+            self.d = costs - self.y @ self.A
+            sd = self.sign * self.d
             enter = int(sd.argmin())
             if not sd[enter] < -RC_TOL:
                 return OPTIMAL
@@ -401,7 +422,7 @@ class _Simplex:
                 enter = int((sd < -RC_TOL).argmax())
             direction = float(self.sign[enter])
             w = self.Binv @ self.A[:, enter]
-            dw = direction * w
+            dw = w if direction > 0.0 else -w
             t_best, leave_pos, leave_to = self._ratio_test(
                 dw, self.ub[enter] - self.lb[enter], bland, lo, hi
             )
@@ -444,7 +465,8 @@ class _Simplex:
         out = self.basic[p]
         self.status[out] = leave_to
         self.x[out] = self.lb[out] if leave_to == AT_LB else self.ub[out]
-        self.xb -= theta * w
+        if theta:  # most pivots are degenerate and leave xb as it is
+            self.xb -= theta * w
         self.xb[p] = self.x[q] + theta
         self.iters += 1
         self.basic[p] = q
@@ -465,7 +487,7 @@ class _Simplex:
         ``lo`` and ``hi`` are the bounds of each row's basic column.
         Returns (t, leaving row, bound it leaves at), or (t_flip, -1, AT_LB)
         when the entering column reaches its other bound first.  A row with
-        |dw| > PIVOT_TOL gets the step max(t, 0.0); any other row gets inf,
+        |dw| > PIVOT_TOL gets the step max(t, 0.0); any other row gets nan,
         and a row heading for an infinite bound gets inf or nan, so it never
         leaves.  The rule is the dual phase's: the entering column flips
         unless the smallest step t_min is more than PIVOT_TOL below t_flip;
@@ -474,17 +496,20 @@ class _Simplex:
         guarantee needs it), otherwise the largest |dw| (the numerically
         safest pivot), the first row on equal values.
         """
-        t = np.full(dw.size, INF)
-        np.divide(self.xb - np.where(dw > 0.0, lo, hi), dw, out=t, where=np.abs(dw) > PIVOT_TOL)
+        size = np.abs(dw)
+        # nan is no step: fmin skips it, and no window holds it
+        t = (self.xb - np.where(dw > 0.0, lo, hi)) / np.where(size > PIVOT_TOL, dw, np.nan)
         np.copyto(t, 0.0, where=t < 0.0)  # max(t, 0.0): keeps -0.0 and nan
         t_min = np.fmin.reduce(t, initial=INF).item()  # ignores nan
         if not t_min < t_flip - PIVOT_TOL:
             return t_flip, -1, AT_LB
-        ties = np.flatnonzero(t <= t_min + PIVOT_TOL)
+        window = t <= t_min + PIVOT_TOL
         if bland:
+            ties = np.flatnonzero(window)
             i = int(ties[np.argmin(np.take(self.basic, ties))])
         else:
-            i = int(ties[np.argmax(np.abs(dw[ties]))])
+            # the first largest |dw| in the window; outside it, -1 never wins
+            i = int(np.where(window, size, -1.0).argmax())
         return t[i].item(), i, AT_LB if dw[i] > 0.0 else AT_UB
 
     def _update_inverse(self, p: int, w: np.ndarray):
@@ -495,15 +520,12 @@ class _Simplex:
         benchmark's largest master.
         """
         pivot_row = self.Binv[p] / w[p]
-        self.Binv -= np.outer(w, pivot_row)
+        self.Binv -= w[:, None] * pivot_row
         self.Binv[p] = pivot_row
 
-    def _duals(self) -> np.ndarray:
-        """Row prices of the phase-2 costs."""
-        return self.c[self.basic] @ self.Binv
-
     def _reduced_costs(self) -> np.ndarray:
-        return self.c - self._duals() @ self.A
+        """Reduced costs of the phase-2 costs."""
+        return self.c - self.c[self.basic] @ self.Binv @ self.A
 
     def _dual_feasible(self) -> bool:
         """Whether the basis prices out under the phase-2 costs."""
@@ -562,14 +584,14 @@ class _Simplex:
             theta = (self.xb[r] - target) / w[r]  # signed move of x_q
             self._pivot(r, q, w, theta, AT_LB if to_lb else AT_UB)
 
-    def _certified(self, y: np.ndarray) -> bool:
-        """Whether x and the row prices y are optimal, checked against A."""
+    def _certified(self, d: np.ndarray) -> bool:
+        """Whether x and the reduced costs d = c - y A of row prices y are
+        optimal, checked against A."""
         x = self.x
         if np.any(np.abs(self.A @ x - self.b) > FEAS_TOL):
             return False
         if np.any(x < self.lb - FEAS_TOL) or np.any(x > self.ub + FEAS_TOL):
             return False
-        d = self.c - y @ self.A
         if (self.sign * d < -RC_TOL).any():
             return False
         return bool(np.all(np.abs(d[self.basic]) <= RC_TOL))
@@ -613,13 +635,13 @@ class _Simplex:
             if st != OPTIMAL:
                 return LpResult(st, iterations=self.iters)
             self.x[self.basic] = self.xb
-            y = self._duals()
-            if self._certified(y):
+            # phase 2 priced the final basis last, with cb = c[basic]
+            if self._certified(self.d):
                 break
         else:
             return LpResult(UNCERTIFIED, iterations=self.iters)
         obj = float(self.c @ self.x)
         # the next warm solve from this basis takes this inverse as is
         self.lp._factor = (tuple(self.basic), self.Binv, self.pivots_since_refactor)
-        snapshot = Basis(list(self.basic), self.status.tolist())
-        return LpResult(OPTIMAL, obj, self.x.copy(), y, snapshot, self.iters)
+        snapshot = Basis(list(self.basic), self.status.tobytes())
+        return LpResult(OPTIMAL, obj, self.x.copy(), self.y, snapshot, self.iters)

@@ -25,6 +25,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Optional, Sequence
 
+import numpy as np
+
 from . import lp
 from .flow import ComponentResults, weighted_vertex_connectivity
 from .graph import Graph
@@ -89,7 +91,9 @@ def build_clique_family(g: Graph, mode: str = COVER) -> CliqueFamily:
     ``cover``: scan edges in input order; every still-uncovered edge seeds
     a clique that is grown maximal by scanning vertices in index order.
     ``partition``: same scan, but a vertex may join only along uncovered
-    edges, so every edge ends up in exactly one clique.
+    edges, so every edge ends up in exactly one clique.  A vertex that
+    joins the clique of edge uv is adjacent to u and v, so the scan reads
+    only their common neighbours, in ascending order.
     ``edges``: the edge set itself, one 2-clique per edge.
 
     Vertices no edge reaches (degree zero) get a singleton clique so that
@@ -110,9 +114,7 @@ def build_clique_family(g: Graph, mode: str = COVER) -> CliqueFamily:
         if _edge_key(u, v) in covered:
             continue
         members = {u, v}
-        for w in range(g.n):
-            if w in members:
-                continue
+        for w in sorted(g.adj_set[u] & g.adj_set[v]):
             if mode == COVER:
                 ok = all(g.has_edge(w, x) for x in members)
             else:
@@ -297,20 +299,21 @@ class Rmp:
     # -- results ----------------------------------------------------------------
 
     def extract_duals(self, result: lp.LpResult) -> DualPrices:
-        """Row prices for pricing; tiny noise zeroed, negatives clamped."""
+        """Row prices for pricing; tiny noise zeroed, negatives clamped.
+
+        A price is kept as it is when it is at least DUAL_ZERO_TOL and is
+        0.0 otherwise, nan and -0.0 included.
+        """
         if result.status != lp.OPTIMAL:
             raise ValueError(f"duals need an optimal LP, got {result.status}")
-
-        def clean(value: float) -> float:
-            if abs(value) < DUAL_ZERO_TOL:
-                return 0.0
-            return max(0.0, value)
-
         y = result.duals
+        count = float(y[self.count_row])
+        cover = y[self.cover_rows]
+        clique = -y[self.clique_rows]
         return DualPrices(
-            count_price=clean(float(y[self.count_row])),
-            cover_price=[clean(float(y[r])) for r in self.cover_rows],
-            clique_price=[clean(-float(y[r])) for r in self.clique_rows],
+            count_price=count if count >= DUAL_ZERO_TOL else 0.0,
+            cover_price=np.where(cover >= DUAL_ZERO_TOL, cover, 0.0).tolist(),
+            clique_price=np.where(clique >= DUAL_ZERO_TOL, clique, 0.0).tolist(),
         )
 
     def infeasible(self, result: lp.LpResult) -> bool:

@@ -310,7 +310,7 @@ def _petersen():
 def test_criterion_7_symmetry_preserves_objectives(monkeypatch):
     def solve_both(inst):
         with monkeypatch.context() as m:
-            m.setattr(kvcut.engine, "automorphism_generators", lambda g: [])
+            m.setattr(kvcut.engine, "automorphism_generators", lambda g, deadline: [])
             rep_off = solve(inst)
         return solve(inst), rep_off
 

@@ -124,22 +124,29 @@ print(json.dumps(dataclasses.asdict(rep)))
 """
 
 
-def test_karate_k5_optimum():
-    # a child process fixes the BLAS thread count before numpy loads, so
-    # the pinned work does not depend on the host's default thread count
+def _single_threaded(script, *args):
+    """The JSON that ``script`` prints, run in a child process.
+
+    The child fixes the BLAS thread count before numpy loads, so pinned
+    work does not depend on the host's default thread count.
+    """
     src = str(Path(kvcut.__file__).parent.parent)
     env = dict(os.environ, PYTHONPATH=src)
     for var in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS"):
         env[var] = "1"
     proc = subprocess.run(
-        [sys.executable, "-c", _KARATE_K5_SCRIPT, str(DATA / "karate.col")],
+        [sys.executable, "-c", script, *map(str, args)],
         capture_output=True,
         text=True,
         env=env,
         timeout=300,
     )
     assert proc.returncode == 0, proc.stderr
-    rep = json.loads(proc.stdout)
+    return json.loads(proc.stdout)
+
+
+def test_karate_k5_optimum():
+    rep = _single_threaded(_KARATE_K5_SCRIPT, DATA / "karate.col")
     assert rep["status"] == OPTIMAL
     assert rep["objective"] == pytest.approx(2.0)
     assert is_k_vertex_cut(karate(), rep["cut"], 5)
@@ -153,6 +160,54 @@ def test_karate_k5_optimum():
     assert rep["max_depth"] == 0
     assert rep["cols_total"] == 60
     assert rep["cols_root"] == 60
+
+
+_WEIGHTED_WORK_SCRIPT = """
+import json, sys
+from kvcut import flow, lp
+from kvcut.engine import solve
+from kvcut.instance import Instance, gnp_graph, make_weighted
+work = dict(solves=0, pivots=0, flows=0)
+lp_solve, max_flow = lp.LinearProgram.solve, flow.FlowNetwork.max_flow
+def counted_solve(model, *args, **kwargs):
+    res = lp_solve(model, *args, **kwargs)
+    work["solves"] += 1
+    work["pivots"] += res.iterations
+    return res
+def counted_flow(net, *args, **kwargs):
+    work["flows"] += 1
+    return max_flow(net, *args, **kwargs)
+lp.LinearProgram.solve, flow.FlowNetwork.max_flow = counted_solve, counted_flow
+n, p, seed, k = int(sys.argv[1]), float(sys.argv[2]), int(sys.argv[3]), int(sys.argv[4])
+rep = solve(Instance(make_weighted(gnp_graph(n, p, seed), seed), k))
+print(json.dumps(dict(work, status=rep.status, objective=rep.objective)))
+"""
+
+
+@pytest.mark.parametrize(
+    "n, p, seed, k, optimum, solves, pivots, flows",
+    [(30, 0.1, 3, 3, 6.0, 22, 239, 300), (35, 0.1, 2, 5, 5.0, 49, 757, 557)],
+)
+def test_weighted_gnp_work_is_pinned(n, p, seed, k, optimum, solves, pivots, flows):
+    # master solves, simplex pivots and max-flows of two weighted solves,
+    # so that a change meant to save time per pivot, flow or column
+    # cannot move the work itself silently
+    rep = _single_threaded(_WEIGHTED_WORK_SCRIPT, n, p, seed, k)
+    assert (rep["status"], rep["objective"]) == (OPTIMAL, pytest.approx(optimum))
+    assert (rep["solves"], rep["pivots"], rep["flows"]) == (solves, pivots, flows)
+
+
+def test_time_limit_holds_through_the_automorphism_search():
+    # the star K1,150 has 150! automorphisms, and searching for them took
+    # seconds; the search stops at the deadline with the subgroup found so
+    # far, and the heuristic's cut (the centre) is already optimal
+    g = Graph(151, [(0, v) for v in range(1, 151)])
+    start = time.monotonic()
+    rep = solve(Instance(g, 3), SolveOptions(time_limit=0.5))
+    assert time.monotonic() - start < 2.0
+    assert rep.status in (TIME_LIMIT, OPTIMAL)
+    assert (rep.objective, rep.cut) == (1.0, (0,))
+    assert rep.best_bound is not None and rep.best_bound <= rep.objective
 
 
 # ------------------------------------------------------------ column generation
@@ -274,7 +329,7 @@ def test_matches_oracle_on_every_cost_kind(symmetry, monkeypatch):
     # unit, mostly-zero, integer 0-5 and fractional costs; large costs are
     # the strict xfail below. symmetry=False solves with no automorphisms.
     if not symmetry:
-        monkeypatch.setattr(kvcut.engine, "automorphism_generators", lambda g: [])
+        monkeypatch.setattr(kvcut.engine, "automorphism_generators", lambda g, deadline: [])
     optima = infeasible = 0
     for inst in _differential_instances(120, seed=24):
         rep = solve(inst)
@@ -357,7 +412,7 @@ def test_option_variants_reach_the_same_optimum(monkeypatch):
                 m.setattr(kvcut.engine, "disconnection_heuristic", lambda *a: None)
                 m.setattr(kvcut.engine, "rounding_heuristic", lambda *a: None)
             if not symmetry:
-                m.setattr(kvcut.engine, "automorphism_generators", lambda g: [])
+                m.setattr(kvcut.engine, "automorphism_generators", lambda g, deadline: [])
             return solve(inst)
 
     variants = [(True, True), (True, False), (False, True), (False, False)]

@@ -325,7 +325,7 @@ def test_empty_model_solves_through_the_simplex():
     # a cost within RC_TOL stays at its bound (column 4), as in every LP
     assert res.x.tolist() == [0.0, 4.0, 3.0, -1.0, 0.0, 0.0]
     assert res.basis.basic == [] and res.duals.size == 0
-    assert res.basis.status == [lp.AT_LB, lp.AT_UB, lp.AT_UB, lp.AT_LB, lp.AT_LB, lp.AT_UB]
+    assert list(res.basis.status) == [lp.AT_LB, lp.AT_UB, lp.AT_UB, lp.AT_LB, lp.AT_LB, lp.AT_UB]
     assert res.objective == -9.0
     assert res.iterations == 1  # the flip of column 1
     again = model.solve(warm=res.basis)
@@ -512,6 +512,19 @@ def test_mispriced_basis_is_not_reported_optimal(monkeypatch):
     # a phase 2 that stops at once leaves both columns priced below zero
     model, _ = build([-1.0, -1.0], [(0.0, 4.0)] * 2, [(lp.LESS, 5.0, [1.0, 1.0])])
     monkeypatch.setattr(lp._Simplex, "_iterate", lambda self, phase: lp.OPTIMAL)
+    assert model.solve().status == lp.UNCERTIFIED
+
+
+def test_basis_mispriced_by_the_last_pricing_pass_is_not_reported_optimal(monkeypatch):
+    # a phase 2 that stops after its first pricing pass leaves both
+    # columns priced below zero; the certificate reads that pass's prices
+    def stop_after_pricing(self, costs):
+        self.y = costs[self.basic] @ self.Binv
+        self.d = costs - self.y @ self.A
+        return lp.OPTIMAL
+
+    model, _ = build([-1.0, -1.0], [(0.0, 4.0)] * 2, [(lp.LESS, 5.0, [1.0, 1.0])])
+    monkeypatch.setattr(lp._Simplex, "_iterate", stop_after_pricing)
     assert model.solve().status == lp.UNCERTIFIED
 
 
@@ -1051,6 +1064,21 @@ def test_singular_basis_is_a_status(monkeypatch):
     assert (res.status, res.iterations, res.basis) == (lp.SINGULAR, 1, None)
     monkeypatch.undo()
     assert model.solve().status == lp.OPTIMAL
+
+
+def test_add_variable_refuses_a_bad_row_before_adding_the_column():
+    # an out-of-range pair used to leave a half-written column behind
+    model = lp.LinearProgram()
+    for _ in range(4):
+        model.add_row(lp.LESS, 1.0, [])
+    ncols = model.ncols
+    for bad in ([(0, 1.0), (4, 1.0)], [(-1, 1.0)]):
+        with pytest.raises(IndexError, match=f"row {bad[-1][0]} does not exist"):
+            model.add_variable(1.0, 0.0, 1.0, bad)
+    assert model.ncols == ncols
+    assert not model._A[: model.nrows, ncols:].any()
+    j = model.add_variable(1.0, 0.0, 2.0, [(3, 1.0), (1, -2.5)])
+    assert model._A[: model.nrows, j].tolist() == [0.0, -2.5, 0.0, 1.0]
 
 
 def test_add_row_rejects_an_entry_on_a_logical():

@@ -1,17 +1,22 @@
+import copy
 import random
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from kvcut import lp
+from kvcut.engine import CgWork, column_generation
 from kvcut.graph import Graph, is_clique, read_dimacs
-from kvcut.instance import Instance, gnp_graph
+from kvcut.instance import Instance, gnp_graph, make_weighted
 from kvcut.master import (
     COVER,
+    DUAL_ZERO_TOL,
     EDGES,
     FAMILY_MODES,
     PARTITION,
     BranchState,
+    CliqueFamily,
     build_clique_family,
     init_rmp,
 )
@@ -69,6 +74,47 @@ def test_family_invariants_random():
                 assert any(v in c for c in fam.cliques), (mode, v)
 
 
+def _family_by_full_scan(g, mode):
+    """The clique family as it was built by scanning all n vertices for
+    every uncovered edge, O(|E| n): the reference."""
+    isolated = [(v,) for v in range(g.n) if g.degree(v) == 0]
+    if mode == EDGES:
+        return CliqueFamily.from_cliques(g.n, [tuple(sorted(e)) for e in g.edges] + isolated)
+    covered = set()
+    cliques = []
+    for u, v in g.edges:
+        if tuple(sorted((u, v))) in covered:
+            continue
+        members = {u, v}
+        for w in range(g.n):
+            if w in members:
+                continue
+            if mode == COVER:
+                ok = all(g.has_edge(w, x) for x in members)
+            else:
+                ok = all(
+                    g.has_edge(w, x) and tuple(sorted((w, x))) not in covered
+                    for x in members
+                )
+            if ok:
+                members.add(w)
+        clique = tuple(sorted(members))
+        cliques.append(clique)
+        for i in range(len(clique)):
+            for j in range(i + 1, len(clique)):
+                covered.add((clique[i], clique[j]))
+    return CliqueFamily.from_cliques(g.n, cliques + isolated)
+
+
+def test_family_matches_the_full_scan():
+    graphs = [read_dimacs(DATA / f"{name}.col").graph for name in ("karate", "myciel4", "bcspwr01")]
+    rng = random.Random(17)
+    graphs += [gnp_graph(rng.randint(5, 45), rng.uniform(0.05, 0.6), seed) for seed in range(25)]
+    for g in graphs:
+        for mode in FAMILY_MODES:
+            assert build_clique_family(g, mode) == _family_by_full_scan(g, mode), (g.n, mode)
+
+
 def test_isolated_vertices_get_singleton_cliques():
     g = Graph(4, [(0, 1)])  # vertices 2 and 3 have no edges
     for mode in FAMILY_MODES:
@@ -122,6 +168,77 @@ def test_add_column_dedup_and_coefficients():
     rows += [rmp.clique_rows[i] for i in touched]
     column = rmp.model._A[: rmp.model.nrows, col.var]
     assert {i: a for i, a in enumerate(column) if a} == dict.fromkeys(rows, 1.0)
+
+
+def test_add_column_writes_the_entries_of_its_pairs():
+    # the column of A equals the (row, 1.0) pairs the master once wrote
+    # one at a time: the count row, each member's cover row and the row
+    # of every family clique the cluster meets
+    g = read_dimacs(DATA / "karate.col").graph
+    rmp = init_rmp(Instance(g, 4), build_clique_family(g))
+    rng = random.Random(4)
+    added = 0
+    for _ in range(60):
+        if not rmp.add_column(rng.sample(range(g.n), rng.randint(1, 7))):
+            continue
+        added += 1
+        col = rmp.columns[-1]
+        entries = [(rmp.count_row, 1.0)]
+        entries += [(rmp.cover_rows[v], 1.0) for v in col.subset]
+        entries += [(rmp.clique_rows[i], 1.0) for i in rmp.fam.touched_by(col.subset)]
+        want = np.zeros(rmp.model.nrows)
+        for i, a in entries:
+            want[i] = a
+        assert rmp.model._A[: rmp.model.nrows, col.var].tolist() == want.tolist()
+        model = rmp.model
+        assert (model._c[col.var], model._lb[col.var], model._ub[col.var]) == (0.0, 0.0, lp.INF)
+    assert added >= 50
+
+
+def test_extract_duals_follows_the_scalar_rule():
+    def clean(value):
+        # the rule one price at a time, as the master once applied it
+        if abs(value) < DUAL_ZERO_TOL:
+            return 0.0
+        return max(0.0, value)
+
+    g = read_dimacs(DATA / "karate.col").graph
+    rmp = init_rmp(Instance(g, 4), build_clique_family(g))
+    tol = DUAL_ZERO_TOL
+    choices = [0.0, -0.0, tol, -tol, 0.5 * tol, -0.5 * tol, 1e-12, 2.0, -1.5, 0.25]
+    rng = random.Random(8)
+    for _ in range(40):
+        y = np.array([
+            rng.choice(choices) if rng.random() < 0.7 else rng.uniform(-3.0, 3.0)
+            for _ in range(rmp.model.nrows)
+        ])
+        prices = rmp.extract_duals(lp.LpResult(lp.OPTIMAL, duals=y))
+        got = [prices.count_price, *prices.cover_price, *prices.clique_price]
+        want = [clean(float(y[rmp.count_row]))]
+        want += [clean(float(y[r])) for r in rmp.cover_rows]
+        want += [clean(-float(y[r])) for r in rmp.clique_rows]
+        assert all(type(v) is float for v in got)
+        # hex strings tell -0.0 from 0.0
+        assert [v.hex() for v in got] == [v.hex() for v in want]
+
+
+def test_list_status_warm_starts_like_the_snapshot():
+    # a converged weighted root, then a branch fixing: the warm solve
+    # re-optimises through the dual phase from the bytes snapshot and
+    # from the same statuses as a list of ints, to the same result
+    g = make_weighted(gnp_graph(30, 0.1, 3), 3)
+    rmp = init_rmp(Instance(g, 3), build_clique_family(g))
+    root = column_generation(rmp, g, BranchState(), work=CgWork())
+    snapshot = root.basis
+    assert isinstance(snapshot.status, bytes) and len(snapshot.status) == rmp.model.ncols
+    as_list = lp.Basis(list(snapshot.basic), list(snapshot.status))
+    xs = [float(root.x[var]) for var in rmp.x_vars]
+    rmp.restrict(BranchState(frozenset({max(range(g.n), key=xs.__getitem__)})))
+    a = copy.deepcopy(rmp.model).solve(snapshot)
+    b = copy.deepcopy(rmp.model).solve(as_list)
+    assert a.status == b.status == lp.OPTIMAL and a.iterations > 0
+    assert (a.objective, a.iterations, a.basis) == (b.objective, b.iterations, b.basis)
+    assert a.x.tolist() == b.x.tolist() and a.duals.tolist() == b.duals.tolist()
 
 
 def test_empty_column_rejected():

@@ -5,7 +5,7 @@ from pathlib import Path
 
 import pytest
 
-from kvcut import engine
+from kvcut import engine, pricing
 from kvcut.engine import CgWork, column_generation, solve
 from kvcut.flow import CUT_TOL, INF, FlowNetwork
 from kvcut.graph import Graph, read_dimacs
@@ -67,7 +67,7 @@ def test_allows_cluster_on_path():
 
 def test_network_shape_on_shaped_duals():
     g = path3()
-    net, source_arcs = build_network(
+    net, source_arcs, _ = build_network(
         g, edge_family(g), shaped_duals(), BranchState()
     )
     # source, sink, three vertices, two cliques
@@ -80,7 +80,7 @@ def test_network_shape_on_shaped_duals():
 
 def test_network_encodes_cut_fixing_as_sink_arc():
     g = path3()
-    net, _ = build_network(
+    net, _, _ = build_network(
         g, edge_family(g), shaped_duals(), BranchState(frozenset({1}))
     )
     arcs = {
@@ -94,7 +94,7 @@ def test_network_encodes_cut_fixing_as_sink_arc():
 
 def test_network_encodes_keep_fixing_as_neighbor_arcs():
     g = path3()
-    net, _ = build_network(
+    net, _, _ = build_network(
         g,
         edge_family(g),
         shaped_duals(),
@@ -308,7 +308,7 @@ def test_every_column_is_distinct_admissible_and_violated():
 def _cold_sides(g, fam, duals, bs, boosted=None):
     """The minimal and the maximal side of one minimum cut from zero flow on
     a fresh network, boosted by hand."""
-    net, source_arcs = build_network(g, fam, duals, bs)
+    net, source_arcs, _ = build_network(g, fam, duals, bs)
     if boosted is not None:
         net.cap[source_arcs[boosted]] += duals.count_price
     res = net.residual()
@@ -437,3 +437,49 @@ def test_stage_two_work_at_the_karate_k4_root_is_pinned(monkeypatch):
         (2, 5, 30, 26, 5, 4),
         (None, 0, 34, 34, 0, 0),
     ]
+
+
+def test_greedy_flow_leaves_every_outcome_unchanged(monkeypatch):
+    # every pricing call of column generation at the karate k=4 root and
+    # a weighted G(n, p) root, priced from the greedy flow on the direct
+    # paths and from zero flow: the same columns, violations, order and
+    # stage, and the same max-flows with the same limits, values and
+    # stops.  Only the stage-1 flow adds less, as it starts from more.
+    inputs = []
+
+    def record(g, fam, duals, bs):
+        inputs.append((g, fam, duals, bs))
+        return price(g, fam, duals, bs)
+
+    monkeypatch.setattr(engine, "price", record)
+    for g, k in ((read_dimacs(DATA / "karate.col").graph, 4),
+                 (make_weighted(gnp_graph(35, 0.1, 2), 2), 5)):
+        rmp = init_rmp(Instance(g, k), build_clique_family(g))
+        column_generation(rmp, g, BranchState(), work=CgWork())
+    monkeypatch.undo()
+    flows = _logged_flows(monkeypatch)
+    stages = Counter()
+    started = 0
+    for g, fam, duals, bs in inputs:
+        flows.clear()
+        outcome = price(g, fam, duals, bs)
+        greedy = list(flows)
+        flows.clear()
+        with monkeypatch.context() as m:
+            m.setattr(pricing, "greedy_flow", lambda res, paths: None)
+            assert price(g, fam, duals, bs) == outcome
+        assert [(s, stop) for s, _, _, stop in greedy] == [(s, stop) for s, _, _, stop in flows]
+        # limits and the values of flows that ran to the end agree up to
+        # rounding; a flow stopped at its limit ends with whichever push
+        # crossed it
+        for (_, limit, value, stop), cold in zip(greedy[1:], flows[1:]):
+            assert limit == pytest.approx(cold[1], abs=1e-12)
+            if not stop:
+                assert value == pytest.approx(cold[2], abs=1e-12)
+        assert greedy[0][:2] == (0, INF)
+        assert greedy[0][2] <= flows[0][2]
+        started += greedy[0][2] < flows[0][2]
+        stages[outcome.stage] += 1
+    # 44 stage-1 calls, 13 sweeps and 2 closing calls under one BLAS
+    # thread, each stage-1 flow started from a nonzero greedy flow
+    assert stages[1] >= 30 and stages[2] >= 10 and started >= 50

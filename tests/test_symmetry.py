@@ -204,7 +204,7 @@ def _objective(inst, symmetry, monkeypatch):
     # the symmetry-free engine is the same solve with no automorphisms
     with monkeypatch.context() as m:
         if not symmetry:
-            m.setattr(kvcut.engine, "automorphism_generators", lambda g: [])
+            m.setattr(kvcut.engine, "automorphism_generators", lambda g, deadline: [])
         rep = solve(inst)
     return rep.status, rep.objective, rep.nodes
 
