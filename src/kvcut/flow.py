@@ -43,13 +43,24 @@ component (or a graph of only cliques), which no vertex set disconnects.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import combinations
+from itertools import combinations, compress
 from typing import Iterable, Optional
 
 from .graph import Graph, connected_components, is_clique
 
 INF = float("inf")
 CUT_TOL = 1e-9
+
+
+def sentinel(finite: float, headroom: float = 0.0) -> float:
+    """The residual of an infinite arc, given the sum of the finite capacities.
+
+    It lies above every finite cut, including cuts through arcs a caller
+    later raises by at most ``headroom`` in total.  Doubling the sum keeps
+    it above the largest finite cut when the sum is so large that adding
+    1.0 alone would round away.
+    """
+    return 2.0 * (finite + headroom) + 1.0
 
 
 class FlowNetwork:
@@ -72,16 +83,23 @@ class FlowNetwork:
         self.head[v].append(a + 1)
         return a
 
+    @classmethod
+    def from_arcs(
+        cls, head: list[list[int]], to: list[int], cap: list[float]
+    ) -> "FlowNetwork":
+        """A network built in bulk, laid out as ``add_arc`` would lay it out."""
+        net = cls()
+        net.n, net.head, net.to, net.cap = len(head), head, to, cap
+        return net
+
     def residual(self, headroom: float = 0.0) -> list[float]:
         """Residual capacities of the zero flow, one entry per arc.
 
-        Infinite arcs get a sentinel above every finite cut, including
-        cuts through arcs a caller later raises by at most ``headroom``
-        in total.  Doubling the sum keeps it above the largest finite cut
-        when the sum is so large that adding 1.0 alone would round away.
+        Infinite arcs get ``sentinel`` of the finite capacities, summed in
+        arc order.
         """
-        sentinel = 2.0 * (sum(c for c in self.cap if c != INF) + headroom) + 1.0
-        return [sentinel if c == INF else c for c in self.cap]
+        top = sentinel(sum(c for c in self.cap if c != INF), headroom)
+        return [top if c == INF else c for c in self.cap]
 
     def max_flow(
         self, s: int, t: int, res: Optional[list[float]] = None, limit: float = INF
@@ -155,17 +173,17 @@ class FlowNetwork:
         minimal side it is unique, whatever maximum flow left ``res``
         (Picard & Queyranne 1980), and its cut has the same capacity.
         """
-        to = self.to
-        reaches = [False] * self.n
-        reaches[t] = True
+        head, to, tol = self.head, self.to, CUT_TOL
+        side = [True] * self.n  # until the BFS finds a path to t
+        side[t] = False
         queue = [t]
         for v in queue:  # grows while it is scanned
-            for a in self.head[v]:
+            for a in head[v]:
                 u = to[a]
-                if not reaches[u] and res[a ^ 1] > CUT_TOL:
-                    reaches[u] = True
+                if side[u] and res[a ^ 1] > tol:
+                    side[u] = False
                     queue.append(u)
-        return [u for u in range(self.n) if not reaches[u]]
+        return list(compress(range(self.n), side))
 
 
 @dataclass

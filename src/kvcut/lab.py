@@ -123,7 +123,8 @@ def lp_bound_natural(
     that the surviving forest splits into k pieces).  The most violated
     row for a given x is found exactly by a maximum-weight forest with
     edge weights ``1 - x_u - x_v``; rows are added until none is
-    violated.
+    violated.  Raises ``EngineError`` when MAX_SEPARATION_ROUNDS rounds
+    all add a row.
     """
     start = time.monotonic()
     g, k = inst.graph, inst.k
@@ -162,6 +163,11 @@ def lp_bound_natural(
             [(xcols[v], float(deg[v] - 1)) for v in range(g.n) if deg[v] != 1],
         )
         cuts += 1
+    else:
+        # the last value predates the last row and is no converged bound
+        raise EngineError(
+            f"natural bound not converged after {MAX_SEPARATION_ROUNDS} separation rounds"
+        )
     return _with_gap(
         FormulationBound(value, time.monotonic() - start, iterations, cuts=cuts),
         optimum,

@@ -34,6 +34,9 @@ The per-solve and per-pivot work is kept small:
 * Each element of B^-1 the update touches gets one multiply and one
   subtract.
 * A warm-start token is the basic list and one status byte per column.
+  A solve holds the basis as one index array, so each gather by it
+  (costs, bounds, values, reduced costs) indexes with that array, not
+  with a Python list that numpy would convert first.
 * Phase 2's last pricing pass, which found no entering column, priced
   the final basis with y = c_B B^-1 and d = c - y A.  The certificate
   takes that d, and the solve reports that y, instead of computing
@@ -211,8 +214,9 @@ class LinearProgram:
         self._c[j] = cost
         self._lb[j] = lb
         self._ub[j] = ub
+        column = self._A[:, j]
         for i, a in entries:
-            self._A[i, j] = a
+            column[i] = a
         return j
 
     def add_row(
@@ -235,8 +239,9 @@ class LinearProgram:
         i = self.nrows
         self.nrows += 1
         self._rhs[i] = rhs
+        row = self._A[i]
         for j, a in entries:
-            self._A[i, j] = a
+            row[j] = a
         if sense == LESS:
             lo, hi = 0.0, INF
         elif sense == GREATER:
@@ -263,6 +268,13 @@ class LinearProgram:
             return LpResult(SINGULAR, iterations=simplex.iters)
 
 
+def _nans(size: int) -> np.ndarray:
+    """A fresh array of nan (``np.full`` takes twice as long at this size)."""
+    out = np.empty(size)
+    out.fill(np.nan)
+    return out
+
+
 class _Simplex:
     """One solve: a workspace over the model's columns.
 
@@ -287,14 +299,14 @@ class _Simplex:
         # for one free to fall from its upper bound, 0 otherwise; a
         # column is mispriced where sign * d < -RC_TOL
         self.sign = np.zeros(self.n)
-        self.basic: list[int] = []
+        self.basic = np.zeros(0, dtype=np.intp)  # column id per row
         self.Binv: Optional[np.ndarray] = None  # set with the basis
         self.x = np.zeros(self.n)
         self.xb = np.zeros(self.m)
         # row prices and reduced costs of _iterate's last pricing pass; nan
         # until a pass has run, so no certificate holds without one
-        self.y = np.full(self.m, np.nan)
-        self.d = np.full(self.n, np.nan)
+        self.y = _nans(self.m)
+        self.d = _nans(self.n)
         self.iters = 0
         self.pivots_since_refactor = 0
         self.zero_pivots = 0  # sub-tolerance pivot elements in a row
@@ -304,35 +316,40 @@ class _Simplex:
 
     def _cold_basis(self):
         self.status[:] = np.where(self.lb > -INF, AT_LB, AT_UB)
-        self.basic = list(self.lp.logical)
+        self.basic = np.array(self.lp.logical, dtype=np.intp)
         self.status[self.basic] = BASIC
         self.Binv = np.eye(self.m)
         self.pivots_since_refactor = 0
 
     def _load_warm(self, warm: Basis) -> bool:
         # a row added since the snapshot starts on its own logical
-        basic = list(warm.basic) + self.lp.logical[len(warm.basic) :]
-        if len(basic) > self.m or len(set(basic)) < len(basic):
+        listed = list(warm.basic) + self.lp.logical[len(warm.basic) :]
+        if len(listed) > self.m or len(set(listed)) < len(listed):
             return False
-        if basic and not (min(basic) >= 0 and max(basic) < self.n):
+        if listed and not (min(listed) >= 0 and max(listed) < self.n):
             return False
+        basic = np.array(listed, dtype=np.intp)
         # a column starts at its finite bound, except that one recorded at
         # a finite upper bound stays there
         self.status[:] = np.where(self.lb > -INF, AT_LB, AT_UB)
         recorded = np.frombuffer(bytes(warm.status[: self.n]), dtype=np.int8)
-        up = np.flatnonzero(recorded == AT_UB)
-        self.status[up] = np.where(self.ub[up] < INF, AT_UB, AT_LB)
+        k = len(recorded)
+        np.copyto(
+            self.status[:k],
+            np.where(self.ub[:k] < INF, AT_UB, AT_LB),
+            where=recorded == AT_UB,
+        )
         self.status[basic] = BASIC
         self.basic = basic
         factor, self.lp._factor = self.lp._factor, None
-        if factor and factor[0] == tuple(basic):
+        if factor and factor[0] == tuple(listed):
             _, self.Binv, self.pivots_since_refactor = factor
         else:
             try:
                 self.Binv = self._inverse()
             except SingularBasisError:
                 return False
-        return bool(np.all(np.isfinite(self.Binv)))
+        return bool(np.isfinite(self.Binv).all())
 
     def _basic_values(self) -> np.ndarray:
         """B^-1 (b - N x_N)."""
@@ -345,15 +362,14 @@ class _Simplex:
 
     def _primal_feasible(self) -> bool:
         lo, hi = self.lb[self.basic], self.ub[self.basic]
-        return bool(np.all((lo - FEAS_TOL <= self.xb) & (self.xb <= hi + FEAS_TOL)))
+        return bool(((lo - FEAS_TOL <= self.xb) & (self.xb <= hi + FEAS_TOL)).all())
 
     def _refresh(self):
         at_lb, at_ub = self.status == AT_LB, self.status == AT_UB
         np.copyto(self.x, self.lb, where=at_lb)
         np.copyto(self.x, self.ub, where=at_ub)
-        self.sign[:] = 0.0
-        self.sign[self.free & at_lb] = 1.0
-        self.sign[self.free & at_ub] = -1.0
+        # free at its lower bound minus free at its upper bound: +1, -1 or 0
+        np.subtract(self.free & at_lb, self.free & at_ub, out=self.sign, dtype=float)
         self.xb = self._basic_values()
         self.x[self.basic] = self.xb
 
@@ -377,7 +393,7 @@ class _Simplex:
         upper bound [upper, inf) and cost +1: phase 1 moves it towards
         the violated bound, and it leaves the basis on reaching it.
         """
-        basic = np.asarray(self.basic, dtype=np.intp)
+        basic = self.basic
         lo, hi = self.lb[basic], self.ub[basic]
         below = self.xb < lo - FEAS_TOL
         above = self.xb > hi + FEAS_TOL
@@ -405,8 +421,8 @@ class _Simplex:
         bland = False
         streak = 0  # degenerate pivots in a row
         self.zero_pivots = 0
-        self.y = np.full(self.m, np.nan)  # no prices left from an earlier phase
-        self.d = np.full(self.n, np.nan)
+        self.y = _nans(self.m)  # no prices left from an earlier phase
+        self.d = _nans(self.n)
         if not self.n:
             return OPTIMAL
         while True:
@@ -440,7 +456,7 @@ class _Simplex:
                 continue
             if self._zero_pivot(w[leave_pos]):
                 continue
-            out = self.basic[leave_pos]
+            out = self.basic.item(leave_pos)
             if out in self.relaxed:
                 leave_to = self._unrelax(out)
                 costs[out] = 0.0
@@ -462,7 +478,7 @@ class _Simplex:
     def _pivot(self, p: int, q: int, w: np.ndarray, theta: float, leave_to: int):
         """The one basis change: column q (B^-1 a_q = w) enters row p, moving by
         theta from its bound, and row p's column leaves at ``leave_to``."""
-        out = self.basic[p]
+        out = self.basic.item(p)
         self.status[out] = leave_to
         self.x[out] = self.lb[out] if leave_to == AT_LB else self.ub[out]
         if theta:  # most pivots are degenerate and leave xb as it is
@@ -545,7 +561,7 @@ class _Simplex:
         streak = 0  # degenerate pivots in a row
         self.zero_pivots = 0
         while True:
-            basic = np.asarray(self.basic, dtype=np.intp)
+            basic = self.basic
             lo, hi = self.lb[basic], self.ub[basic]
             excess = np.maximum(lo - self.xb, self.xb - hi)
             violated = excess > FEAS_TOL
@@ -588,13 +604,13 @@ class _Simplex:
         """Whether x and the reduced costs d = c - y A of row prices y are
         optimal, checked against A."""
         x = self.x
-        if np.any(np.abs(self.A @ x - self.b) > FEAS_TOL):
+        if (np.abs(self.A @ x - self.b) > FEAS_TOL).any():
             return False
-        if np.any(x < self.lb - FEAS_TOL) or np.any(x > self.ub + FEAS_TOL):
+        if (x < self.lb - FEAS_TOL).any() or (x > self.ub + FEAS_TOL).any():
             return False
         if (self.sign * d < -RC_TOL).any():
             return False
-        return bool(np.all(np.abs(d[self.basic]) <= RC_TOL))
+        return bool((np.abs(d[self.basic]) <= RC_TOL).all())
 
     # -- driver -----------------------------------------------------------------
 
@@ -620,7 +636,9 @@ class _Simplex:
                 if st != OPTIMAL:
                     return LpResult(st, iterations=self.iters)
                 left = sum(
-                    abs(self.xb[p]) for p, j in enumerate(self.basic) if j in self.relaxed
+                    abs(self.xb[p])
+                    for p, j in enumerate(self.basic.tolist())
+                    if j in self.relaxed
                 )
                 if left > FEAS_TOL * max(1.0, float(np.max(np.abs(self.b)))):
                     return LpResult(INFEASIBLE, iterations=self.iters)
@@ -641,7 +659,8 @@ class _Simplex:
         else:
             return LpResult(UNCERTIFIED, iterations=self.iters)
         obj = float(self.c @ self.x)
+        basic = self.basic.tolist()
         # the next warm solve from this basis takes this inverse as is
-        self.lp._factor = (tuple(self.basic), self.Binv, self.pivots_since_refactor)
-        snapshot = Basis(list(self.basic), self.status.tobytes())
+        self.lp._factor = (tuple(basic), self.Binv, self.pivots_since_refactor)
+        snapshot = Basis(basic, self.status.tobytes())
         return LpResult(OPTIMAL, obj, self.x.copy(), self.y, snapshot, self.iters)

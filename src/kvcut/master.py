@@ -209,12 +209,15 @@ class Rmp:
         self.model = lp.LinearProgram()
 
         self.count_row = self.model.add_row(lp.GREATER, float(inst.k), [])
-        self.cover_rows = [
-            self.model.add_row(lp.GREATER, 1.0, []) for _ in range(g.n)
-        ]
-        self.clique_rows = [
-            self.model.add_row(lp.LESS, 1.0, []) for _ in fam.cliques
-        ]
+        # each family of rows takes consecutive ids, so its duals are a slice
+        self.cover_rows = range(self.count_row + 1, self.count_row + 1 + g.n)
+        for _ in self.cover_rows:
+            self.model.add_row(lp.GREATER, 1.0, [])
+        self.clique_rows = range(
+            self.cover_rows.stop, self.cover_rows.stop + len(fam.cliques)
+        )
+        for _ in self.clique_rows:
+            self.model.add_row(lp.LESS, 1.0, [])
         self.x_vars = [
             self.model.add_variable(
                 g.costs[v], 0.0, lp.INF, [(self.cover_rows[v], 1.0)]
@@ -308,8 +311,8 @@ class Rmp:
             raise ValueError(f"duals need an optimal LP, got {result.status}")
         y = result.duals
         count = float(y[self.count_row])
-        cover = y[self.cover_rows]
-        clique = -y[self.clique_rows]
+        cover = y[self.cover_rows.start : self.cover_rows.stop]
+        clique = -y[self.clique_rows.start : self.clique_rows.stop]
         return DualPrices(
             count_price=count if count >= DUAL_ZERO_TOL else 0.0,
             cover_price=np.where(cover >= DUAL_ZERO_TOL, cover, 0.0).tolist(),

@@ -45,10 +45,12 @@ no column, violation, order or stage.
 
 from __future__ import annotations
 
+from bisect import bisect_left
 from dataclasses import dataclass, field
+from itertools import chain
 from typing import Optional
 
-from .flow import CUT_TOL, INF, FlowNetwork
+from .flow import CUT_TOL, INF, FlowNetwork, sentinel
 from .graph import Graph, connected_components
 from .master import BranchState, CliqueFamily, DualPrices
 
@@ -75,34 +77,66 @@ def build_network(
     fam: CliqueFamily,
     prices: DualPrices,
     state: BranchState,
-) -> tuple[FlowNetwork, list[int], list[tuple[int, int, int]]]:
-    """The pricing network, the source-arc id of every vertex and its
-    direct paths.
+) -> tuple[FlowNetwork, list[float], range, list[tuple[int, int, int]]]:
+    """The pricing network, its fresh residual, the source-arc id of every
+    vertex and its direct paths.
 
-    Node ids: source 0, sink 1, vertex v at 2+v, clique i at 2+n+i.  A
-    direct path s -> v -> C -> t is given by its three arc ids, one per
-    vertex v of each positively priced clique C.
+    Node ids: source 0, sink 1, vertex v at 2+v, clique i at 2+n+i.  Arc
+    ids: the source arc of v is 2v; each positively priced clique C, in
+    family order, takes its sink arc and then one arc v -> C per member;
+    then come one sink arc per vertex fixed to be cut and one arc from each
+    neighbour of a vertex fixed to survive.  A direct path s -> v -> C -> t
+    is given by its three arc ids.  The lists are built in bulk in the
+    layout ``add_arc`` gives, one arc at a time.  The residual is
+    ``net.residual(headroom=prices.count_price)``, whose sentinel stays
+    above the boosted cuts of stage 2; it sums the same finite
+    capacities in the same order (the prices are finite).
     """
     n = g.n
-    net = FlowNetwork(2 + n + len(fam.cliques))
-    source_arcs = []
-    for v in range(n):
-        source_arcs.append(net.add_arc(0, 2 + v, prices.cover_price[v]))
+    cover = prices.cover_price
+    to = [0] * (2 * n)
+    to[::2] = range(2, 2 + n)
+    cap = [0.0] * (2 * n)
+    cap[::2] = cover
+    head = [list(range(0, 2 * n, 2)), []]
+    head += [[a] for a in range(1, 2 * n, 2)]
+    sink = head[1]
     paths = []
-    for i, clique in enumerate(fam.cliques):
-        price = prices.clique_price[i]
-        if price <= 0.0:
+    finite = list(cover)  # the finite capacities, in arc order
+    cnode = 1 + n
+    for clique, price in zip(fam.cliques, prices.clique_price):
+        cnode += 1
+        if not price > 0.0:
+            head.append([])
             continue
-        cnode = 2 + n + i
-        sink_arc = net.add_arc(cnode, 1, price)
+        finite.append(price)
+        a = len(to)
+        sink.append(a + 1)
+        node = [a]
+        head.append(node)
+        to += (1, cnode)
+        cap += (price, 0.0)
+        b = a + 2
         for v in clique:
-            paths.append((source_arcs[v], net.add_arc(2 + v, cnode, INF), sink_arc))
-    for v in state.fixed_to_cut:
-        net.add_arc(2 + v, 1, INF)
-    for v in state.fixed_to_keep:
-        for w in g.adj[v]:
-            net.add_arc(2 + w, 2 + v, INF)
-    return net, source_arcs, paths
+            to += (cnode, 2 + v)
+            head[2 + v].append(b)
+            node.append(b + 1)
+            paths.append((2 * v, b, a))
+            b += 2
+        cap += [INF, 0.0] * len(clique)
+    top = sentinel(sum(finite), prices.count_price)
+    res = cap.copy()
+    for _, b, _ in paths:
+        res[b] = top
+    fixings = [(2 + v, 1) for v in state.fixed_to_cut]
+    fixings += [(2 + w, 2 + v) for v in state.fixed_to_keep for w in g.adj[v]]
+    for u, v in fixings:
+        head[u].append(len(to))
+        head[v].append(len(to) + 1)
+        to += (v, u)
+    cap += [INF, 0.0] * len(fixings)
+    res += [top, 0.0] * len(fixings)
+    return FlowNetwork.from_arcs(head, to, cap), res, range(0, 2 * n, 2), paths
 
 
 def greedy_flow(res: list[float], paths: list[tuple[int, int, int]]) -> None:
@@ -126,16 +160,19 @@ def cluster_violation(
     fam: CliqueFamily, prices: DualPrices, subset
 ) -> float:
     """The priced-out margin of one cluster, straight from the prices."""
-    touched: set[int] = set()
     total = prices.count_price
-    for v in subset:
-        total += prices.cover_price[v]
-        touched.update(fam.member_of[v])
-    return total - sum(prices.clique_price[i] for i in touched)
+    for price in map(prices.cover_price.__getitem__, subset):
+        total += price
+    touched = set(chain.from_iterable(map(fam.member_of.__getitem__, subset)))
+    return total - sum(map(prices.clique_price.__getitem__, touched))
 
 
-def _source_vertices(side: list[int], n: int) -> tuple[int, ...]:
-    return tuple(u - 2 for u in side if 2 <= u < 2 + n)
+_less_two = (-2).__add__
+
+
+def _vertices(side: list[int], n: int) -> tuple[int, ...]:
+    """The vertices on a sorted source side: its nodes 2 .. n+1, less 2."""
+    return tuple(map(_less_two, side[bisect_left(side, 2) : bisect_left(side, 2 + n)]))
 
 
 def price(
@@ -212,18 +249,17 @@ def price(
                 assert state.allows_cluster(g, subset)
                 found[subset] = violation
 
-    net, source_arcs, paths = build_network(g, fam, prices, state)
-    # the sentinel must stay above the boosted cuts of stage 2
-    base = net.residual(headroom=prices.count_price)
+    net, base, source_arcs, paths = build_network(g, fam, prices, state)
     greedy_flow(base, paths)
     _, side = net.max_flow(0, 1, base)
-    subset = _source_vertices(side, n)
+    subset = _vertices(side, n)
     if subset:
         collect(subset)
         if not found:
             return PricingOutcome()
-        largest = _source_vertices(net.maximal_source_side(1, base), n)
-        for cut_side in (subset, largest):
+        largest = _vertices(net.maximal_source_side(1, base), n)
+        # the sides often coincide, and one side's pieces are collected once
+        for cut_side in (subset,) if largest == subset else (subset, largest):
             collect(cut_side)
             # a connected side is its own single piece, and found already
             for piece in connected_components(g, cut_side):
@@ -234,14 +270,14 @@ def price(
         return PricingOutcome()
 
     boost = prices.count_price
-    # rule A's cuts: (S_u as a node set, u, R_u with s->u closed, delta_u)
-    kept: list[tuple[set[int], int, list[float], float]] = []
+    # rule A's cut per vertex: the smallest kept S_u that holds it, the
+    # first kept on ties, as (|S_u| in nodes, u, R_u with s->u closed, delta_u)
+    holder: dict[int, tuple[int, int, list[float], float]] = {}
     for w in range(n):
         if w in state.fixed_to_cut:
             continue
-        holders = [cut for cut in kept if 2 + w in cut[0]]
-        if holders:
-            _, u, res_u, delta_u = min(holders, key=lambda cut: len(cut[0]))
+        if w in holder:
+            _, u, res_u, delta_u = holder[w]
             # rule A: more than delta_u from w to u means w's cuts are u's
             _, side = net.max_flow(2 + w, 2 + u, res_u.copy(), delta_u + CUT_TOL)
             if side is None:
@@ -252,10 +288,14 @@ def price(
         delta, side = net.max_flow(0, 1, res, boost - CUT_TOL)
         if side is None:
             continue
-        collect(_source_vertices(side, n))
-        collect(_source_vertices(net.maximal_source_side(1, res), n))
+        subset = _vertices(side, n)
+        collect(subset)
+        collect(_vertices(net.maximal_source_side(1, res), n))
         res[source_arcs[w]] = 0.0
-        kept.append((set(side), w, res, delta))
+        cut = (len(side), w, res, delta)
+        for x in subset:
+            if x not in holder or cut[0] < holder[x][0]:
+                holder[x] = cut
     if not found:
         return PricingOutcome()
     ranked = sorted(found.items(), key=lambda item: (-item[1], item[0]))

@@ -8,7 +8,7 @@ from pathlib import Path
 
 import pytest
 
-from kvcut import cli, lp
+from kvcut import cli, lab, lp
 from kvcut.cli import BENCH_COLUMNS, main
 from kvcut.engine import EngineError
 from kvcut.graph import Graph, write_dimacs
@@ -144,6 +144,18 @@ def test_internal_failure_exits_four(tmp_path, capsys, monkeypatch, command, ent
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err == f"kvcut: error: internal solver failure: {error}\n"
+
+
+def test_unconverged_natural_bound_exits_four(tmp_path, capsys, monkeypatch):
+    # the cycle's natural bound needs a forest row, so one round runs out
+    monkeypatch.setattr(lab, "MAX_SEPARATION_ROUNDS", 1)
+    assert main(["lp-bounds", cycle6_file(tmp_path), "--k", "2"]) == 4
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == (
+        "kvcut: error: internal solver failure: "
+        "natural bound not converged after 1 separation rounds\n"
+    )
 
 
 @pytest.mark.parametrize("command", ["solve", "lp-bounds"])

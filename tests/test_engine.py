@@ -162,10 +162,13 @@ def test_karate_k5_optimum():
     assert rep["cols_root"] == 60
 
 
-_WEIGHTED_WORK_SCRIPT = """
+#: counts the master solves, simplex pivots and max-flows of one solve,
+#: then reads the instance from the arguments
+_WORK_SCRIPT = """
 import json, sys
 from kvcut import flow, lp
 from kvcut.engine import solve
+from kvcut.graph import read_dimacs
 from kvcut.instance import Instance, gnp_graph, make_weighted
 work = dict(solves=0, pivots=0, flows=0)
 lp_solve, max_flow = lp.LinearProgram.solve, flow.FlowNetwork.max_flow
@@ -178,9 +181,17 @@ def counted_flow(net, *args, **kwargs):
     work["flows"] += 1
     return max_flow(net, *args, **kwargs)
 lp.LinearProgram.solve, flow.FlowNetwork.max_flow = counted_solve, counted_flow
+"""
+
+_WEIGHTED_WORK_SCRIPT = _WORK_SCRIPT + """
 n, p, seed, k = int(sys.argv[1]), float(sys.argv[2]), int(sys.argv[3]), int(sys.argv[4])
 rep = solve(Instance(make_weighted(gnp_graph(n, p, seed), seed), k))
 print(json.dumps(dict(work, status=rep.status, objective=rep.objective)))
+"""
+
+_SHIPPED_WORK_SCRIPT = _WORK_SCRIPT + """
+rep = solve(Instance(read_dimacs(sys.argv[1]).graph, int(sys.argv[2])))
+print(json.dumps(dict(work, status=rep.status, objective=rep.objective, nodes=rep.nodes)))
 """
 
 
@@ -195,6 +206,16 @@ def test_weighted_gnp_work_is_pinned(n, p, seed, k, optimum, solves, pivots, flo
     rep = _single_threaded(_WEIGHTED_WORK_SCRIPT, n, p, seed, k)
     assert (rep["status"], rep["objective"]) == (OPTIMAL, pytest.approx(optimum))
     assert (rep["solves"], rep["pivots"], rep["flows"]) == (solves, pivots, flows)
+
+
+def test_published_myciel4_tree_work_is_pinned():
+    # the tree of the published myciel4 k=5 solve: nodes, master solves,
+    # simplex pivots and max-flows.  Its nodes run the dual phase on warm
+    # bases, price with fixing arcs and propagate symmetry, which the
+    # weighted roots above never do
+    rep = _single_threaded(_SHIPPED_WORK_SCRIPT, DATA / "myciel4.col", 5)
+    assert (rep["status"], rep["objective"]) == (OPTIMAL, pytest.approx(7.0))
+    assert (rep["nodes"], rep["solves"], rep["pivots"], rep["flows"]) == (7, 37, 440, 656)
 
 
 def test_time_limit_holds_through_the_automorphism_search():

@@ -10,9 +10,9 @@ from pathlib import Path
 import pytest
 
 import kvcut
-from kvcut import lp
+from kvcut import lab, lp
 from kvcut.engine import EngineError
-from kvcut.graph import Graph
+from kvcut.graph import Graph, read_dimacs
 from kvcut.instance import Instance, gnp_graph, make_weighted, screen
 from kvcut.lab import (
     FormulationBound,
@@ -238,6 +238,21 @@ def test_singular_basis_raises_engine_error(monkeypatch, bound, what):
     monkeypatch.setattr(lp, "_REFACTOR_EVERY", 1)  # the first pivot inverts
     with pytest.raises(EngineError, match=f"^{what} ended with singular$"):
         bound(Instance(cycle(6), 2))
+
+
+def test_natural_bound_raises_when_the_separation_rounds_run_out(monkeypatch):
+    # bcspwr01 at k=2 converges to 39/37 after some rows.  With one round
+    # fewer than it needs, every round adds a row, and the last value
+    # (0.2 with the cap at three) is no bound: it predates the last row
+    g = read_dimacs(Path(kvcut.__file__).parent / "data" / "bcspwr01.col").graph
+    converged = lp_bound_natural(Instance(g, 2))
+    assert converged.value == pytest.approx(39 / 37, abs=1e-6)
+    for cap in (3, converged.cuts):
+        monkeypatch.setattr(lab, "MAX_SEPARATION_ROUNDS", cap)
+        with pytest.raises(EngineError, match=f"not converged after {cap} separation rounds"):
+            lp_bound_natural(Instance(g, 2))
+    monkeypatch.setattr(lab, "MAX_SEPARATION_ROUNDS", converged.cuts + 1)
+    assert lp_bound_natural(Instance(g, 2)).value == converged.value
 
 
 def test_compact_bound_on_p3_is_zero():

@@ -67,7 +67,7 @@ def test_allows_cluster_on_path():
 
 def test_network_shape_on_shaped_duals():
     g = path3()
-    net, source_arcs, _ = build_network(
+    net, _, source_arcs, _ = build_network(
         g, edge_family(g), shaped_duals(), BranchState()
     )
     # source, sink, three vertices, two cliques
@@ -80,7 +80,7 @@ def test_network_shape_on_shaped_duals():
 
 def test_network_encodes_cut_fixing_as_sink_arc():
     g = path3()
-    net, _, _ = build_network(
+    net, _, _, _ = build_network(
         g, edge_family(g), shaped_duals(), BranchState(frozenset({1}))
     )
     arcs = {
@@ -94,7 +94,7 @@ def test_network_encodes_cut_fixing_as_sink_arc():
 
 def test_network_encodes_keep_fixing_as_neighbor_arcs():
     g = path3()
-    net, _, _ = build_network(
+    net, _, _, _ = build_network(
         g,
         edge_family(g),
         shaped_duals(),
@@ -108,6 +108,65 @@ def test_network_encodes_keep_fixing_as_neighbor_arcs():
     }
     assert (2 + 0, 2 + 1, INF) in arcs
     assert (2 + 2, 2 + 1, INF) in arcs
+
+
+def _build_arc_by_arc(g, fam, duals, bs):
+    """The pricing network one ``add_arc`` at a time, with its source arcs
+    and direct paths: the reference for ``build_network``'s bulk lists."""
+    n = g.n
+    net = FlowNetwork(2 + n + len(fam.cliques))
+    source_arcs = [net.add_arc(0, 2 + v, duals.cover_price[v]) for v in range(n)]
+    paths = []
+    for i, clique in enumerate(fam.cliques):
+        if duals.clique_price[i] <= 0.0:
+            continue
+        sink_arc = net.add_arc(2 + n + i, 1, duals.clique_price[i])
+        for v in clique:
+            paths.append((source_arcs[v], net.add_arc(2 + v, 2 + n + i, INF), sink_arc))
+    for v in bs.fixed_to_cut:
+        net.add_arc(2 + v, 1, INF)
+    for v in bs.fixed_to_keep:
+        for w in g.adj[v]:
+            net.add_arc(2 + w, 2 + v, INF)
+    return net, source_arcs, paths
+
+
+def _bits(values):
+    return [float(x).hex() for x in values]
+
+
+def test_bulk_network_matches_the_arc_by_arc_build(monkeypatch):
+    # every pricing call at the karate k=4 root, the weighted gnp-35-0.1-2
+    # k=5 root and a myciel4 k=5 child with a keep and a cut fixing: the
+    # same arc ids, heads and capacities, node by node the same arc order,
+    # the same source arcs and direct paths, and a fresh residual whose
+    # sentinel is, bit for bit, the one residual() sums from the capacities
+    calls = []
+
+    def record(g, fam, duals, bs):
+        calls.append((g, fam, duals, bs))
+        return price(g, fam, duals, bs)
+
+    monkeypatch.setattr(engine, "price", record)
+    for g, k in ((read_dimacs(DATA / "karate.col").graph, 4),
+                 (make_weighted(gnp_graph(35, 0.1, 2), 2), 5)):
+        rmp = init_rmp(Instance(g, k), build_clique_family(g))
+        column_generation(rmp, g, BranchState(), work=CgWork())
+    roots = len(calls)
+    solve(Instance(read_dimacs(DATA / "myciel4.col").graph, 5))
+    monkeypatch.undo()
+    # the first child of the myciel4 tree that fixes vertices both ways
+    child = next(bs for *_, bs in calls[roots:] if bs.fixed_to_cut and bs.fixed_to_keep)
+    calls = calls[:roots] + [call for call in calls[roots:] if call[3] == child]
+    assert roots >= 40 and len(calls) - roots >= 2
+    for i, (g, fam, duals, bs) in enumerate(calls):
+        net, base, source_arcs, paths = build_network(g, fam, duals, bs)
+        ref, ref_sources, ref_paths = _build_arc_by_arc(g, fam, duals, bs)
+        assert (net.n, net.to, net.head) == (ref.n, ref.to, ref.head), i
+        assert _bits(net.cap) == _bits(ref.cap), i
+        assert list(source_arcs) == ref_sources and paths == ref_paths, i
+        # every infinite arc, fixings included, holds the same sentinel
+        assert _bits(base) == _bits(ref.residual(headroom=duals.count_price)), i
 
 
 # ------------------------------------------------------------ two stages
@@ -308,7 +367,7 @@ def test_every_column_is_distinct_admissible_and_violated():
 def _cold_sides(g, fam, duals, bs, boosted=None):
     """The minimal and the maximal side of one minimum cut from zero flow on
     a fresh network, boosted by hand."""
-    net, source_arcs, _ = build_network(g, fam, duals, bs)
+    net, _, source_arcs, _ = build_network(g, fam, duals, bs)
     if boosted is not None:
         net.cap[source_arcs[boosted]] += duals.count_price
     res = net.residual()
