@@ -18,7 +18,7 @@ import json
 import math
 import sys
 from pathlib import Path
-from typing import Optional
+from typing import Callable, Optional
 
 from .graph import DimacsError, Graph, read_dimacs
 from .instance import Instance, format_weights, parse_weights, random_costs
@@ -73,16 +73,21 @@ def _int_at_least(low: int):
     return parse
 
 
-def _positive_seconds(text: str) -> float:
-    try:
-        value = float(text)
-    except ValueError:
-        raise argparse.ArgumentTypeError(f"invalid float value: {text!r}")
-    if not 0 < value < math.inf:  # also rejects nan
-        raise argparse.ArgumentTypeError(
-            f"must be a positive finite number, got {text!r}"
-        )
-    return value
+def _finite(wanted: str, accept: Callable[[float], bool]):
+    def parse(text: str) -> float:
+        try:
+            value = float(text)
+        except ValueError:
+            raise argparse.ArgumentTypeError(f"invalid float value: {text!r}")
+        if not (accept(value) and value < math.inf):  # nan fails both
+            raise argparse.ArgumentTypeError(f"must be {wanted}, got {text!r}")
+        return value
+
+    return parse
+
+
+_positive_seconds = _finite("a positive finite number", lambda v: v > 0)
+_optimum = _finite("a finite number >= 0", lambda v: v >= 0)
 
 
 def _k_list(text: str) -> list[int]:
@@ -90,22 +95,6 @@ def _k_list(text: str) -> list[int]:
     if not ks:
         raise argparse.ArgumentTypeError("needs at least one value")
     return ks
-
-
-def _k_flag(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--k", type=_int_at_least(2), required=True)
-
-
-def _engine_flags(p: argparse.ArgumentParser) -> None:
-    p.add_argument(
-        "--time-limit", type=_positive_seconds, default=None, metavar="SECONDS"
-    )
-
-
-def _weights_flag(p: argparse.ArgumentParser) -> None:
-    p.add_argument(
-        "--weights", default="unit", metavar="unit|file:<path>|random:<seed>"
-    )
 
 
 def _options_from(args: argparse.Namespace) -> SolveOptions:
@@ -252,8 +241,7 @@ def cmd_lp_bounds(args: argparse.Namespace) -> int:
     doc = dataclasses.asdict(rep)
     for entry in doc["bounds"].values():
         entry["value"] = _round(entry["value"])
-        if entry["gap"] is not None:
-            entry["gap"] = _round(entry["gap"])
+        entry["gap"] = _round(entry["gap"])
         entry["timing"] = {"seconds": entry.pop("seconds")}
     _emit(json.dumps(doc, indent=2), args.output)
     return EXIT_SOLVED
@@ -268,6 +256,8 @@ def cmd_oracle(args: argparse.Namespace) -> int:
             regime = CostBounded(float(regime_text[len("cost:"):]))
         except ValueError as exc:
             raise CliError(f"bad --regime value {regime_text!r}") from exc
+        if math.isnan(regime.limit):  # no cost compares above nan: no budget
+            raise CliError(f"bad --regime value {regime_text!r}")
     else:
         raise CliError(f"bad --regime value {regime_text!r}")
     g = _load_graph(args.instance, args.weights)
@@ -313,42 +303,38 @@ def build_parser() -> _Parser:
     parser = _Parser(prog="kvcut", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p = sub.add_parser("solve", help="solve one instance to optimality")
-    p.add_argument("instance")
-    _k_flag(p)
-    _weights_flag(p)
-    _engine_flags(p)
-    p.add_argument("--output", default=None, metavar="PATH")
+    # the flags several subcommands share, each declared once
+    one, weights, timed, output = (argparse.ArgumentParser(add_help=False) for _ in range(4))
+    one.add_argument("instance")
+    one.add_argument("--k", type=_int_at_least(2), required=True)
+    weights.add_argument("--weights", default="unit", metavar="unit|file:<path>|random:<seed>")
+    timed.add_argument("--time-limit", type=_positive_seconds, default=None, metavar="SECONDS")
+    output.add_argument("--output", default=None, metavar="PATH")
+
+    p = sub.add_parser("solve", help="solve one instance to optimality",
+                       parents=[one, weights, timed, output])
     p.set_defaults(func=cmd_solve)
 
-    p = sub.add_parser("bench", help="solve a batch and emit a CSV table")
+    p = sub.add_parser("bench", help="solve a batch and emit a CSV table",
+                       parents=[weights, timed, output])
     p.add_argument("instances", nargs="+")
     p.add_argument("--k", type=_k_list, required=True, metavar="K1,K2,...")
-    _weights_flag(p)
-    _engine_flags(p)
-    p.add_argument("--output", default=None, metavar="PATH")
     p.set_defaults(func=cmd_bench)
 
-    p = sub.add_parser("lp-bounds", help="root bounds of all formulations")
-    p.add_argument("instance")
-    _k_flag(p)
-    p.add_argument("--optimum", type=float, default=None)
-    _weights_flag(p)
-    p.add_argument("--output", default=None, metavar="PATH")
+    p = sub.add_parser("lp-bounds", help="root bounds of all formulations",
+                       parents=[one, weights, output])
+    p.add_argument("--optimum", type=_optimum, default=None)
     p.set_defaults(func=cmd_lp_bounds)
 
-    p = sub.add_parser("oracle", help="brute-force ground truth")
-    p.add_argument("instance")
-    _k_flag(p)
+    p = sub.add_parser("oracle", help="brute-force ground truth",
+                       parents=[one, weights, output])
     p.add_argument("--regime", default="full", metavar="full|cost:<limit>")
-    _weights_flag(p)
-    p.add_argument("--output", default=None, metavar="PATH")
     p.set_defaults(func=cmd_oracle)
 
-    p = sub.add_parser("gen-weights", help="random vertex weights, uniform 1..10")
+    p = sub.add_parser("gen-weights", help="random vertex weights, uniform 1..10",
+                       parents=[output])
     p.add_argument("instance")
     p.add_argument("--seed", type=int, required=True)
-    p.add_argument("--output", default=None, metavar="PATH")
     p.set_defaults(func=cmd_gen_weights)
 
     return parser

@@ -56,13 +56,9 @@ class EngineError(RuntimeError):
     """An internal solver failure that should never happen on valid input."""
 
 
-class _Timeout(Exception):
-    pass
-
-
 def _check_deadline(deadline: Optional[float]):
     if deadline is not None and time.monotonic() > deadline:
-        raise _Timeout
+        raise TimeoutError
 
 
 @dataclass
@@ -222,8 +218,8 @@ def column_generation(
     Returns the converged LP, or None when the node can be dropped: the
     master LP is infeasible (the connectivity row has no artificial), or
     ``prune`` accepts a Lagrangian bound.  Raises ``EngineError`` on any
-    other LP status, a singular basis included, and ``_Timeout`` before a
-    master solve past the deadline, with ``work`` counted so far.
+    other LP status, a singular basis included, and ``TimeoutError``
+    before a master solve past the deadline, with ``work`` counted so far.
 
     The Lagrangian bound (Lübbecke & Desrosiers 2005), offered after
     every stage-2 pricing call.  Let y_0 be the count price and v the
@@ -325,9 +321,9 @@ class _Search:
             rep.best_bound = self.incumbent.objective
             gap_from = self.root_bound
         elif status == TIME_LIMIT:
-            # never empty: the deadline is checked only with a node on the
-            # heap or in flight.  Costs are nonnegative, so 0 is a bound
-            # too, the only one before the root's LP converges.
+            # never empty: the root is pushed before the first deadline
+            # check.  Costs are nonnegative, so 0 is a bound too, the only
+            # one before the root's LP converges.
             bounds = [entry[0] for entry in self.heap]
             if self.inflight_bound is not None:
                 bounds.append(self.inflight_bound)
@@ -393,10 +389,10 @@ class _Search:
         connectivity: ComponentResults = {}
         self.rmp = init_rmp(self.inst, fam, connectivity=connectivity)
         self._offer(disconnection_heuristic(self.inst, connectivity))
-        self.generators = automorphism_generators(self.g, self.deadline)
 
         self._push(BnpNode(BranchState(), -math.inf, None, ()))
         try:
+            self.generators = automorphism_generators(self.g, self.deadline)
             while self.heap:
                 _check_deadline(self.deadline)
                 bound, _, _, node = heapq.heappop(self.heap)
@@ -407,7 +403,7 @@ class _Search:
                 self.max_depth = max(self.max_depth, len(node.seq))
                 self._process(node)
                 self.inflight_bound = None
-        except _Timeout:
+        except TimeoutError:
             return self._report(TIME_LIMIT)
         status = OPTIMAL if self.incumbent is not None else INFEASIBLE_STATUS
         return self._report(status)

@@ -10,7 +10,7 @@ from __future__ import annotations
 import itertools
 import math
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Iterable, Optional, Sequence
 
 
@@ -388,9 +388,9 @@ def automorphism_generators(
     Returned are the group's non-identity elements, breadth first from
     the generators, up to MAX_GENERATORS: products of generators, each of
     which ``is_automorphism`` accepted.  A graph that spends
-    AUTOMORPHISM_NODE_BUDGET refinements, or a search still running at
-    ``deadline`` (a ``time.monotonic()`` value), yields the subgroup
-    generated so far; a subgroup keeps symmetry propagation sound.
+    AUTOMORPHISM_NODE_BUDGET refinements yields the subgroup generated so
+    far, which keeps symmetry propagation sound; a search still running
+    at ``deadline`` (a ``time.monotonic()`` value) raises ``TimeoutError``.
     """
     n = g.n
     rank = {c: r for r, c in enumerate(sorted(set(g.costs)))}
@@ -409,7 +409,7 @@ def automorphism_generators(
             if next(ticks) > AUTOMORPHISM_NODE_BUDGET:
                 return None
             if deadline is not None and time.monotonic() > deadline:
-                return None
+                raise TimeoutError
             nxt = _individualize(g, colors, x)
             if sorted(nxt) != shapes[depth + 1]:
                 continue

@@ -33,10 +33,10 @@ The per-solve and per-pivot work is kept small:
 * A degenerate pivot (a step of 0) leaves the basic values as they are.
 * Each element of B^-1 the update touches gets one multiply and one
   subtract.
-* A warm-start token is the basic list and one status byte per column.
-  A solve holds the basis as one index array, so each gather by it
-  (costs, bounds, values, reduced costs) indexes with that array, not
-  with a Python list that numpy would convert first.
+* A warm-start token is the basic list and a ``bytes`` of one status
+  per column.  A solve holds the basis as one index array, so each
+  gather by it (costs, bounds, values, reduced costs) indexes with that
+  array, not with a Python list that numpy would convert first.
 * Phase 2's last pricing pass, which found no entering column, priced
   the final basis with y = c_B B^-1 and d = c - y A.  The certificate
   takes that d, and the solve reports that y, instead of computing
@@ -60,18 +60,18 @@ Conventions
   that is primal infeasible but dual feasible.  A dual phase re-optimises
   it: a bounded dual simplex that pivots until the basis is primal
   feasible, after which phase 2 finishes.
-* Phase 1 belongs to cold starts only: any other infeasible start is
-  solved cold.  It adds no columns.  Each basic logical outside its
-  bounds is relaxed instead: the bound it lies beyond moves to infinity,
-  the other bound moves to the violated one, and it costs -1 below or +1
-  above, so phase 1 drives it back to the violated bound, where it
-  leaves the basis with its own bounds.  One that ends phase 1 still
-  basic, at that bound, belongs to a redundant row and keeps its slot
-  with its own bounds.  Every basis matrix is thus ``A[:, basic]`` over
-  model columns.  No dual rays are ever produced (the callers build their
-  own high-cost recourse columns instead).  A dual phase that finds no
-  entering column hands over to a cold phase 1 too, so phase 1 is the
-  one certificate of infeasibility.
+* Phase 1 belongs to cold starts only: any other infeasible start, like
+  a token that does not load, is solved cold.  It adds no columns.  Each
+  basic logical outside its bounds is relaxed instead: the bound it lies
+  beyond moves to infinity, the other bound moves to the violated one,
+  and it costs -1 below or +1 above, so phase 1 drives it back to the
+  violated bound, where it leaves the basis with its own bounds.  One
+  that ends phase 1 still basic, at that bound, belongs to a redundant
+  row and keeps its slot with its own bounds.  Every basis matrix is
+  thus ``A[:, basic]`` over model columns.  No dual rays are ever
+  produced (the callers build their own high-cost recourse columns
+  instead).  A dual phase that finds no entering column hands over to a
+  cold phase 1 too, so phase 1 is the one certificate of infeasibility.
 * Pricing is most-negative reduced cost, falling back to Bland's rule
   after a run of degenerate pivots, so the method always terminates.
 * Both phases change the basis through one pivot step.  ``iterations``
@@ -127,13 +127,12 @@ class Basis:
 
     ``basic`` holds one model column id per row; rows added later start
     on their own logicals.  ``status`` holds AT_LB / AT_UB / BASIC per
-    column id at snapshot time, one byte each as ``solve`` writes it (a
-    list of the same ints loads too); columns created later default to
-    their finite bound.
+    column id at snapshot time, one byte each; columns created later
+    default to their finite bound.
     """
 
     basic: list[int]
-    status: bytes | list[int]
+    status: bytes
 
 
 @dataclass
@@ -332,7 +331,7 @@ class _Simplex:
         # a column starts at its finite bound, except that one recorded at
         # a finite upper bound stays there
         self.status[:] = np.where(self.lb > -INF, AT_LB, AT_UB)
-        recorded = np.frombuffer(bytes(warm.status[: self.n]), dtype=np.int8)
+        recorded = np.frombuffer(warm.status[: self.n], dtype=np.int8)
         k = len(recorded)
         np.copyto(
             self.status[:k],
@@ -616,20 +615,18 @@ class _Simplex:
 
     def run(self) -> LpResult:
         loaded = self.warm is not None and self._load_warm(self.warm)
-        if not loaded:
-            self._cold_basis()
-        self._refresh()
-        if loaded and not self._primal_feasible():
-            st = self._dual_phase() if self._dual_feasible() else INFEASIBLE
-            if st == ITERATION_LIMIT:
-                return LpResult(st, iterations=self.iters)
-            if st != OPTIMAL:
+        if loaded:
+            self._refresh()
+            if not self._primal_feasible():
+                st = self._dual_phase() if self._dual_feasible() else INFEASIBLE
+                if st == ITERATION_LIMIT:
+                    return LpResult(st, iterations=self.iters)
                 # not dual feasible, or infeasible by the dual ratio test:
                 # restart cold and let phase 1 decide
-                self._cold_basis()
-                self._refresh()
-                loaded = False
+                loaded = st == OPTIMAL
         if not loaded:
+            self._cold_basis()
+            self._refresh()
             costs = self._relax_logicals()
             if self.relaxed:
                 st = self._iterate(costs)

@@ -47,7 +47,6 @@ from __future__ import annotations
 
 from bisect import bisect_left
 from dataclasses import dataclass, field
-from itertools import chain
 from typing import Optional
 
 from .flow import CUT_TOL, INF, FlowNetwork, sentinel
@@ -163,8 +162,7 @@ def cluster_violation(
     total = prices.count_price
     for price in map(prices.cover_price.__getitem__, subset):
         total += price
-    touched = set(chain.from_iterable(map(fam.member_of.__getitem__, subset)))
-    return total - sum(map(prices.clique_price.__getitem__, touched))
+    return total - sum(map(prices.clique_price.__getitem__, fam.touched_by(subset)))
 
 
 _less_two = (-2).__add__

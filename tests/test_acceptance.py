@@ -25,7 +25,6 @@ from kvcut.flow import weighted_vertex_connectivity
 from kvcut.graph import (
     Graph,
     connected_components,
-    is_clique,
     is_k_vertex_cut,
     read_dimacs,
 )

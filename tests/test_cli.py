@@ -358,6 +358,24 @@ def test_lp_bounds_reports_every_formulation(tmp_path, capsys):
         assert "seconds" in entry["timing"]
 
 
+@pytest.mark.parametrize("optimum", ["inf", "1e400", "nan", "-inf", "-1"])
+def test_lp_bounds_refuses_an_optimum_that_is_no_finite_cost(tmp_path, capsys, optimum):
+    # an infinite optimum once gave every bound the gap nan, and nan or
+    # -inf was silently ignored
+    c6 = cycle6_file(tmp_path)
+    assert main(["lp-bounds", c6, "--k", "2", f"--optimum={optimum}"]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.count("\n") == 1
+    assert "kvcut: error: argument --optimum" in captured.err
+
+
+def test_lp_bounds_takes_a_zero_optimum(tmp_path, capsys):
+    assert main(["lp-bounds", cycle6_file(tmp_path), "--k", "2", "--optimum", "0"]) == 0
+    doc = json.loads(capsys.readouterr().out)
+    assert all(entry["gap"] is None for entry in doc["bounds"].values())
+
+
 # ------------------------------------------------------------ oracle
 
 
@@ -393,6 +411,21 @@ def test_oracle_bad_regime_exits_one(tmp_path, capsys):
     assert main(["oracle", p3, "--k", "2", "--regime", "cost:x"]) == 1
     assert main(["oracle", p3, "--k", "2", "--regime", "nope"]) == 1
     capsys.readouterr()
+
+
+@pytest.mark.parametrize("limit", ["nan", "NaN", "-nan"])
+def test_oracle_refuses_a_nan_budget(capsys, limit):
+    # a nan budget compares false with every cost, so it was no budget
+    assert main(["oracle", KARATE, "--k", "10", "--regime", f"cost:{limit}"]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"kvcut: error: bad --regime value 'cost:{limit}'\n"
+
+
+def test_oracle_takes_an_infinite_budget(tmp_path, capsys):
+    assert main(["oracle", path3_file(tmp_path), "--k", "2", "--regime", "cost:inf"]) == 0
+    doc = json.loads(capsys.readouterr().out)
+    assert (doc["status"], doc["objective"]) == ("Optimal", 1.0)
 
 
 # ------------------------------------------------------------ console entry

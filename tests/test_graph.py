@@ -274,15 +274,14 @@ def test_automorphisms_generate_the_whole_group(name):
 
 
 def test_automorphism_search_stops_at_the_deadline():
-    # a deadline already past stops every search at its first refinement:
-    # the star K1,150, whose full search takes seconds, returns at once
-    # with a subgroup (here the trivial one); a deadline far ahead
-    # changes nothing
+    # a deadline already past stops the search at its first refinement:
+    # the star K1,150, whose full search takes seconds, raises at once; a
+    # deadline far ahead changes nothing
     star = Graph(151, [(0, v) for v in range(1, 151)])
     start = time.monotonic()
-    elements = automorphism_generators(star, deadline=start)
+    with pytest.raises(TimeoutError):
+        automorphism_generators(star, deadline=start)
     assert time.monotonic() - start < 1.0
-    assert elements == []
     g = petersen()
     assert automorphism_generators(g, time.monotonic() + 1e6) == automorphism_generators(g)
 

@@ -994,7 +994,7 @@ def test_warm_load_matches_the_column_loops():
         kinds = [lp.AT_LB, lp.AT_UB, lp.BASIC]
         status = [rng.choice(kinds) for _ in range(rng.randint(0, model.ncols))]
         s = lp._Simplex(model, None)
-        if not s._load_warm(lp.Basis(basic, status)):
+        if not s._load_warm(lp.Basis(basic, bytes(status))):
             continue  # a singular basis matrix
         loaded += 1
         lb, ub = s.lb, s.ub

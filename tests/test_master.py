@@ -1,4 +1,3 @@
-import copy
 import random
 from pathlib import Path
 
@@ -6,9 +5,8 @@ import numpy as np
 import pytest
 
 from kvcut import lp
-from kvcut.engine import CgWork, column_generation
 from kvcut.graph import Graph, is_clique, read_dimacs
-from kvcut.instance import Instance, gnp_graph, make_weighted
+from kvcut.instance import Instance, gnp_graph
 from kvcut.master import (
     COVER,
     DUAL_ZERO_TOL,
@@ -163,7 +161,7 @@ def test_add_column_dedup_and_coefficients():
     col = rmp.columns[-1]
     assert col.subset == (0, 2)
     touched = rmp.fam.touched_by(col.subset)
-    assert touched == [0, 1]  # 0 in clique {0,1}, 2 in clique {1,2}
+    assert touched == {0, 1}  # 0 in clique {0,1}, 2 in clique {1,2}
     rows = [rmp.count_row, rmp.cover_rows[0], rmp.cover_rows[2]]
     rows += [rmp.clique_rows[i] for i in touched]
     column = rmp.model._A[: rmp.model.nrows, col.var]
@@ -220,25 +218,6 @@ def test_extract_duals_follows_the_scalar_rule():
         assert all(type(v) is float for v in got)
         # hex strings tell -0.0 from 0.0
         assert [v.hex() for v in got] == [v.hex() for v in want]
-
-
-def test_list_status_warm_starts_like_the_snapshot():
-    # a converged weighted root, then a branch fixing: the warm solve
-    # re-optimises through the dual phase from the bytes snapshot and
-    # from the same statuses as a list of ints, to the same result
-    g = make_weighted(gnp_graph(30, 0.1, 3), 3)
-    rmp = init_rmp(Instance(g, 3), build_clique_family(g))
-    root = column_generation(rmp, g, BranchState(), work=CgWork())
-    snapshot = root.basis
-    assert isinstance(snapshot.status, bytes) and len(snapshot.status) == rmp.model.ncols
-    as_list = lp.Basis(list(snapshot.basic), list(snapshot.status))
-    xs = [float(root.x[var]) for var in rmp.x_vars]
-    rmp.restrict(BranchState(frozenset({max(range(g.n), key=xs.__getitem__)})))
-    a = copy.deepcopy(rmp.model).solve(snapshot)
-    b = copy.deepcopy(rmp.model).solve(as_list)
-    assert a.status == b.status == lp.OPTIMAL and a.iterations > 0
-    assert (a.objective, a.iterations, a.basis) == (b.objective, b.iterations, b.basis)
-    assert a.x.tolist() == b.x.tolist() and a.duals.tolist() == b.duals.tolist()
 
 
 def test_empty_column_rejected():

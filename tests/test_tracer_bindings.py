@@ -10,10 +10,11 @@ from pathlib import Path
 import pytest
 
 from kvcut import engine, lab
-from kvcut.graph import Graph
+from kvcut.graph import Graph, read_dimacs
 from kvcut.instance import Instance
 
 PERFBENCH = Path(__file__).parent.parent / "perfbench"
+MYCIEL4 = Path(__file__).parent.parent / "src" / "kvcut" / "data" / "myciel4.col"
 
 
 @pytest.fixture
@@ -55,3 +56,38 @@ def test_tracer_records_pricing_calls(spans, run):
     finally:
         tracer.uninstall()
     assert any(s.name == "pricing.price" for s in tracer.spans)
+
+
+#: the wrapped names every column-generation run reaches, the bound lab's too
+_CG_SPANS = {
+    "master.family", "master.init_rmp", "master.add_column", "lp.solve",
+    "flow.max_flow", "pricing.price",
+}
+#: the set-up and tree layers only a solve reaches
+_SOLVE_SPANS = {
+    "master.connectivity", "engine.heuristic", "graph.automorphisms",
+    "symmetry.propagate", "instance.screen",
+}
+
+
+@pytest.mark.parametrize(
+    "run, expected",
+    [
+        (lambda inst: lab.bound_report(inst), _CG_SPANS),
+        (lambda inst: engine.solve(inst), _CG_SPANS | _SOLVE_SPANS),
+    ],
+    ids=["lab", "engine"],
+)
+def test_tracer_records_every_layer_a_run_reaches(spans, run, expected):
+    # published myciel4 at k=5 branches (7 nodes) and propagates symmetry
+    # at every node below the root, so the solve reaches every layer; a
+    # binding that column generation or the search no longer calls by
+    # its wrapped name would zero that layer's metrics
+    inst = Instance(read_dimacs(MYCIEL4).graph, 5)
+    tracer = spans.Tracer()
+    spans.install(tracer)
+    try:
+        run(inst)
+    finally:
+        tracer.uninstall()
+    assert expected <= {s.name for s in tracer.spans}
