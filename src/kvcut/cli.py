@@ -58,19 +58,15 @@ class _Parser(argparse.ArgumentParser):
         raise CliError(message)
 
 
-def _int_at_least(low: int):
-    def parse(text: str) -> int:
-        try:
-            value = int(text)
-        except ValueError:
-            raise argparse.ArgumentTypeError(f"invalid int value: {text!r}")
-        if value < low:
-            raise argparse.ArgumentTypeError(
-                f"must be at least {low}, got {value}"
-            )
-        return value
-
-    return parse
+def _k_value(text: str) -> int:
+    """One value of ``--k``: an int, at least 2."""
+    try:
+        value = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"invalid int value: {text!r}")
+    if value < 2:
+        raise argparse.ArgumentTypeError(f"must be at least 2, got {value}")
+    return value
 
 
 def _finite(wanted: str, accept: Callable[[float], bool]):
@@ -91,7 +87,7 @@ _optimum = _finite("a finite number >= 0", lambda v: v >= 0)
 
 
 def _k_list(text: str) -> list[int]:
-    ks = [_int_at_least(2)(part) for part in text.split(",") if part]
+    ks = [_k_value(part) for part in text.split(",") if part]
     if not ks:
         raise argparse.ArgumentTypeError("needs at least one value")
     return ks
@@ -127,26 +123,20 @@ def _load_graph(path: str, weights: str) -> Graph:
     raise CliError(f"bad --weights value {weights!r}")
 
 
-def _round(value: Optional[float], digits: int = 9) -> Optional[float]:
-    # stable text form for the determinism guarantee
-    if value is None:
-        return None
-    if math.isinf(value):
+def _json(doc) -> str:
+    """The one report writer: strict JSON, each float outside ``timing``
+    rounded to 9 decimals for a stable text form, an infinite one null."""
+
+    def clean(value):
+        if isinstance(value, dict):
+            return {key: v if key == "timing" else clean(v) for key, v in value.items()}
+        if isinstance(value, list):
+            return [clean(v) for v in value]
+        if isinstance(value, float):
+            return None if math.isinf(value) else round(value + 0.0, 9)
         return value
-    return round(value + 0.0, digits)
 
-
-def report_json(rep: SolveReport) -> str:
-    """The report's fields in order, the seconds moved into ``timing``."""
-    doc = dataclasses.asdict(rep)
-    for key in ("objective", "root_lp_bound", "best_bound", "gap_percent"):
-        doc[key] = _round(doc[key])
-    if rep.cut is not None:
-        doc["cut"] = [v + 1 for v in rep.cut]  # 1-based, as DIMACS counts
-    doc["timing"] = {
-        key: doc.pop(key) for key in ("pricing_seconds", "total_seconds")
-    }
-    return json.dumps(doc, indent=2)
+    return json.dumps(clean(doc), indent=2, allow_nan=False)
 
 
 def _emit(text: str, output: Optional[str]) -> None:
@@ -172,7 +162,12 @@ def _status_exit(status: str) -> int:
 def cmd_solve(args: argparse.Namespace) -> int:
     g = _load_graph(args.instance, args.weights)
     rep = solve(Instance(g, args.k), _options_from(args))
-    _emit(report_json(rep), args.output)
+    # the report's fields in order, the seconds moved into timing
+    doc = dataclasses.asdict(rep)
+    if rep.cut is not None:
+        doc["cut"] = [v + 1 for v in rep.cut]  # 1-based, as DIMACS counts
+    doc["timing"] = {key: doc.pop(key) for key in ("pricing_seconds", "total_seconds")}
+    _emit(_json(doc), args.output)
     return _status_exit(rep.status)
 
 
@@ -240,10 +235,8 @@ def cmd_lp_bounds(args: argparse.Namespace) -> int:
     rep = bound_report(Instance(g, args.k), optimum=args.optimum)
     doc = dataclasses.asdict(rep)
     for entry in doc["bounds"].values():
-        entry["value"] = _round(entry["value"])
-        entry["gap"] = _round(entry["gap"])
         entry["timing"] = {"seconds": entry.pop("seconds")}
-    _emit(json.dumps(doc, indent=2), args.output)
+    _emit(_json(doc), args.output)
     return EXIT_SOLVED
 
 
@@ -269,7 +262,7 @@ def cmd_oracle(args: argparse.Namespace) -> int:
     if isinstance(res, OracleResult):
         doc |= {
             "status": "Optimal",
-            "objective": _round(res.objective),
+            "objective": res.objective,
             "cut": [v + 1 for v in res.cut],
             "explored": res.explored,
         }
@@ -281,11 +274,11 @@ def cmd_oracle(args: argparse.Namespace) -> int:
         assert isinstance(res, BudgetExceeded)
         doc |= {
             "status": "BudgetExceeded",
-            "bound": _round(res.bound),
+            "bound": res.bound,
             "explored": res.explored,
         }
         code = EXIT_TIME_LIMIT
-    _emit(json.dumps(doc, indent=2), args.output)
+    _emit(_json(doc), args.output)
     return code
 
 
@@ -306,7 +299,7 @@ def build_parser() -> _Parser:
     # the flags several subcommands share, each declared once
     one, weights, timed, output = (argparse.ArgumentParser(add_help=False) for _ in range(4))
     one.add_argument("instance")
-    one.add_argument("--k", type=_int_at_least(2), required=True)
+    one.add_argument("--k", type=_k_value, required=True)
     weights.add_argument("--weights", default="unit", metavar="unit|file:<path>|random:<seed>")
     timed.add_argument("--time-limit", type=_positive_seconds, default=None, metavar="SECONDS")
     output.add_argument("--output", default=None, metavar="PATH")

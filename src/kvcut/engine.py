@@ -35,7 +35,9 @@ from typing import Callable, Optional, Sequence
 
 from . import lp
 from .flow import ComponentResults, weighted_vertex_connectivity
-from .graph import Graph, automorphism_generators, connected_components
+from .graph import (
+    Graph, automorphism_generators, check_deadline, components_without, is_k_vertex_cut
+)
 from .instance import INFEASIBLE, TRIVIAL, Instance, screen
 from .master import BranchState, Rmp, build_clique_family, init_rmp
 from .pricing import price
@@ -54,11 +56,6 @@ BOUND_EPS = 1e-6
 
 class EngineError(RuntimeError):
     """An internal solver failure that should never happen on valid input."""
-
-
-def _check_deadline(deadline: Optional[float]):
-    if deadline is not None and time.monotonic() > deadline:
-        raise TimeoutError
 
 
 @dataclass
@@ -142,11 +139,10 @@ def disconnection_heuristic(
         connectivity = {}
     removed: set[int] = set()
     while True:
-        keep = [v for v in range(g.n) if v not in removed]
-        comps = connected_components(g, within=keep)
+        comps = components_without(g, removed)
         if len(comps) >= k:
             return tuple(sorted(removed))
-        conn = weighted_vertex_connectivity(g, keep, connectivity)
+        conn = weighted_vertex_connectivity(g, comps, connectivity)
         if conn is None:
             return None
         removed.update(conn.vertices)
@@ -165,11 +161,6 @@ def rounding_heuristic(
     vertices, sorted; the cut keeps the node's fixings.
     """
     removed = set(state.fixed_to_cut)
-
-    def parts() -> int:
-        keep = [v for v in range(g.n) if v not in removed]
-        return len(connected_components(g, within=keep))
-
     order = sorted(
         (
             v
@@ -180,17 +171,17 @@ def rounding_heuristic(
     )
     deleted = []
     for v in order:
-        if parts() >= k:
+        if is_k_vertex_cut(g, removed, k):
             break
         if xvals[v] <= INT_TOL:
             return None
         removed.add(v)
         deleted.append(v)
-    if parts() < k:
+    if not is_k_vertex_cut(g, removed, k):
         return None
     for v in sorted(deleted, key=lambda v: (-g.costs[v], v)):
         removed.discard(v)
-        if parts() < k:
+        if not is_k_vertex_cut(g, removed, k):
             removed.add(v)
     return tuple(sorted(removed))
 
@@ -244,7 +235,7 @@ def column_generation(
     converged value.
     """
     while True:
-        _check_deadline(deadline)
+        check_deadline(deadline)
         res = rmp.model.solve(basis)
         work.pivots += res.iterations
         if res.status == lp.INFEASIBLE:
@@ -356,8 +347,7 @@ class _Search:
         """
         if cut is None:
             return False
-        keep = set(range(self.g.n)).difference(cut)
-        components = len(connected_components(self.g, within=keep))
+        components = len(components_without(self.g, cut))
         if components < self.inst.k:
             return False
         cost = sum((self.g.costs[v] for v in cut), 0.0)
@@ -394,7 +384,7 @@ class _Search:
         try:
             self.generators = automorphism_generators(self.g, self.deadline)
             while self.heap:
-                _check_deadline(self.deadline)
+                check_deadline(self.deadline)
                 bound, _, _, node = heapq.heappop(self.heap)
                 if self._prunable(bound):
                     continue

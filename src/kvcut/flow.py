@@ -44,7 +44,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from itertools import combinations, compress
-from typing import Iterable, Optional
+from typing import Optional
 
 from .graph import Graph, connected_components, is_clique
 
@@ -291,23 +291,24 @@ def component_connectivity(g: Graph, component: list[int]) -> Optional[VertexCut
 
 def weighted_vertex_connectivity(
     g: Graph,
-    within: Optional[Iterable[int]] = None,
+    components: Optional[list[list[int]]] = None,
     results: Optional[ComponentResults] = None,
 ) -> Optional[VertexCut]:
     """Min-cost vertex set whose removal increases the component count.
 
     For a disconnected graph this is the minimum over components, ties to
     the component with the lowest vertex; None when every component is a
-    clique, so that no vertex set breaks the graph further.  ``within``
-    restricts to an induced subgraph without building it.  A component's
-    result depends only on its vertex set, so ``results`` may carry them
-    from one call to the next: components found there are not computed
-    again, and the others are stored.
+    clique, so that no vertex set breaks the graph further.  A caller
+    that has an induced subgraph's ``components``, in
+    ``connected_components`` form, passes them; None takes g's.  A
+    component's result depends only on its vertex set, so ``results`` may
+    carry them from one call to the next: components found there are not
+    computed again, and the others are stored.
     """
     if results is None:
         results = {}
     best: Optional[VertexCut] = None
-    for comp in connected_components(g, within):
+    for comp in connected_components(g) if components is None else components:
         key = tuple(comp)
         if key not in results:
             results[key] = component_connectivity(g, comp)

@@ -18,6 +18,12 @@ class DimacsError(ValueError):
     """Raised for malformed instance files."""
 
 
+def check_deadline(deadline: Optional[float]) -> None:
+    """The one clock test: ``TimeoutError`` once ``time.monotonic()`` passes ``deadline``."""
+    if deadline is not None and time.monotonic() > deadline:
+        raise TimeoutError
+
+
 class Graph:
     """Simple undirected graph with a positive cost per vertex.
 
@@ -241,13 +247,15 @@ def is_clique(g: Graph, vertices: Iterable[int]) -> bool:
     return True
 
 
+def components_without(g: Graph, cut: Iterable[int]) -> list[list[int]]:
+    """The components left after deleting ``cut``, in ``connected_components`` form."""
+    gone = set(cut)
+    return connected_components(g, within=[v for v in range(g.n) if v not in gone])
+
+
 def is_k_vertex_cut(g: Graph, cut: Iterable[int], k: int) -> bool:
     """Does deleting ``cut`` leave at least ``k`` connected components?"""
-    cut_set = set(cut)
-    rest = [v for v in range(g.n) if v not in cut_set]
-    if not rest:
-        return k <= 0
-    return len(connected_components(g, within=rest)) >= k
+    return len(components_without(g, cut)) >= k
 
 
 # ---------------------------------------------------------------------------
@@ -408,8 +416,7 @@ def automorphism_generators(
         for x in cands:
             if next(ticks) > AUTOMORPHISM_NODE_BUDGET:
                 return None
-            if deadline is not None and time.monotonic() > deadline:
-                raise TimeoutError
+            check_deadline(deadline)
             nxt = _individualize(g, colors, x)
             if sorted(nxt) != shapes[depth + 1]:
                 continue

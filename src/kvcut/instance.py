@@ -11,7 +11,7 @@ import math
 from dataclasses import dataclass
 from typing import Iterator, Optional
 
-from .graph import NO, Graph, connected_components, has_stable_set_of_size
+from .graph import NO, Graph, has_stable_set_of_size, is_k_vertex_cut
 
 _MASK64 = (1 << 64) - 1
 
@@ -75,7 +75,7 @@ def screen(inst: Instance) -> Optional[str]:
     None: the tree decides, whether the stable-set search found a size-k
     set (an optimum exists) or ran out of budget.
     """
-    if len(connected_components(inst.graph)) >= inst.k:
+    if is_k_vertex_cut(inst.graph, (), inst.k):
         return TRIVIAL
     if has_stable_set_of_size(inst.graph, inst.k).status == NO:
         return INFEASIBLE

@@ -57,9 +57,10 @@ Conventions
 * A warm basis names model columns only.  A row added since the
   snapshot starts on its own logical, which leaves the reduced costs as
   they were, so a violated cut -- like a bound change -- leaves a basis
-  that is primal infeasible but dual feasible.  A dual phase re-optimises
-  it: a bounded dual simplex that pivots until the basis is primal
-  feasible, after which phase 2 finishes.
+  that is primal infeasible but dual feasible.  Every loaded basis goes
+  through the dual phase, a bounded dual simplex that pivots until the
+  basis is primal feasible (none for one that is) and hands it to phase
+  2; a basis mispriced before its first pivot goes to the cold start.
 * Phase 1 belongs to cold starts only: any other infeasible start, like
   a token that does not load, is solved cold.  It adds no columns.  Each
   basic logical outside its bounds is relaxed instead: the bound it lies
@@ -359,10 +360,6 @@ class _Simplex:
             r -= self.A[:, nz] @ at[nz]
         return self.Binv @ r
 
-    def _primal_feasible(self) -> bool:
-        lo, hi = self.lb[self.basic], self.ub[self.basic]
-        return bool(((lo - FEAS_TOL <= self.xb) & (self.xb <= hi + FEAS_TOL)).all())
-
     def _refresh(self):
         at_lb, at_ub = self.status == AT_LB, self.status == AT_UB
         np.copyto(self.x, self.lb, where=at_lb)
@@ -542,19 +539,16 @@ class _Simplex:
         """Reduced costs of the phase-2 costs."""
         return self.c - self.c[self.basic] @ self.Binv @ self.A
 
-    def _dual_feasible(self) -> bool:
-        """Whether the basis prices out under the phase-2 costs."""
-        return not (self.sign * self._reduced_costs() < -RC_TOL).any()
-
     def _dual_phase(self) -> str:
-        """Bounded dual simplex from a dual feasible, primal infeasible basis.
+        """Bounded dual simplex from a loaded warm basis.
 
         Each pivot moves the most violated basic variable to its violated
         bound and brings in the column chosen by the textbook dual ratio
         test, which keeps every reduced-cost sign.  Returns OPTIMAL once
-        the basis is primal feasible, ITERATION_LIMIT at the cap, or
-        INFEASIBLE when a violated row has no entering column (for
-        phase 1 to confirm).
+        the basis is primal feasible, with no pivot for one that is,
+        ITERATION_LIMIT at the cap, or INFEASIBLE for the cold start: when
+        a column is mispriced before the first pivot (the basis is not
+        dual feasible) or a violated row has no entering column.
         """
         bland = False
         streak = 0  # degenerate pivots in a row
@@ -575,6 +569,8 @@ class _Simplex:
                 r = int(np.argmax(excess))
             to_lb = self.xb[r] < lo[r]
             d = self._reduced_costs()
+            if not self.iters and (self.sign * d < -RC_TOL).any():
+                return INFEASIBLE  # the loaded basis is not dual feasible
             alpha = self.Binv[r] @ self.A
             # x_r rises to its lower bound (or falls to its upper bound)
             # when a column at its lower bound with alpha < 0 (> 0) rises,
@@ -617,13 +613,12 @@ class _Simplex:
         loaded = self.warm is not None and self._load_warm(self.warm)
         if loaded:
             self._refresh()
-            if not self._primal_feasible():
-                st = self._dual_phase() if self._dual_feasible() else INFEASIBLE
-                if st == ITERATION_LIMIT:
-                    return LpResult(st, iterations=self.iters)
-                # not dual feasible, or infeasible by the dual ratio test:
-                # restart cold and let phase 1 decide
-                loaded = st == OPTIMAL
+            st = self._dual_phase()
+            if st == ITERATION_LIMIT:
+                return LpResult(st, iterations=self.iters)
+            # not dual feasible, or infeasible by the dual ratio test:
+            # restart cold and let phase 1 decide
+            loaded = st == OPTIMAL
         if not loaded:
             self._cold_basis()
             self._refresh()

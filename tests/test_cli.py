@@ -190,6 +190,48 @@ def test_reports_are_deterministic_apart_from_timing(tmp_path):
     assert json.dumps(doc_a) == json.dumps(doc_b)
 
 
+def _strict_json(text):
+    """``text`` parsed as strict JSON, where NaN and Infinity are no values."""
+
+    def refuse(constant):
+        raise ValueError(f"{constant} is not JSON")
+
+    return json.loads(text, parse_constant=refuse)
+
+
+@pytest.mark.parametrize(
+    "argv, code",
+    [
+        (["solve", "p3", "--k", "2"], 0),
+        (["solve", "p3", "--k", "3"], 2),
+        (["solve", "karate", "--k", "5"], 0),
+        (["lp-bounds", "p3", "--k", "2", "--optimum", "1"], 0),
+        (["lp-bounds", "p3", "--k", "3"], 0),
+        (["oracle", "p3", "--k", "2"], 0),
+        (["oracle", "p3", "--k", "3"], 2),
+        (["oracle", "karate", "--k", "10", "--regime", "cost:2"], 3),
+    ],
+    ids=lambda value: "-".join(map(str, value)) if isinstance(value, list) else str(value),
+)
+def test_every_json_report_is_strict_json(tmp_path, capsys, argv, code):
+    files = {"p3": path3_file(tmp_path), "karate": KARATE}
+    argv = [files.get(arg, arg) for arg in argv]
+    assert main(argv) == code
+    _strict_json(capsys.readouterr().out)
+
+
+def test_an_infeasible_relaxation_is_a_null_bound(tmp_path, capsys):
+    # the path a-b-c has no 3 components to leave, so every LP bound but
+    # the compact one, which is 0 for k <= n, is infinite, and strict
+    # JSON has no infinity
+    assert main(["lp-bounds", path3_file(tmp_path), "--k", "3"]) == 0
+    bounds = _strict_json(capsys.readouterr().out)["bounds"]
+    assert {key: entry["value"] for key, entry in bounds.items()} == {
+        "extended-cover": None, "extended-partition": None,
+        "extended-edges": None, "natural": None, "compact": 0.0,
+    }
+
+
 def test_output_flag_writes_the_file_instead_of_stdout(tmp_path, capsys):
     out = tmp_path / "rep.json"
     assert main(["solve", path3_file(tmp_path), "--k", "2",

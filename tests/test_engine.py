@@ -33,6 +33,8 @@ from kvcut.master import CONNECTIVITY_MAX_K, BranchState, build_clique_family, i
 from kvcut.oracle import Infeasible, OracleResult, brute_force
 from kvcut.pricing import price
 
+from graphs import cycle
+
 DATA = Path(__file__).parent.parent / "src" / "kvcut" / "data"
 
 
@@ -42,10 +44,6 @@ def karate():
 
 def myciel4():
     return read_dimacs(DATA / "myciel4.col").graph
-
-
-def cycle(n):
-    return Graph(n, [(i, (i + 1) % n) for i in range(n)])
 
 
 def _cost_and_parts(g, cut):

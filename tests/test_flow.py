@@ -20,15 +20,9 @@ from kvcut.graph import Graph, connected_components, is_clique, is_k_vertex_cut,
 from kvcut.instance import Instance, gnp_graph, make_weighted
 from kvcut.master import BranchState, build_clique_family, init_rmp
 
+from graphs import complete, cycle
+
 DATA = Path(__file__).parent.parent / "src" / "kvcut" / "data"
-
-
-def cycle(n):
-    return Graph(n, [(i, (i + 1) % n) for i in range(n)])
-
-
-def complete(n):
-    return Graph(n, [(a, b) for a in range(n) for b in range(a + 1, n)])
 
 
 def test_single_arc():

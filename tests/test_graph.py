@@ -16,6 +16,8 @@ from kvcut.graph import (
     Graph,
     _refine_colors,
     automorphism_generators,
+    check_deadline,
+    components_without,
     connected_components,
     has_stable_set_of_size,
     is_automorphism,
@@ -27,19 +29,9 @@ from kvcut.graph import (
 )
 from kvcut.instance import Instance
 
+from graphs import complete, cycle, hypercube, path3, petersen
+
 DATA = Path(__file__).parent.parent / "src" / "kvcut" / "data"
-
-
-def path3():
-    return Graph(3, [(0, 1), (1, 2)])
-
-
-def cycle(n):
-    return Graph(n, [(i, (i + 1) % n) for i in range(n)])
-
-
-def complete(n):
-    return Graph(n, [(a, b) for a in range(n) for b in range(a + 1, n)])
 
 
 # ---------------------------------------------------------------- parsing
@@ -139,6 +131,18 @@ def test_component_sizes_sum_to_n():
         assert [c[0] for c in comps] == sorted(c[0] for c in comps)
 
 
+def test_components_without_the_empty_cut_and_every_vertex():
+    g = Graph(5, [(0, 1), (1, 2), (3, 4)])
+    assert components_without(g, ()) == connected_components(g) == [[0, 1, 2], [3, 4]]
+    assert components_without(g, [1]) == [[0], [2], [3, 4]]
+    assert components_without(g, range(5)) == []
+    # the empty cut keeps what is there; deleting every vertex leaves no
+    # component, which is k components only for k <= 0
+    assert is_k_vertex_cut(g, (), 2) and not is_k_vertex_cut(g, (), 3)
+    assert is_k_vertex_cut(g, range(5), 0)
+    assert not is_k_vertex_cut(g, range(5), 2)
+
+
 def test_is_k_vertex_cut_on_path():
     assert is_k_vertex_cut(path3(), [1], 2)
     assert not is_k_vertex_cut(path3(), [0], 2)
@@ -217,23 +221,10 @@ def test_stable_set_search_on_a_long_path_does_not_recurse():
 # ---------------------------------------------------------- automorphisms
 
 
-def hypercube(d):
-    n = 1 << d
-    edges = [(v, v | 1 << b) for v in range(n) for b in range(d) if not v >> b & 1]
-    return Graph(n, edges)
-
-
 def grid(rows, cols):
     across = [(v, v + 1) for v in range(rows * cols) if (v + 1) % cols]
     down = [(v, v + cols) for v in range((rows - 1) * cols)]
     return Graph(rows * cols, across + down)
-
-
-def petersen():
-    outer = [(i, (i + 1) % 5) for i in range(5)]
-    spokes = [(i, i + 5) for i in range(5)]
-    inner = [(5 + i, 5 + (i + 2) % 5) for i in range(5)]
-    return Graph(10, outer + spokes + inner)
 
 
 def group_closure(n, perms):
@@ -284,6 +275,13 @@ def test_automorphism_search_stops_at_the_deadline():
     assert time.monotonic() - start < 1.0
     g = petersen()
     assert automorphism_generators(g, time.monotonic() + 1e6) == automorphism_generators(g)
+
+
+def test_check_deadline_raises_only_once_the_deadline_has_passed():
+    check_deadline(None)
+    check_deadline(time.monotonic() + 1e6)
+    with pytest.raises(TimeoutError):
+        check_deadline(time.monotonic() - 1.0)
 
 
 def test_hypercube_q5_is_vertex_transitive():

@@ -24,13 +24,7 @@ from kvcut.lab import (
 )
 from kvcut.oracle import OracleResult, brute_force
 
-
-def path3():
-    return Graph(3, [(0, 1), (1, 2)])
-
-
-def cycle(n):
-    return Graph(n, [(i, (i + 1) % n) for i in range(n)])
+from graphs import cycle, path3
 
 
 def _acyclic_subsets(g):

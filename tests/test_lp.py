@@ -373,8 +373,9 @@ def test_set_bounds_rejects_a_free_column():
 
 @pytest.fixture
 def spy(monkeypatch):
-    """Counts, per solve path, how often the simplex entered it."""
-    calls = {"phase1": 0, "dual": 0, "cold": 0}
+    """Counts, per solve path, how often the simplex entered it, and the
+    pivots made in the dual phase."""
+    calls = {"phase1": 0, "dual": 0, "cold": 0, "dual_pivots": 0}
     relax_logicals = lp._Simplex._relax_logicals
     dual_phase = lp._Simplex._dual_phase
     cold_basis = lp._Simplex._cold_basis
@@ -385,7 +386,11 @@ def spy(monkeypatch):
 
     def spy_dual(self):
         calls["dual"] += 1
-        return dual_phase(self)
+        before = self.iters
+        try:
+            return dual_phase(self)
+        finally:
+            calls["dual_pivots"] += self.iters - before
 
     def spy_cold(self):
         calls["cold"] += 1
@@ -493,7 +498,10 @@ def test_warm_basis_that_is_not_dual_feasible_solves_cold(spy):
         cold = build(costs, bounds, rows)[0].solve()
         before = dict(spy)
         warm = model.solve(warm=basis)
-        assert spy["dual"] == before["dual"]
+        # the dual phase's first pricing pass finds the new column
+        # mispriced and hands the basis, unpivoted, to the cold start
+        assert spy["dual"] == before["dual"] + 1
+        assert spy["dual_pivots"] == before["dual_pivots"]
         assert spy["cold"] == before["cold"] + 1
         assert warm.status == cold.status
         if warm.status == lp.OPTIMAL:
@@ -532,7 +540,8 @@ def test_bound_violating_basis_is_not_reported_optimal(monkeypatch):
     model, cols = build([1.0], [(0.0, INF)], [(lp.GREATER, 3.0, [1.0])])
     first = model.solve()
     model.set_bounds(cols[0], 0.0, 2.0)  # x = 3 stays basic above its bound
-    monkeypatch.setattr(lp._Simplex, "_primal_feasible", lambda self: True)
+    # a dual phase that took the basis as repaired hands it to phase 2
+    monkeypatch.setattr(lp._Simplex, "_dual_phase", lambda self: lp.OPTIMAL)
     assert model.solve(warm=first.basis).status == lp.UNCERTIFIED
     monkeypatch.undo()
     assert model.solve(warm=first.basis).status == lp.INFEASIBLE

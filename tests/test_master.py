@@ -20,11 +20,9 @@ from kvcut.master import (
 )
 from kvcut.pricing import price
 
+from graphs import path3
+
 DATA = Path(__file__).parent.parent / "src" / "kvcut" / "data"
-
-
-def path3():
-    return Graph(3, [(0, 1), (1, 2)])
 
 
 def triangle():

@@ -11,25 +11,7 @@ from kvcut.instance import Instance, gnp_graph
 from kvcut.master import BranchState
 from kvcut.symmetry import invert_permutation, propagate
 
-
-def cycle(n):
-    return Graph(n, [(i, (i + 1) % n) for i in range(n)])
-
-
-def path3():
-    return Graph(3, [(0, 1), (1, 2)])
-
-
-def hypercube(d):
-    n = 1 << d
-    return Graph(n, [(v, v | 1 << b) for v in range(n) for b in range(d) if not v >> b & 1])
-
-
-def petersen():
-    outer = [(i, (i + 1) % 5) for i in range(5)]
-    spokes = [(i, i + 5) for i in range(5)]
-    inner = [(5 + i, 5 + (i + 2) % 5) for i in range(5)]
-    return Graph(10, outer + spokes + inner)
+from graphs import cycle, hypercube, path3, petersen
 
 
 SWAP_ENDS = [2, 1, 0]  # the P3 automorphism a <-> c
