@@ -1,9 +1,10 @@
 """Command-line front end: solve, benchmark, bound lab, oracle, weights.
 
-Exit codes: 0 when the instance is solved (Optimal or Trivial), 2 when
-it is proven Infeasible, 3 on TimeLimit, 1 for usage or IO problems, 4
-on an internal solver failure (an ``EngineError``, which an LP that
-ends singular or uncertified raises too), reported as one line on stderr.
+Exit codes: 0 when the instance is solved (Optimal, a trivial instance
+included), 2 when it is proven Infeasible, 3 on TimeLimit or the oracle's
+BudgetExceeded, 1 for usage or IO problems, 4 on an internal solver
+failure (an ``EngineError``, which an LP that ends singular or
+uncertified raises too), reported as one line on stderr.
 Timing lives in its own JSON sub-object so reports can be compared
 byte-for-byte with timing stripped.
 """
@@ -23,14 +24,7 @@ from typing import Callable, Optional
 from .graph import DimacsError, Graph, read_dimacs
 from .instance import Instance, format_weights, parse_weights, random_costs
 from .lab import bound_report
-from .oracle import (
-    BudgetExceeded,
-    CostBounded,
-    Full,
-    Infeasible,
-    OracleResult,
-    brute_force,
-)
+from .oracle import BudgetExceeded, CostBounded, Full, Infeasible, OracleResult, brute_force
 from .engine import (
     INFEASIBLE_STATUS,
     EngineError,
@@ -240,6 +234,14 @@ def cmd_lp_bounds(args: argparse.Namespace) -> int:
     return EXIT_SOLVED
 
 
+#: each oracle result type's report status and exit code
+_ORACLE_STATUS = {
+    OracleResult: (OPTIMAL, EXIT_SOLVED),
+    Infeasible: (INFEASIBLE_STATUS, EXIT_INFEASIBLE),
+    BudgetExceeded: ("BudgetExceeded", EXIT_TIME_LIMIT),
+}
+
+
 def cmd_oracle(args: argparse.Namespace) -> int:
     regime_text = args.regime
     if regime_text == "full":
@@ -258,26 +260,11 @@ def cmd_oracle(args: argparse.Namespace) -> int:
         res = brute_force(Instance(g, args.k), regime)
     except ValueError as exc:
         raise CliError(str(exc)) from exc
-    doc = {"instance": g.name or args.instance, "n": g.n, "m": g.m, "k": args.k}
-    if isinstance(res, OracleResult):
-        doc |= {
-            "status": "Optimal",
-            "objective": res.objective,
-            "cut": [v + 1 for v in res.cut],
-            "explored": res.explored,
-        }
-        code = EXIT_SOLVED
-    elif isinstance(res, Infeasible):
-        doc |= {"status": "Infeasible", "explored": res.explored}
-        code = EXIT_INFEASIBLE
-    else:
-        assert isinstance(res, BudgetExceeded)
-        doc |= {
-            "status": "BudgetExceeded",
-            "bound": res.bound,
-            "explored": res.explored,
-        }
-        code = EXIT_TIME_LIMIT
+    status, code = _ORACLE_STATUS[type(res)]
+    doc = {"instance": g.name or args.instance, "n": g.n, "m": g.m, "k": args.k,
+           "status": status, **dataclasses.asdict(res)}
+    if "cut" in doc:
+        doc["cut"] = [v + 1 for v in res.cut]  # 1-based, as DIMACS counts
     _emit(_json(doc), args.output)
     return code
 

@@ -15,13 +15,16 @@ A child node starts from the parent's optimal basis.  Its new bound
 leaves it primal infeasible but dual feasible, so the LP re-optimises it
 with a short dual simplex instead of a cold phase 1.
 
-Big-M artificial columns keep every node LP feasible except against the
-connectivity row, so a node whose master LP is infeasible, or whose
-converged LP still carries a positive artificial, is provably infeasible
-and is dropped.  Branching restricts pricing through extra network arcs
-and deactivates pooled columns that contradict the node's fixings; both
-views are recomputed from the node's own state, so moving around the
-tree needs no undo bookkeeping.
+One node is one ``column_generation`` call.  It applies both views of
+the node's fixings: it restricts the master (pinned deletion variables,
+pooled columns that contradict the fixings deactivated) and prices with
+the fixings as extra network arcs.  Both views are recomputed from the
+node's own state, so moving around the tree needs no undo bookkeeping.
+It alone decides that a node is dropped: big-M artificial columns keep
+every node LP feasible except against the connectivity row, so a node
+whose master LP is infeasible, or whose converged LP still carries a
+positive artificial, is provably infeasible, and below the root a
+Lagrangian bound may prune it.
 """
 
 from __future__ import annotations
@@ -196,7 +199,6 @@ class CgWork:
 
 def column_generation(
     rmp: Rmp,
-    g: Graph,
     state: BranchState,
     basis: Optional[lp.Basis] = None,
     *,
@@ -204,13 +206,17 @@ def column_generation(
     deadline: Optional[float] = None,
     prune: Optional[Callable[[float], bool]] = None,
 ) -> Optional[lp.LpResult]:
-    """Solve the master, price, add columns; repeat until none is added.
+    """One tree node: restrict the master to ``state``, then solve it,
+    price on ``rmp.g`` under the same fixings, add columns; repeat until
+    none is added.
 
     Returns the converged LP, or None when the node can be dropped: the
-    master LP is infeasible (the connectivity row has no artificial), or
-    ``prune`` accepts a Lagrangian bound.  Raises ``EngineError`` on any
-    other LP status, a singular basis included, and ``TimeoutError``
-    before a master solve past the deadline, with ``work`` counted so far.
+    master LP is infeasible (the connectivity row has no artificial),
+    ``prune`` accepts a Lagrangian bound, or the converged LP still needs
+    an artificial, so no solution keeps the fixings.  Raises
+    ``EngineError`` on any other LP status, a singular basis included,
+    and ``TimeoutError`` before a master solve past the deadline, with
+    ``work`` counted so far.
 
     The Lagrangian bound (Lübbecke & Desrosiers 2005), offered after
     every stage-2 pricing call.  Let y_0 be the count price and v the
@@ -234,6 +240,7 @@ def column_generation(
     no ``prune``, so its LP always converges and its bound is the
     converged value.
     """
+    rmp.restrict(state)
     while True:
         check_deadline(deadline)
         res = rmp.model.solve(basis)
@@ -246,7 +253,7 @@ def column_generation(
         basis = res.basis
         prices = rmp.extract_duals(res)
         t0 = time.monotonic()
-        outcome = price(g, rmp.fam, prices, state)
+        outcome = price(rmp.g, rmp.fam, prices, state)
         work.pricing_seconds += time.monotonic() - t0
         if prune is not None and outcome.stage == 2:
             v = min(max(col.violation for col in outcome.columns), prices.count_price)
@@ -258,6 +265,9 @@ def column_generation(
                 # every violated cluster is pooled and active, so its
                 # margin is below the simplex tolerance; treat CG as converged
                 log.debug("pricing returned only pooled columns")
+            if rmp.infeasible(res):
+                log.debug("converged master needs an artificial")
+                return None
             return res
 
 
@@ -268,7 +278,6 @@ def solve(inst: Instance, opts: Optional[SolveOptions] = None) -> SolveReport:
 class _Search:
     def __init__(self, inst: Instance, opts: SolveOptions):
         self.inst = inst
-        self.opts = opts
         self.g = inst.graph
         self.start = time.monotonic()
         self.deadline = (
@@ -411,20 +420,17 @@ class _Search:
         state = self._effective_state(node)
         if state is None:
             return  # dominated by a symmetric sibling
-        self.rmp.restrict(state)
         res = column_generation(
-            self.rmp, self.g, state, node.basis, work=self.work,
+            self.rmp, state, node.basis, work=self.work,
             deadline=self.deadline, prune=self._prunable if node.seq else None,
         )
         if res is None:
-            return
+            return  # infeasible under these fixings, or pruned
         bound = res.objective
         if not node.seq:
             self.root_bound = bound
             self.cols_root = len(self.rmp.columns)
-        if self.rmp.infeasible(res):
-            return  # no admissible solution under these fixings
-        if node.seq and math.isfinite(node.bound):
+        elif math.isfinite(node.bound):
             self._record_branch_gain(node, bound)
         if bound < node.bound - BOUND_EPS:
             log.debug("node %s bound %.9g below parent bound %.9g", node.seq, bound, node.bound)
@@ -478,12 +484,11 @@ class _Search:
             and v not in state.fixed_to_cut
             and v not in state.fixed_to_keep
         )
-        values = self.rmp.column_values(res)
-        for index, col in enumerate(self.rmp.columns):
-            if values[index] > 1e-9:
+        for subset, var in self.rmp.columns.items():
+            if res.x[var] > 1e-9:
                 candidates.update(
                     v
-                    for v in col.subset
+                    for v in subset
                     if xvals[v] > 0.5
                     and v not in state.fixed_to_cut
                     and v not in state.fixed_to_keep

@@ -71,8 +71,8 @@ def lp_bound_extended(
     fam = build_clique_family(inst.graph, family)
     rmp = init_rmp(inst, fam, connectivity_bound=False)
     work = CgWork()
-    res = column_generation(rmp, inst.graph, BranchState(), work=work)
-    value = math.inf if res is None or rmp.infeasible(res) else res.objective
+    res = column_generation(rmp, BranchState(), work=work)
+    value = math.inf if res is None else res.objective
     return _with_gap(
         FormulationBound(
             value,

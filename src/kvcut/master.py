@@ -164,14 +164,6 @@ class BranchState:
 
 
 @dataclass
-class Column:
-    """One cluster column: its vertices and its LP id."""
-
-    subset: tuple[int, ...]
-    var: int
-
-
-@dataclass
 class DualPrices:
     """Row prices the pricing network is built from.
 
@@ -188,10 +180,12 @@ class DualPrices:
 class Rmp:
     """Mutable restricted master: LP model plus the column pool.
 
-    One instance per solve; the branch-and-price engine restricts it in
-    place to each tree node's fixings.  The connectivity row is left out
-    when ``connectivity_bound`` is False; it stores its per-component
-    results in ``connectivity`` when given, so the caller can share them.
+    ``columns`` maps each pooled cluster, a sorted vertex tuple, to its LP
+    column id, in the order the clusters were added.  One instance per
+    solve; column generation restricts it in place to each tree node's
+    fixings.  The connectivity row is left out when ``connectivity_bound``
+    is False; it stores its per-component results in ``connectivity``
+    when given, so the caller can share them.
     """
 
     def __init__(
@@ -248,8 +242,7 @@ class Rmp:
             for row in range(self.count_row, self.cover_rows.stop)
         ]
 
-        self.columns: list[Column] = []
-        self._pool: dict[tuple[int, ...], int] = {}
+        self.columns: dict[tuple[int, ...], int] = {}
         for v in range(g.n):
             self.add_column((v,))
 
@@ -260,18 +253,13 @@ class Rmp:
         key = tuple(sorted(set(subset)))
         if not key:
             raise ValueError("empty cluster")
-        if key in self._pool:
+        if key in self.columns:
             return False
         entries = [(self.count_row, 1.0)]
         entries += [(self.cover_rows[v], 1.0) for v in key]
         entries += [(self.clique_rows[i], 1.0) for i in self.fam.touched_by(key)]
-        var = self.model.add_variable(0.0, 0.0, lp.INF, entries)
-        self._pool[key] = len(self.columns)
-        self.columns.append(Column(key, var))
+        self.columns[key] = self.model.add_variable(0.0, 0.0, lp.INF, entries)
         return True
-
-    def column_values(self, result: lp.LpResult) -> list[float]:
-        return [float(result.x[col.var]) for col in self.columns]
 
     # -- per-node state -------------------------------------------------------
 
@@ -289,9 +277,9 @@ class Rmp:
                 self.model.set_bounds(var, 0.0, 0.0)
             else:
                 self.model.set_bounds(var, 0.0, lp.INF)
-        for col in self.columns:
-            active = state.allows_cluster(self.g, col.subset)
-            self.model.set_bounds(col.var, 0.0, lp.INF if active else 0.0)
+        for subset, var in self.columns.items():
+            active = state.allows_cluster(self.g, subset)
+            self.model.set_bounds(var, 0.0, lp.INF if active else 0.0)
 
     # -- results ----------------------------------------------------------------
 

@@ -424,6 +424,7 @@ def test_lp_bounds_takes_a_zero_optimum(tmp_path, capsys):
 def test_oracle_full_regime(tmp_path, capsys):
     assert main(["oracle", path3_file(tmp_path), "--k", "2"]) == 0
     doc = json.loads(capsys.readouterr().out)
+    assert list(doc) == ["instance", "n", "m", "k", "status", "objective", "cut", "explored"]
     assert doc["status"] == "Optimal"
     assert doc["objective"] == 1.0
     assert doc["cut"] == [2]
@@ -432,13 +433,16 @@ def test_oracle_full_regime(tmp_path, capsys):
 
 def test_oracle_infeasible_exits_two(tmp_path, capsys):
     assert main(["oracle", clique4_file(tmp_path), "--k", "2"]) == 2
-    assert json.loads(capsys.readouterr().out)["status"] == "Infeasible"
+    doc = json.loads(capsys.readouterr().out)
+    assert list(doc) == ["instance", "n", "m", "k", "status", "explored"]
+    assert doc["status"] == "Infeasible"
 
 
 def test_oracle_budget_exit_three(capsys):
     code = main(["oracle", KARATE, "--k", "10", "--regime", "cost:2"])
     assert code == 3
     doc = json.loads(capsys.readouterr().out)
+    assert list(doc) == ["instance", "n", "m", "k", "status", "bound", "explored"]
     assert doc["status"] == "BudgetExceeded"
     assert doc["bound"] == 3.0
 

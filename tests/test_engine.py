@@ -80,6 +80,17 @@ def test_infeasible_instance_is_reported():
     assert rep.cut is None
 
 
+def test_a_root_the_tree_proves_infeasible_reports_no_root_bound(monkeypatch):
+    # with the stable-set screen out of the way, the root LP of C4 at k=3
+    # converges on a big-M artificial: no bound and no root columns, as a
+    # screened infeasible instance reports
+    monkeypatch.setattr("kvcut.engine.screen", lambda inst: None)
+    rep = solve(Instance(cycle(4), 3))
+    assert (rep.status, rep.nodes) == (INFEASIBLE_STATUS, 1)
+    assert rep.root_lp_bound is None
+    assert rep.cols_root == 0
+
+
 def test_time_limit_keeps_the_incumbent_honest():
     # the solve takes 23 ms and more on a 2-vCPU host, so the limit hits
     # inside the root
@@ -242,7 +253,7 @@ def test_column_generation_converges_at_the_karate_root():
     g = karate()
     rmp = _root_rmp(g, 5)
     work = CgWork()
-    res = column_generation(rmp, g, BranchState(), work=work)
+    res = column_generation(rmp, BranchState(), work=work)
     assert res.status == lp.OPTIMAL
     assert not rmp.infeasible(res)
     assert res.objective == pytest.approx(20 / 13, abs=1e-9)
@@ -262,7 +273,7 @@ def test_column_generation_raises_engine_error_on_a_singular_basis(monkeypatch):
     g = karate()
     work = CgWork()
     with pytest.raises(EngineError, match="^master LP ended with singular$"):
-        column_generation(_root_rmp(g, 5), g, BranchState(), work=work)
+        column_generation(_root_rmp(g, 5), BranchState(), work=work)
     assert work.pivots == 1  # counted up to the failed inversion
 
 
@@ -272,8 +283,29 @@ def test_column_generation_reports_an_infeasible_master():
     g = Graph(3, [(0, 1), (1, 2)])
     rmp = _root_rmp(g, 2)
     state = BranchState(fixed_to_keep=frozenset(range(3)))
-    rmp.restrict(state)
-    assert column_generation(rmp, g, state, work=CgWork()) is None
+    assert column_generation(rmp, state, work=CgWork()) is None
+
+
+def test_column_generation_drops_a_node_whose_converged_lp_needs_an_artificial():
+    # no connectivity row: with every vertex of P3 kept, the LP converges
+    # on the big-M columns (value 31) instead of failing outright
+    g = Graph(3, [(0, 1), (1, 2)])
+    rmp = _root_rmp(g, 2, connectivity_bound=False)
+    state = BranchState(fixed_to_keep=frozenset(range(3)))
+    assert column_generation(rmp, state, work=CgWork()) is None
+
+
+def test_column_generation_applies_the_node_fixings_itself():
+    # a master left restricted to another node's fixings gives the root
+    # the same value and pool as a fresh one
+    g = karate()
+    fresh, moved = _root_rmp(g, 4), _root_rmp(g, 4)
+    moved.restrict(BranchState(frozenset({0}), frozenset({33})))
+    for rmp in (fresh, moved):
+        res = column_generation(rmp, BranchState(), work=CgWork())
+        assert res.objective == pytest.approx(15 / 13, abs=1e-9)
+        assert len(rmp.columns) == 65
+    assert list(moved.columns.items()) == list(fresh.columns.items())
 
 
 def test_column_generation_stops_at_a_past_deadline():
@@ -282,7 +314,7 @@ def test_column_generation_stops_at_a_past_deadline():
     work = CgWork()
     with pytest.raises(TimeoutError):
         column_generation(
-            rmp, g, BranchState(), work=work, deadline=time.monotonic() - 1.0
+            rmp, BranchState(), work=work, deadline=time.monotonic() - 1.0
         )
     assert work.pivots == 0
     assert work.pricing_seconds == 0.0
@@ -657,7 +689,7 @@ def _leaf(search, xvals, clusters=()):
     for v, value in enumerate(xvals):
         x[rmp.x_vars[v]] = value
     for subset in clusters:
-        x[rmp.columns[rmp._pool[subset]].var] = 1.0
+        x[rmp.columns[subset]] = 1.0
     return lp.LpResult(lp.OPTIMAL, 0.0, np.array(x), basis=lp.Basis([], b""))
 
 
@@ -717,7 +749,7 @@ def test_lagrangian_bound_is_valid_and_never_offered_at_the_root(monkeypatch):
 
     totals = {"roots": 0, "offered": 0, "would_prune": 0}
 
-    def cg(rmp, g, state, basis=None, *, prune=None, **kwargs):
+    def cg(rmp, state, basis=None, *, prune=None, **kwargs):
         assert (prune is None) == (seq[0] == ())
         totals["roots"] += prune is None
         start = len(calls)
@@ -728,7 +760,7 @@ def test_lagrangian_bound_is_valid_and_never_offered_at_the_root(monkeypatch):
             return False
 
         res = column_generation(
-            rmp, g, state, basis, prune=None if prune is None else offer, **kwargs
+            rmp, state, basis, prune=None if prune is None else offer, **kwargs
         )
         for objective, count_price, outcome, bound in calls[start:]:
             if prune is None or not outcome.columns:

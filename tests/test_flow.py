@@ -531,7 +531,7 @@ def _root_flows(monkeypatch, g, k):
 
     monkeypatch.setattr(FlowNetwork, "max_flow", record)
     rmp = init_rmp(Instance(g, k), build_clique_family(g))
-    column_generation(rmp, g, BranchState(), work=CgWork())
+    column_generation(rmp, BranchState(), work=CgWork())
     monkeypatch.undo()
     return calls
 

@@ -133,7 +133,7 @@ def test_rmp_shape_on_path():
     assert connectivity_rhs(rmp) == 1.0
     assert len(rmp.x_vars) == 3
     assert len(rmp.columns) == 3  # the singleton seed columns
-    assert [c.subset for c in rmp.columns] == [(0,), (1,), (2,)]
+    assert list(rmp.columns) == [(0,), (1,), (2,)]
     # artificials: one for the count row, one per cover row
     assert len(rmp.artificials) == 4
     assert rmp.big_m == 10.0 * 3.0 + 1.0
@@ -156,13 +156,13 @@ def test_add_column_dedup_and_coefficients():
     rmp = init_rmp(Instance(path3(), 2), fam)
     assert rmp.add_column((0, 2))
     assert not rmp.add_column((2, 0))  # same set, different order
-    col = rmp.columns[-1]
-    assert col.subset == (0, 2)
-    touched = rmp.fam.touched_by(col.subset)
+    assert list(rmp.columns)[-1] == (0, 2)
+    var = rmp.columns[(0, 2)]
+    touched = rmp.fam.touched_by((0, 2))
     assert touched == {0, 1}  # 0 in clique {0,1}, 2 in clique {1,2}
     rows = [rmp.count_row, rmp.cover_rows[0], rmp.cover_rows[2]]
     rows += [rmp.clique_rows[i] for i in touched]
-    column = rmp.model._A[: rmp.model.nrows, col.var]
+    column = rmp.model._A[: rmp.model.nrows, var]
     assert {i: a for i, a in enumerate(column) if a} == dict.fromkeys(rows, 1.0)
 
 
@@ -178,16 +178,16 @@ def test_add_column_writes_the_entries_of_its_pairs():
         if not rmp.add_column(rng.sample(range(g.n), rng.randint(1, 7))):
             continue
         added += 1
-        col = rmp.columns[-1]
+        subset, var = list(rmp.columns.items())[-1]
         entries = [(rmp.count_row, 1.0)]
-        entries += [(rmp.cover_rows[v], 1.0) for v in col.subset]
-        entries += [(rmp.clique_rows[i], 1.0) for i in rmp.fam.touched_by(col.subset)]
+        entries += [(rmp.cover_rows[v], 1.0) for v in subset]
+        entries += [(rmp.clique_rows[i], 1.0) for i in rmp.fam.touched_by(subset)]
         want = np.zeros(rmp.model.nrows)
         for i, a in entries:
             want[i] = a
-        assert rmp.model._A[: rmp.model.nrows, col.var].tolist() == want.tolist()
+        assert rmp.model._A[: rmp.model.nrows, var].tolist() == want.tolist()
         model = rmp.model
-        assert (model._c[col.var], model._lb[col.var], model._ub[col.var]) == (0.0, 0.0, lp.INF)
+        assert (model._c[var], model._lb[var], model._ub[var]) == (0.0, 0.0, lp.INF)
     assert added >= 50
 
 
@@ -258,11 +258,11 @@ def test_dual_feasibility_over_pool_after_convergence():
         if not added:
             break
     duals = rmp.extract_duals(res)
-    for col in rmp.columns:
+    for subset in rmp.columns:
         violation = (
             duals.count_price
-            + sum(duals.cover_price[v] for v in col.subset)
-            - sum(duals.clique_price[i] for i in rmp.fam.touched_by(col.subset))
+            + sum(duals.cover_price[v] for v in subset)
+            - sum(duals.clique_price[i] for i in rmp.fam.touched_by(subset))
         )
         assert violation <= 1e-6
     assert abs(res.objective - 1.0) < 1e-9  # the converged bound on P3
@@ -308,9 +308,9 @@ def test_restrict_pins_x_and_activates_the_allowed_columns():
         for v, var in enumerate(rmp.x_vars):
             want = (1.0, 1.0) if v in cut else (0.0, 0.0) if v in fixed else (0.0, lp.INF)
             assert (model._lb[var], model._ub[var]) == want
-        for col in rmp.columns:
-            allowed = state.allows_cluster(g, col.subset)
-            assert (model._lb[col.var], model._ub[col.var]) == (0.0, lp.INF if allowed else 0.0)
+        for subset, var in rmp.columns.items():
+            allowed = state.allows_cluster(g, subset)
+            assert (model._lb[var], model._ub[var]) == (0.0, lp.INF if allowed else 0.0)
     rmp.restrict(BranchState())
-    for var in rmp.x_vars + [col.var for col in rmp.columns]:
+    for var in rmp.x_vars + list(rmp.columns.values()):
         assert (model._lb[var], model._ub[var]) == (0.0, lp.INF)

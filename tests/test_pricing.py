@@ -149,7 +149,7 @@ def test_bulk_network_matches_the_arc_by_arc_build(monkeypatch):
     for g, k in ((read_dimacs(DATA / "karate.col").graph, 4),
                  (make_weighted(gnp_graph(35, 0.1, 2), 2), 5)):
         rmp = init_rmp(Instance(g, k), build_clique_family(g))
-        column_generation(rmp, g, BranchState(), work=CgWork())
+        column_generation(rmp, BranchState(), work=CgWork())
     roots = len(calls)
     solve(Instance(read_dimacs(DATA / "myciel4.col").graph, 5))
     monkeypatch.undo()
@@ -477,7 +477,7 @@ def test_stage_two_work_at_the_karate_k4_root_is_pinned(monkeypatch):
     rmp = init_rmp(Instance(g, 4), build_clique_family(g))
     sweeps = _sweeps(
         monkeypatch,
-        lambda: column_generation(rmp, g, BranchState(), work=CgWork()),
+        lambda: column_generation(rmp, BranchState(), work=CgWork()),
     )
     flows = _logged_flows(monkeypatch)
     work = []
@@ -512,7 +512,7 @@ def test_greedy_flow_leaves_every_outcome_unchanged(monkeypatch):
     for g, k in ((read_dimacs(DATA / "karate.col").graph, 4),
                  (make_weighted(gnp_graph(35, 0.1, 2), 2), 5)):
         rmp = init_rmp(Instance(g, k), build_clique_family(g))
-        column_generation(rmp, g, BranchState(), work=CgWork())
+        column_generation(rmp, BranchState(), work=CgWork())
     monkeypatch.undo()
     flows = _logged_flows(monkeypatch)
     stages = Counter()
